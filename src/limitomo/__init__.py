@@ -21,8 +21,6 @@ from .geometry import (
     ImageGrid,
     Raster,
     SinogramGrid,
-    kappa_eval,
-    make_angular_window,
     vanishing_order_probe,
 )
 from .io import read_raster, read_sinogram, write_raster, write_sinogram
@@ -82,10 +80,8 @@ __all__ = [
     "filter_chain",
     "forward",
     "hilbert",
-    "kappa_eval",
     "load_config",
     "loads_config",
-    "make_angular_window",
     "neg_d2_ds2",
     "predicted_artifact_lines",
     "rasterize",

@@ -91,7 +91,6 @@ class RunConfig:
     pad_factor: int
     apodize: bool
     out_dir: str
-    seed: int = 0  # reserved; the pipeline is deterministic
 
     def recon_config(self) -> ReconstructionConfig:
         return ReconstructionConfig(

@@ -267,17 +267,6 @@ class AngularWindow:
         return vis
 
 
-def make_angular_window(phi1: float, phi2: float, kind: str = "finite-order",
-                        k: int = 1) -> AngularWindow:
-    """Construct an :class:`AngularWindow`, validating its invariants."""
-    return AngularWindow(phi1=phi1, phi2=phi2, kind=kind, k=k)
-
-
-def kappa_eval(window: AngularWindow, phi):
-    """Pointwise cutoff evaluation; returns 0 outside ``[phi1, phi2]``."""
-    return window.kappa(phi)
-
-
 def vanishing_order_probe(window: AngularWindow, side: str, h_list) -> float:
     """Estimate the vanishing order of the cutoff at a window endpoint.
 

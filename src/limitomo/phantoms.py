@@ -3,8 +3,11 @@
 Phantoms are additive superpositions of convex shapes (disks, ellipses and
 half-plane-clipped disks).  Because every supported shape is convex with an
 analytically known boundary, chord lengths, boundary normals, curvatures
-and areas are all available in closed form; the analytic line integral
-below serves as the oracle for the discrete forward transform.
+and areas are all available in closed form.  The analytic line integral
+below serves as the oracle for the discrete forward transform: it
+integrates the weight over each closed-form chord with a fixed
+Gauss-Legendre rule, exact for a constant weight and accurate to rounding
+for a weight that is smooth along the chord.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .geometry import AngularWindow, ImageGrid, Raster, theta, theta_perp
 
@@ -29,6 +31,18 @@ def _unit(v) -> np.ndarray:
 def _rot(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
+
+
+def _disk_chord(center, radius: float, phi: float, s):
+    """Chord ``(t0, t1)`` of the circle ``|x - center| <= radius``; ``t0 > t1`` if missed."""
+    s = np.asarray(s, dtype=float)
+    c = np.asarray(center)
+    d = c @ theta(phi) - s          # line misses if |d| > r
+    disc = radius * radius - d * d
+    hit = disc >= 0.0
+    half = np.sqrt(np.maximum(disc, 0.0))
+    tm = float(c @ theta_perp(phi))
+    return np.where(hit, tm - half, 1.0), np.where(hit, tm + half, -1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,16 +79,7 @@ class Disk:
         Returns ``(t0, t1)`` arrays over the broadcast shape of ``s``;
         ``t0 > t1`` encodes an empty intersection.
         """
-        s = np.asarray(s, dtype=float)
-        c = np.asarray(self.center)
-        th = theta(phi)
-        d = c @ th - s          # signed distance factor: line misses if |d| > r
-        half = self.radius * self.radius - d * d
-        half = np.sqrt(np.maximum(half, 0.0))
-        tm = float(c @ theta_perp(phi))
-        t0 = np.where(self.radius * self.radius - d * d >= 0.0, tm - half, 1.0)
-        t1 = np.where(self.radius * self.radius - d * d >= 0.0, tm + half, -1.0)
-        return t0, t1
+        return _disk_chord(self.center, self.radius, phi, s)
 
     def boundary_points(self, m: int = 1024):
         """Sample points, outward unit normals and curvatures along the boundary."""
@@ -234,13 +239,7 @@ class ClippedDisk:
         c = np.asarray(self.center)
         th = theta(phi)
         tp = theta_perp(phi)
-        dlin = c @ th - s
-        disc = self.radius * self.radius - dlin * dlin
-        hit = disc >= 0.0
-        half = np.sqrt(np.maximum(disc, 0.0))
-        tm = float(c @ tp)
-        t0 = np.where(hit, tm - half, 1.0)
-        t1 = np.where(hit, tm + half, -1.0)
+        t0, t1 = _disk_chord(self.center, self.radius, phi, s)
         # intersect with n . (x(t) - c) = off + t g <= clip_offset, linear in t
         n = np.asarray(self.clip_normal)
         g = float(n @ tp)
@@ -385,56 +384,49 @@ def rasterize(phantom: Phantom, grid: ImageGrid, supersample: bool = False) -> R
     return Raster(grid, acc / 4.0)
 
 
-def _weighted_interval(mu, phi: float, t0: float, t1: float, s: float) -> float:
-    """Adaptive quadrature of ``mu(x(t), phi)`` over ``[t0, t1]``."""
-    th = theta(phi)
-    tp = theta_perp(phi)
+# Gauss-Legendre rules (nodes, weights) on [-1, 1].  One node is exact for
+# a constant weight.  16 nodes integrate a weight that is smooth along the
+# chord to rounding: exponential weights with |lam| <= 3 on chords up to
+# 1.8 long agree with their closed form to about 1e-15.
+_RULE_CONSTANT = np.polynomial.legendre.leggauss(1)
+_RULE_SMOOTH = np.polynomial.legendre.leggauss(16)
 
-    def integrand(t):
-        x = s * th + t * tp
-        return float(mu(x, phi))
 
-    val, _ = quad(integrand, t0, t1, epsabs=1e-9, limit=200)
-    return val
+def analytic_sinogram_row(phantom: Phantom, mu, phi: float, s) -> np.ndarray:
+    """Weighted line integrals of the phantom along the lines ``(phi, s)``.
+
+    Every shape's chord ``[t0, t1]`` is closed form; the weight
+    ``mu(x(t), phi)`` is integrated over it with a fixed Gauss-Legendre
+    rule, vectorized over ``s`` and the shapes: one node for a constant
+    weight (exact), 16 nodes otherwise.  The rule assumes a weight that is
+    smooth along each chord; a piecewise-bilinear tabulated weight gets no
+    rounding-level guarantee.  Lines missing (or tangent to) every shape
+    yield 0.
+    """
+    s = np.asarray(s, dtype=float)
+    if not phantom.shapes:
+        return np.zeros(s.shape)
+    nodes, weights = _RULE_CONSTANT if getattr(mu, "kind", None) == "constant" else _RULE_SMOOTH
+    chords = np.array([sh.chord_interval(phi, s) for sh in phantom.shapes])
+    t0, t1 = chords[:, 0], chords[:, 1]            # (n_shapes, *s.shape)
+    half = 0.5 * np.maximum(t1 - t0, 0.0)
+    t = (0.5 * (t0 + t1))[..., None] + half[..., None] * nodes
+    # x(t) = s theta + t theta_perp, shape (n_shapes, *s.shape, nodes, 2)
+    c, sn = math.cos(phi), math.sin(phi)
+    pts = np.stack([s[..., None] * c - t * sn, s[..., None] * sn + t * c], axis=-1)
+    chord_integrals = half * (mu(pts, phi) * weights).sum(axis=-1)
+    density = np.array([sh.density for sh in phantom.shapes]).reshape((-1,) + (1,) * s.ndim)
+    return (density * chord_integrals).sum(axis=0)
 
 
 def analytic_line_integral(phantom: Phantom, mu, phi: float, s: float) -> float:
     """Weighted line integral of the phantom along the line ``(phi, s)``.
 
-    For a constant weight the exact chord lengths are used; otherwise the
-    weight is integrated adaptively (absolute tolerance 1e-9) over each
-    chord interval.  Lines missing (or tangent to) every shape yield 0.
+    A one-sample :func:`analytic_sinogram_row`: closed-form chords, the
+    weight integrated over each with a fixed Gauss-Legendre rule (exact for
+    a constant weight, rounding-level for a weight smooth along the chord).
     """
-    is_const = getattr(mu, "kind", None) == "constant"
-    cval = mu.params[0] if is_const else None
-    total = 0.0
-    for sh in phantom.shapes:
-        t0, t1 = sh.chord_interval(phi, np.asarray(s, dtype=float))
-        t0, t1 = float(t0), float(t1)
-        if t1 <= t0:
-            continue
-        if is_const:
-            total += sh.density * cval * (t1 - t0)
-        else:
-            total += sh.density * _weighted_interval(mu, phi, t0, t1, float(s))
-    return total
-
-
-def analytic_sinogram_row(phantom: Phantom, mu, phi: float, s: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`analytic_line_integral` over an offset array.
-
-    Only constant weights take the vectorized path; other weights fall
-    back to per-sample quadrature.
-    """
-    s = np.asarray(s, dtype=float)
-    if getattr(mu, "kind", None) == "constant":
-        cval = mu.params[0]
-        out = np.zeros(s.shape)
-        for sh in phantom.shapes:
-            t0, t1 = sh.chord_interval(phi, s)
-            out += sh.density * cval * np.maximum(t1 - t0, 0.0)
-        return out
-    return np.array([analytic_line_integral(phantom, mu, phi, float(si)) for si in s])
+    return float(analytic_sinogram_row(phantom, mu, phi, np.array([s], dtype=float))[0])
 
 
 def edge_singularities(phantom: Phantom, window: AngularWindow,

@@ -133,7 +133,8 @@ class Sinogram:
 def _forward_raster(raster: Raster, mu: WeightFunction, sgrid: SinogramGrid) -> np.ndarray:
     grid = raster.grid
     L, h = grid.extent, grid.h
-    if sgrid.s_max < math.sqrt(2.0) * L - 1e-12:
+    # Raster files store the extent as float32: allow for its rounding.
+    if sgrid.s_max < math.sqrt(2.0) * L * (1.0 - np.finfo(np.float32).eps):
         raise ValueError("s_max too small: raster support requires s_max >= sqrt(2) * extent")
     dt = 0.5 * h
     half_t = int(math.ceil(math.sqrt(2.0) * L / dt))
@@ -168,10 +169,13 @@ def forward(source: Phantom | Raster, mu: WeightFunction,
             sgrid: SinogramGrid) -> Sinogram:
     """Weighted X-ray transform of a phantom or raster.
 
-    Phantom sources use the analytic line integral per sample (the oracle
-    path); raster sources use trapezoid quadrature along each line with
-    step ``h/2`` and bilinear interpolation, the weight evaluated at the
-    quadrature nodes.
+    Phantom sources use the analytic path (the oracle), one
+    :func:`~limitomo.phantoms.analytic_sinogram_row` per angle: closed-form
+    chords with the weight integrated by a fixed Gauss-Legendre rule, exact
+    for a constant weight and accurate to rounding for a weight smooth
+    along each chord.  Raster sources use trapezoid quadrature along each
+    line with step ``h/2`` and bilinear interpolation, the weight evaluated
+    at the quadrature nodes.
     """
     if isinstance(source, Phantom):
         if sgrid.s_max < source.support_radius() - 1e-12:
@@ -188,17 +192,13 @@ def forward(source: Phantom | Raster, mu: WeightFunction,
 
 
 def backproject(g: Sinogram, nu: WeightFunction,
-                window: AngularWindow | None, igrid: ImageGrid,
-                double_half_range: bool = False) -> Raster:
+                window: AngularWindow | None, igrid: ImageGrid) -> Raster:
     """Weighted, cutoff-modulated back-projection onto an image grid.
 
     For each pixel ``x`` this accumulates
     ``sum_phi w_phi kappa(phi) nu(x, phi) g(phi, x . theta(phi))`` with
     linear interpolation in ``s``; ``window=None`` means ``kappa == 1``
-    over the sinogram's angular range.  When the sinogram covers only a
-    half range and the integrand is even, ``double_half_range=True``
-    doubles the result to account for the antipodal identification
-    (off by default).
+    over the sinogram's angular range.
     """
     if not np.all(np.isfinite(g.values)):
         raise ValueError("sinogram contains non-finite values")
@@ -230,6 +230,4 @@ def backproject(g: Sinogram, nu: WeightFunction,
         return acc
 
     acc = accumulate_chunks(worker, active.size)
-    if double_half_range:
-        acc = 2.0 * acc
     return Raster(igrid, acc.reshape(igrid.n, igrid.n))

@@ -58,6 +58,19 @@ filter_impl = finite-difference
 dir = {out}
 """
 
+# Package defaults except for tiny grids: extent 1.2 and s_max = sqrt(2) * 1.2.
+DEFAULTS_CONFIG = """
+[image]
+n = 16
+
+[sinogram]
+n_phi = 8
+n_s = 33
+
+[output]
+dir = {out}
+"""
+
 
 def _write_cfg(tmp_path, template, name="run.ini"):
     out = tmp_path / "out"
@@ -76,6 +89,20 @@ def test_phantom_subcommand(tmp_path):
     assert raster.grid.n == 64
     assert raster.values.max() == 1.0
     assert pgm.exists()
+
+
+def test_forward_from_raster_with_default_geometry(tmp_path):
+    # The raster header stores the extent as float32 (1.2 -> 1.2000000477),
+    # which must not make the default s_max look too small.
+    cfg, _ = _write_cfg(tmp_path, DEFAULTS_CONFIG)
+    raster = tmp_path / "phantom.ltr"
+    sino_path = tmp_path / "g.lts"
+    assert main(["phantom", "--config", str(cfg), "--out", str(raster)]) == 0
+    assert main(["forward", "--config", str(cfg), "--from-raster", str(raster),
+                 "--out", str(sino_path)]) == 0
+    sino = read_sinogram(sino_path)
+    assert sino.values.shape == (8, 33)
+    assert sino.values.max() > 0.0
 
 
 def test_forward_and_reconstruct_subcommands(tmp_path):

@@ -7,8 +7,6 @@ from limitomo import (
     AngularWindow,
     ImageGrid,
     SinogramGrid,
-    kappa_eval,
-    make_angular_window,
     vanishing_order_probe,
 )
 
@@ -18,65 +16,65 @@ WIDTH = PHI2 - PHI1
 
 def test_window_rejects_bad_endpoints():
     with pytest.raises(ValueError, match="phi1 < phi2 required"):
-        make_angular_window(PHI2, PHI1, "finite-order", 1)
+        AngularWindow(PHI2, PHI1, "finite-order", 1)
     with pytest.raises(ValueError):
-        make_angular_window(-0.1, 1.0, "finite-order", 1)
+        AngularWindow(-0.1, 1.0, "finite-order", 1)
     with pytest.raises(ValueError):
-        make_angular_window(0.5, math.pi, "finite-order", 1)
+        AngularWindow(0.5, math.pi, "finite-order", 1)
 
 
 def test_window_rejects_bad_order_and_kind():
     with pytest.raises(ValueError):
-        make_angular_window(PHI1, PHI2, "finite-order", 0)
+        AngularWindow(PHI1, PHI2, "finite-order", 0)
     with pytest.raises(ValueError):
-        make_angular_window(PHI1, PHI2, "sine", 1)
+        AngularWindow(PHI1, PHI2, "sine", 1)
 
 
 def test_kappa_midpoint_is_one():
     for kind, k in (("finite-order", 2), ("infinite-order", 0), ("indicator", 0)):
         win = AngularWindow(PHI1, PHI2, kind, max(k, 1) if kind == "finite-order" else 0)
-        assert kappa_eval(win, (PHI1 + PHI2) / 2.0) == pytest.approx(1.0, abs=1e-15)
+        assert win.kappa((PHI1 + PHI2) / 2.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_kappa_vanishes_at_endpoints_and_outside():
-    win = make_angular_window(PHI1, PHI2, "finite-order", 2)
-    assert kappa_eval(win, PHI1) == pytest.approx(0.0, abs=1e-15)
-    assert kappa_eval(win, PHI2) == pytest.approx(0.0, abs=1e-15)
-    win1 = make_angular_window(PHI1, PHI2, "finite-order", 1)
-    assert kappa_eval(win1, PHI2 + 0.1) == 0.0
-    assert kappa_eval(win1, -0.3) == 0.0
+    win = AngularWindow(PHI1, PHI2, "finite-order", 2)
+    assert win.kappa(PHI1) == pytest.approx(0.0, abs=1e-15)
+    assert win.kappa(PHI2) == pytest.approx(0.0, abs=1e-15)
+    win1 = AngularWindow(PHI1, PHI2, "finite-order", 1)
+    assert win1.kappa(PHI2 + 0.1) == 0.0
+    assert win1.kappa(-0.3) == 0.0
 
 
 def test_kappa_closed_form_values():
     # sine-power family: kappa_k(phi) = sin(pi (phi - phi1) / width) ** k
-    win1 = make_angular_window(PHI1, PHI2, "finite-order", 1)
-    got = kappa_eval(win1, PHI1 + 0.01 * WIDTH)
+    win1 = AngularWindow(PHI1, PHI2, "finite-order", 1)
+    got = win1.kappa(PHI1 + 0.01 * WIDTH)
     assert got == pytest.approx(math.sin(0.01 * math.pi), abs=1e-15)
     assert got == pytest.approx(0.031410759078128292, abs=1e-12)
 
-    win3 = make_angular_window(PHI1, PHI2, "finite-order", 3)
-    got3 = kappa_eval(win3, PHI1 + 0.25 * WIDTH)
+    win3 = AngularWindow(PHI1, PHI2, "finite-order", 3)
+    got3 = win3.kappa(PHI1 + 0.25 * WIDTH)
     assert got3 == pytest.approx(2.0 ** -1.5, abs=1e-12)
 
 
 def test_kappa_indicator_inside_is_one():
-    win = make_angular_window(PHI1, PHI2, "indicator")
-    assert kappa_eval(win, (PHI1 + PHI2) / 2.0) == 1.0
-    assert kappa_eval(win, PHI1) == 1.0
+    win = AngularWindow(PHI1, PHI2, "indicator")
+    assert win.kappa((PHI1 + PHI2) / 2.0) == 1.0
+    assert win.kappa(PHI1) == 1.0
 
 
 def test_kappa_nonnegative_peak_one():
     # odd-count grid contains the exact midpoint
     phis = np.linspace(PHI1, PHI2, 4097)
     for kind in ("finite-order", "infinite-order"):
-        win = make_angular_window(PHI1, PHI2, kind, 3)
+        win = AngularWindow(PHI1, PHI2, kind, 3)
         vals = win.kappa(phis)
         assert np.all(vals >= 0.0)
         assert abs(vals.max() - 1.0) < 1e-12
 
 
 def test_kappa_symmetry():
-    win = make_angular_window(PHI1, PHI2, "finite-order", 4)
+    win = AngularWindow(PHI1, PHI2, "finite-order", 4)
     t = np.linspace(0.0, WIDTH, 101)
     np.testing.assert_allclose(win.kappa(PHI1 + t), win.kappa(PHI2 - t), atol=1e-12)
 
@@ -84,26 +82,26 @@ def test_kappa_symmetry():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_vanishing_order_probe_recovers_k(k, side):
-    win = make_angular_window(PHI1, PHI2, "finite-order", k)
+    win = AngularWindow(PHI1, PHI2, "finite-order", k)
     h_list = np.array([1e-2, 1e-3, 1e-4]) * WIDTH
     slope = vanishing_order_probe(win, side, h_list)
     assert abs(slope - k) < 0.05
 
 
 def test_vanishing_order_probe_indicator_flat():
-    win = make_angular_window(PHI1, PHI2, "indicator")
+    win = AngularWindow(PHI1, PHI2, "indicator")
     h_list = np.array([1e-2, 1e-3, 1e-4]) * WIDTH
     assert abs(vanishing_order_probe(win, "left", h_list)) < 1e-9
 
 
 def test_vanishing_order_probe_infinite_order_steep():
-    win = make_angular_window(PHI1, PHI2, "infinite-order")
+    win = AngularWindow(PHI1, PHI2, "infinite-order")
     h_list = np.array([1e-2, 1e-3, 1e-4]) * WIDTH
     assert vanishing_order_probe(win, "left", h_list) > 10.0
 
 
 def test_vanishing_order_probe_validation():
-    win = make_angular_window(PHI1, PHI2, "finite-order", 2)
+    win = AngularWindow(PHI1, PHI2, "finite-order", 2)
     with pytest.raises(ValueError):
         vanishing_order_probe(win, "left", [1e-2, 1e-3])
     with pytest.raises(ValueError):
@@ -113,7 +111,7 @@ def test_vanishing_order_probe_validation():
 
 
 def test_window_boundary_directions():
-    win = make_angular_window(PHI1, PHI2)
+    win = AngularWindow(PHI1, PHI2)
     np.testing.assert_allclose(win.e1, [math.cos(PHI1), math.sin(PHI1)], atol=1e-15)
     np.testing.assert_allclose(win.e2, [math.cos(PHI2), math.sin(PHI2)], atol=1e-15)
     assert win.contains_direction(math.pi / 2.0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from limitomo import (
     AngularWindow,
@@ -16,8 +17,18 @@ from limitomo import (
     rasterize,
 )
 from limitomo.geometry import theta, theta_perp
+from limitomo.phantoms import analytic_sinogram_row
 
 ONE = WeightFunction.constant(1.0)
+DISK = Disk((0.25, -0.1), 0.8, 1.5)
+ELLIPSE = Ellipse((0.2, 0.15), 0.7, 0.35, 0.6, 2.0)
+CLIPPED = ClippedDisk((0.1, -0.05), 0.9, (0.6, 0.8), 0.2, 1.0)
+# Lines that cut all three shapes; the first is cut short by CLIPPED's clip line.
+LINES = ((0.3, 0.2), (1.2, -0.1), (2.9, 0.1))
+# Smooth, strictly positive, not separable along the line.
+SMOOTH = WeightFunction(
+    lambda x, phi: 1.0 + 0.5 * np.sin(2.0 * x[..., 0]) * np.cos(x[..., 1] + phi)
+    + 0.2 * x[..., 0] ** 2)
 
 
 def brute_line_integral(phantom, weight, phi, s, n_t=200001, t_max=4.0):
@@ -38,7 +49,7 @@ def test_disk_chord_values():
 
 @pytest.mark.parametrize("phi,s", [(0.3, 0.2), (1.2, -0.5), (2.9, 0.75)])
 def test_disk_chord_matches_brute_force(phi, s):
-    ph = Phantom((Disk((0.25, -0.1), 0.8, 1.5),))
+    ph = Phantom((DISK,))
     exact = analytic_line_integral(ph, ONE, phi, s)
     brute = brute_line_integral(ph, ONE, phi, s)
     assert exact == pytest.approx(brute, abs=2e-4)
@@ -46,7 +57,7 @@ def test_disk_chord_matches_brute_force(phi, s):
 
 @pytest.mark.parametrize("phi,s", [(0.0, 0.1), (0.9, -0.3), (2.2, 0.4), (1.5708, 0.0)])
 def test_ellipse_chord_matches_brute_force(phi, s):
-    ph = Phantom((Ellipse((0.2, 0.15), 0.7, 0.35, 0.6, 2.0),))
+    ph = Phantom((ELLIPSE,))
     exact = analytic_line_integral(ph, ONE, phi, s)
     brute = brute_line_integral(ph, ONE, phi, s)
     assert exact == pytest.approx(brute, abs=2e-4)
@@ -54,7 +65,7 @@ def test_ellipse_chord_matches_brute_force(phi, s):
 
 @pytest.mark.parametrize("phi,s", [(0.2, 0.0), (1.0, 0.3), (2.5, -0.2), (0.7854, 0.5)])
 def test_clipped_disk_chord_matches_brute_force(phi, s):
-    ph = Phantom((ClippedDisk((0.1, -0.05), 0.9, (0.6, 0.8), 0.2, 1.0),))
+    ph = Phantom((CLIPPED,))
     exact = analytic_line_integral(ph, ONE, phi, s)
     brute = brute_line_integral(ph, ONE, phi, s)
     assert exact == pytest.approx(brute, abs=2e-4)
@@ -67,6 +78,49 @@ def test_weighted_line_integral_matches_brute_force():
         exact = analytic_line_integral(ph, mu, phi, s)
         brute = brute_line_integral(ph, mu, phi, s, n_t=800001)
         assert exact == pytest.approx(brute, abs=1e-5)
+
+
+@pytest.mark.parametrize("lam", [-3.0, 0.3, 3.0])
+@pytest.mark.parametrize("shape", [DISK, ELLIPSE, CLIPPED], ids=["disk", "ellipse", "clipped"])
+def test_exponential_weights_match_closed_form(shape, lam):
+    # on x(t) = s theta + t theta_perp: x . theta_perp = t and x . theta = s
+    ph = Phantom((shape,))
+    perp = WeightFunction.exponential(lam, "perp")
+    parallel = WeightFunction.exponential(lam, "parallel")
+    for phi, s in LINES:
+        t0, t1 = (float(v) for v in shape.chord_interval(phi, s))
+        assert t1 > t0
+        want_perp = shape.density * (math.exp(lam * t1) - math.exp(lam * t0)) / lam
+        want_parallel = shape.density * math.exp(lam * s) * (t1 - t0)
+        assert analytic_line_integral(ph, perp, phi, s) == pytest.approx(want_perp, rel=1e-12)
+        assert analytic_line_integral(ph, parallel, phi, s) == pytest.approx(want_parallel,
+                                                                             rel=1e-12)
+
+
+def test_smooth_custom_weight_matches_quad():
+    ph = Phantom((DISK, ELLIPSE, CLIPPED))
+    for phi, s in LINES:
+        want = 0.0
+        for sh in ph.shapes:
+            t0, t1 = (float(v) for v in sh.chord_interval(phi, s))
+            val, _ = quad(lambda t: float(SMOOTH(s * theta(phi) + t * theta_perp(phi), phi)),
+                          t0, t1, epsabs=1e-13, epsrel=1e-13)
+            want += sh.density * val
+        assert analytic_line_integral(ph, SMOOTH, phi, s) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("mu", [ONE, WeightFunction.exponential(0.3), SMOOTH],
+                         ids=["constant", "exponential", "custom"])
+def test_line_integral_is_one_sample_row(mu):
+    ph = Phantom((DISK, ELLIPSE, CLIPPED))
+    phi = 0.8
+    s_row = np.linspace(-1.5, 1.5, 31)
+    row = analytic_sinogram_row(ph, mu, phi, s_row)
+    for s, r in zip(s_row, row):
+        one = analytic_line_integral(ph, mu, phi, s)
+        assert one == analytic_sinogram_row(ph, mu, phi, [s])[0]
+        assert one == pytest.approx(r, rel=1e-14, abs=1e-15)
+    assert row[0] == 0.0 and row[-1] == 0.0
 
 
 def test_line_integral_linear_in_densities():

@@ -131,14 +131,12 @@ def test_backproject_zero_sinogram():
     assert np.all(img.values == 0.0)
 
 
-def test_backproject_half_range_doubling():
+def test_backproject_half_range():
     sg = SinogramGrid(n_phi=181, n_s=65, s_max=1.8, phi0=0.0, phi1=math.pi)
     grid = ImageGrid(16, 1.2)
     g = Sinogram(sg, np.ones((181, 65)))
     single = backproject(g, ONE, None, grid)
-    doubled = backproject(g, ONE, None, grid, double_half_range=True)
     np.testing.assert_allclose(single.values, math.pi, atol=1e-10)
-    np.testing.assert_allclose(doubled.values, 2.0 * math.pi, atol=1e-10)
 
 
 def test_backproject_rejects_uncovered_pixels():
