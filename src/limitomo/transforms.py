@@ -82,7 +82,9 @@ class WeightFunction:
         ``table[p, j, i]`` holds the value at ``phi = phis[p]``,
         ``y = axis[j]``, ``x = axis[i]`` with uniformly spaced ``phis``.
         Angles wrap periodically over the tabulated range; spatial queries
-        are clamped to the table edge.
+        are clamped to the table edge.  The analytic forward integrates it
+        with a fixed 16-node rule, which its kinks limit to a relative error
+        of about 1e-4 for a table sampled from a smooth weight.
         """
         phis = np.asarray(phis, dtype=float)
         axis = np.asarray(axis, dtype=float)

@@ -109,6 +109,47 @@ def test_smooth_custom_weight_matches_quad():
         assert analytic_line_integral(ph, SMOOTH, phi, s) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", [-3.0, 3.0])
+@pytest.mark.parametrize("dphi", [-1e-3, 1e-3])
+def test_empty_chord_far_along_line_is_zero(dphi, lam):
+    # Lines nearly parallel to CLIPPED's clip line, on its far side: the chord
+    # is empty and its ends lie hundreds of units out along the line, where
+    # exp(lam * t) overflows.
+    phi = math.atan2(0.8, 0.6) + dphi
+    s = 0.6
+    t0, t1 = (float(v) for v in CLIPPED.chord_interval(phi, s))
+    assert t1 <= t0 and max(abs(t0), abs(t1)) > 100
+    mu = WeightFunction.exponential(lam, "perp")
+    with np.errstate(all="raise"):
+        assert analytic_line_integral(Phantom((CLIPPED,)), mu, phi, s) == 0.0
+        row = analytic_sinogram_row(Phantom((DISK, CLIPPED)), mu, phi, np.linspace(-2, 2, 41))
+    assert np.all(np.isfinite(row))
+
+
+def test_tabulated_weight_error_bound():
+    # A bilinear table has kinks along the chord, so the 16-node rule is not
+    # rounding-level there.  Oracle: quad on each piece between the table's
+    # grid-line crossings, where the weight is a quadratic in t.
+    axis = np.linspace(-1.5, 1.5, 17)
+    phis = np.arange(8) * 2.0 * math.pi / 8
+    P, Y, X = np.meshgrid(phis, axis, axis, indexing="ij")
+    mu = WeightFunction.tabulated(phis, axis, SMOOTH(np.stack([X, Y], axis=-1), P))
+    for sh in (DISK, ELLIPSE, CLIPPED):
+        for phi, s in LINES:
+            th, tp = theta(phi), theta_perp(phi)
+            t0, t1 = (float(v) for v in sh.chord_interval(phi, s))
+            cuts = [t0, t1]
+            for k in (0, 1):
+                t = (axis - s * th[k]) / tp[k]
+                cuts.extend(t[(t > t0) & (t < t1)])
+            cuts = sorted(cuts)
+            want = sh.density * sum(
+                quad(lambda t: float(mu(s * th + t * tp, phi)), a, b,
+                     epsabs=1e-14, epsrel=1e-13)[0] for a, b in zip(cuts[:-1], cuts[1:]))
+            got = analytic_line_integral(Phantom((sh,)), mu, phi, s)
+            assert got == pytest.approx(want, rel=1e-3)
+
+
 @pytest.mark.parametrize("mu", [ONE, WeightFunction.exponential(0.3), SMOOTH],
                          ids=["constant", "exponential", "custom"])
 def test_line_integral_is_one_sample_row(mu):
