@@ -54,8 +54,8 @@ class ImageGrid:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 8:
             raise ValueError("ImageGrid.n must be an integer >= 8")
-        if not (self.extent > 0):
-            raise ValueError("ImageGrid.extent must be positive")
+        if not (0 < self.extent < math.inf):
+            raise ValueError("ImageGrid.extent must be positive and finite")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "extent", float(self.extent))
 
@@ -122,8 +122,8 @@ class SinogramGrid:
             raise ValueError("SinogramGrid.n_phi must be an integer >= 2")
         if int(self.n_s) != self.n_s or self.n_s < 2:
             raise ValueError("SinogramGrid.n_s must be an integer >= 2")
-        if not (self.s_max > 0):
-            raise ValueError("SinogramGrid.s_max must be positive")
+        if not (0 < self.s_max < math.inf):
+            raise ValueError("SinogramGrid.s_max must be positive and finite")
         if not (0.0 <= self.phi0 < self.phi1 <= TWO_PI + 1e-12):
             raise ValueError("SinogramGrid requires 0 <= phi0 < phi1 <= 2*pi")
         object.__setattr__(self, "n_phi", int(self.n_phi))

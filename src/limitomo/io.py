@@ -14,6 +14,7 @@ constant raster maps to all zeros.
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -27,6 +28,13 @@ _RASTER_HEADER = struct.Struct("<4sIf4x")
 _SINO_HEADER = struct.Struct("<4sIddId")
 
 RASTER_FORMATS = ("raw-f32", "pgm16")
+
+
+def _check_payload(fh, count: int, what: str) -> None:
+    """Raise before reading unless the file holds ``count`` float32 samples."""
+    have = os.fstat(fh.fileno()).st_size - fh.tell()
+    if have < 4 * count:
+        raise ValueError(f"{what}: truncated payload ({have} of {4 * count} bytes)")
 
 
 def write_raster(raster: Raster, path, fmt: str = "raw-f32") -> None:
@@ -66,9 +74,8 @@ def read_raster(path) -> Raster:
         magic, n, extent = _RASTER_HEADER.unpack(header)
         if magic != RASTER_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {RASTER_MAGIC!r}")
+        _check_payload(fh, n * n, f"{path}: raster n = {n}")
         data = np.fromfile(fh, dtype="<f4", count=n * n)
-    if data.size != n * n:
-        raise ValueError(f"{path}: truncated raster payload")
     grid = ImageGrid(n, float(extent))
     return Raster(grid, data.reshape(n, n).astype(float))
 
@@ -99,9 +106,8 @@ def read_sinogram(path) -> Sinogram:
         magic, n_phi, phi0, dphi, n_s, s_max = _SINO_HEADER.unpack(header)
         if magic != SINO_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {SINO_MAGIC!r}")
+        _check_payload(fh, n_phi * n_s, f"{path}: sinogram {n_phi}x{n_s}")
         data = np.fromfile(fh, dtype="<f4", count=n_phi * n_s)
-    if data.size != n_phi * n_s:
-        raise ValueError(f"{path}: truncated sinogram payload")
     if abs(n_phi * dphi - 2.0 * math.pi) < 1e-6:
         grid = SinogramGrid(n_phi, n_s, s_max, phi0, phi0 + 2.0 * math.pi)
     else:

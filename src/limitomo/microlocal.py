@@ -27,16 +27,7 @@ from .transforms import forward
 NO_SIGNAL = float("nan")
 
 
-def _direction_angle(xi) -> float:
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (2,):
-        raise ValueError("frequency vector must have shape (2,)")
-    if xi[0] == 0.0 and xi[1] == 0.0:
-        raise ValueError("frequency vector must be nonzero")
-    return math.atan2(xi[1], xi[0]) % (2.0 * math.pi)
-
-
-def symbol_eval(cfg: ReconstructionConfig, x, xi) -> float:
+def symbol_eval(cfg: ReconstructionConfig, x, xi) -> float | np.ndarray:
     """Principal symbol of the configured operator at ``(x, xi)``.
 
     Evaluates
@@ -44,21 +35,26 @@ def symbol_eval(cfg: ReconstructionConfig, x, xi) -> float:
           + kappa(-xi/|xi|) nu(x, -xi) mu(x, -xi)]``
     with the weights extended zero-homogeneously in ``xi`` (evaluated at
     the direction angle); the Lambda symbol carries an extra ``|xi|``.
+    ``xi`` holds nonzero rows, shape ``(..., 2)``; ``x`` broadcasts against
+    ``xi[..., 0]``.  Returns shape ``xi.shape[:-1]``, a float for one ``xi``.
     """
     x = np.asarray(x, dtype=float)
-    psi = _direction_angle(xi)
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim == 0 or xi.shape[-1] != 2:
+        raise ValueError("frequency vectors must have shape (..., 2)")
+    if np.any((xi[..., 0] == 0.0) & (xi[..., 1] == 0.0)):
+        raise ValueError("frequency vectors must be nonzero")
+    psi = np.arctan2(xi[..., 1], xi[..., 0]) % (2.0 * math.pi)
     psi_op = (psi + math.pi) % (2.0 * math.pi)
     if cfg.window is None:
-        k1 = k2 = 1.0
+        k1 = k2 = np.ones(psi.shape)
     else:
-        k1 = float(cfg.window.kappa(psi))
-        k2 = float(cfg.window.kappa(psi_op))
-    val = 0.5 * (k1 * float(cfg.nu(x, psi)) * float(cfg.mu(x, psi))
-                 + k2 * float(cfg.nu(x, psi_op)) * float(cfg.mu(x, psi_op)))
+        k1, k2 = cfg.window.kappa(psi), cfg.window.kappa(psi_op)
+    val = 0.5 * (k1 * cfg.nu(x, psi) * cfg.mu(x, psi)
+                 + k2 * cfg.nu(x, psi_op) * cfg.mu(x, psi_op))
     if cfg.operator == "Lambda":
-        xi = np.asarray(xi, dtype=float)
-        val = math.hypot(xi[0], xi[1]) * val
-    return val
+        val = np.hypot(xi[..., 0], xi[..., 1]) * val
+    return float(val) if np.ndim(val) == 0 else val
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,6 +321,22 @@ def strength_vs_order_study(phantom: Phantom, base_cfg: ReconstructionConfig,
     return rows
 
 
+def _line_records(report: ArtifactReport) -> list[dict]:
+    """One record per predicted line, shared by the CSV and JSON reports."""
+    return [{"line_id": i, "j": line.j,
+             "generator": [float(line.point[0]), float(line.point[1])],
+             "direction": [float(line.direction[0]), float(line.direction[1])],
+             "strength": strength}
+            for i, (line, strength) in enumerate(zip(report.lines,
+                                                     report.per_line_strength))]
+
+
+def _write_json(payload: dict, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def write_report_csv(report: ArtifactReport, path) -> None:
     """Write one artifact report as CSV.
 
@@ -336,25 +348,38 @@ def write_report_csv(report: ArtifactReport, path) -> None:
         w = csv.writer(fh)
         w.writerow(["k", "line_id", "generator_x", "generator_y", "j",
                     "strength", "edge_strength", "ratio"])
-        for i, (line, strength) in enumerate(zip(report.lines,
-                                                 report.per_line_strength)):
+        for rec in _line_records(report):
+            strength = rec["strength"]
             ratio = strength / edge if edge > 0 else math.inf
             w.writerow([report.k if report.k is not None else "",
-                        i, f"{line.point[0]:.12g}", f"{line.point[1]:.12g}",
-                        line.j, f"{strength:.12g}", f"{edge:.12g}",
-                        f"{ratio:.12g}"])
+                        rec["line_id"], f"{rec['generator'][0]:.12g}",
+                        f"{rec['generator'][1]:.12g}", rec["j"],
+                        f"{strength:.12g}", f"{edge:.12g}", f"{ratio:.12g}"])
+
+
+def write_report_json(report: ArtifactReport, path) -> None:
+    """Write one artifact report as JSON; ``config_sha256`` comes from its metadata."""
+    lines = [{key: v for key, v in rec.items() if key != "strength"}
+             for rec in _line_records(report)]
+    _write_json({
+        "config_sha256": report.metadata.get("config_sha256"),
+        "k": report.k,
+        "max_line_strength": report.max_line_strength,
+        "max_edge_strength": report.max_edge_strength,
+        "per_line_strength": list(report.per_line_strength),
+        "edge_strengths": list(report.edge_strengths),
+        "lines": lines,
+        "metadata": report.metadata,
+    }, path)
 
 
 def write_study_summary(rows: list[StudyRow], path) -> None:
     """Write the strength-versus-order table as JSON."""
-    payload = {
+    _write_json({
         "k_list": [r.k for r in rows],
         "rows": [
             {"k": r.k, "line_strength": r.line_strength,
              "edge_strength": r.edge_strength, "ratio": r.ratio}
             for r in rows
         ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    }, path)

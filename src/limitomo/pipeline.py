@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
 from .config import RunConfig
 from .filters import reconstruct
 from .io import write_raster, write_sinogram
-from .microlocal import artifact_report, write_report_csv
+from .microlocal import artifact_report, write_report_csv, write_report_json
 from .phantoms import rasterize
 from .transforms import forward
 
@@ -65,23 +64,7 @@ def run_pipeline(cfg: RunConfig, log=None) -> int:
         write_raster(recon, out / "recon.ltr")
         write_raster(recon, out / "recon.pgm", fmt="pgm16")
         write_report_csv(report, out / "report.csv")
-        payload = {
-            "config_sha256": cfg.sha256(),
-            "k": report.k,
-            "max_line_strength": report.max_line_strength,
-            "max_edge_strength": report.max_edge_strength,
-            "per_line_strength": list(report.per_line_strength),
-            "edge_strengths": list(report.edge_strengths),
-            "lines": [
-                {"line_id": i, "j": ln.j,
-                 "generator": [float(ln.point[0]), float(ln.point[1])],
-                 "direction": [float(ln.direction[0]), float(ln.direction[1])]}
-                for i, ln in enumerate(report.lines)
-            ],
-            "metadata": report.metadata,
-        }
-        (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n",
-                                         encoding="utf-8")
+        write_report_json(report, out / "report.json")
 
     _stage("write", write_all)
     log(f"write: outputs in {cfg.out_dir}")

@@ -62,10 +62,9 @@ def _symbol_arrays() -> dict[str, np.ndarray]:
     x = np.array([0.1, -0.2])
     psis = (np.arange(360) + 0.5) * (2.0 * math.pi / 360.0)
     xi = np.stack([np.cos(psis), np.sin(psis)], axis=-1)
-    sym_b = np.array([symbol_eval(cfg_b, x, v) for v in xi])
-    sym_l3 = np.array([symbol_eval(cfg_l, x, 3.0 * v) for v in xi])
-    sym_b2 = np.array([symbol_eval(cfg_b, x, 2.0 * v) for v in xi])
-    return {"symbol_b": sym_b, "symbol_b_scaled": sym_b2, "symbol_lambda_3": sym_l3}
+    return {"symbol_b": symbol_eval(cfg_b, x, xi),
+            "symbol_b_scaled": symbol_eval(cfg_b, x, 2.0 * xi),
+            "symbol_lambda_3": symbol_eval(cfg_l, x, 3.0 * xi)}
 
 
 def _compute_all() -> dict[str, np.ndarray]:

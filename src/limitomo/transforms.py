@@ -27,6 +27,9 @@ class WeightFunction:
 
     Instances are callable: ``w(x, phi)`` with ``x`` of shape ``(..., 2)``
     and ``phi`` a scalar or array broadcastable against ``x[..., 0]``.
+    The result broadcasts against ``x[..., 0]`` and ``phi`` but need not
+    have their full shape: a constant weight returns the scalar ``c``, so
+    every caller multiplies by the weight on one path whatever its kind.
     """
 
     def __init__(self, fn, kind: str = "custom", params: tuple = ()):
@@ -41,10 +44,6 @@ class WeightFunction:
         args = " ".join(repr(p) for p in self.params)
         return f"WeightFunction({self.kind}{' ' + args if args else ''})"
 
-    @property
-    def is_constant(self) -> bool:
-        return self.kind == "constant"
-
     @classmethod
     def constant(cls, c: float) -> "WeightFunction":
         if not (c > 0):
@@ -52,8 +51,7 @@ class WeightFunction:
         c = float(c)
 
         def fn(x, phi):
-            shape = np.broadcast_shapes(x[..., 0].shape, np.shape(phi))
-            return np.full(shape, c)
+            return c
 
         return cls(fn, "constant", (c,))
 
@@ -144,22 +142,21 @@ def _forward_raster(raster: Raster, mu: WeightFunction, sgrid: SinogramGrid) -> 
     s = sgrid.s_values()
     phis = sgrid.phis()
     img = raster.values
-    const = mu.params[0] if mu.is_constant else None
 
     def worker(sl: slice) -> np.ndarray:
         out = np.zeros((sl.stop - sl.start, sgrid.n_s))
+        # x(t) = s theta + t theta_perp as an (n_s, n_t, 2) view of two
+        # contiguous coordinate planes, filled in place per angle.
+        xy = np.empty((2, sgrid.n_s, t.size))
+        pts = np.moveaxis(xy, 0, -1)
         for row, i in enumerate(range(sl.start, sl.stop)):
             c, sn = math.cos(phis[i]), math.sin(phis[i])
-            xs = s[:, None] * c + t[None, :] * (-sn)
-            ys = s[:, None] * sn + t[None, :] * c
-            cols = (xs + L) / h - 0.5
-            rows = (ys + L) / h - 0.5
+            np.add(s[:, None] * c, t * (-sn), out=xy[0])
+            np.add(s[:, None] * sn, t * c, out=xy[1])
+            cols = (xy[0] + L) / h - 0.5
+            rows = (xy[1] + L) / h - 0.5
             f = map_coordinates(img, [rows, cols], order=1, mode="constant", cval=0.0)
-            if const is not None:
-                f *= const
-            else:
-                pts = np.stack([xs, ys], axis=-1)
-                f = f * mu(pts, phis[i])
+            f *= mu(pts, phis[i])
             acc = f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1])
             out[row] = acc * dt
         return out
@@ -215,7 +212,6 @@ def backproject(g: Sinogram, nu: WeightFunction,
     X, Y = igrid.centers()
     xf, yf = X.ravel(), Y.ravel()
     pts = np.stack([xf, yf], axis=-1)
-    nu_const = nu.params[0] if nu.is_constant else None
     active = np.nonzero(kap * wphi != 0.0)[0]
 
     def worker(sl: slice) -> np.ndarray:
@@ -224,11 +220,7 @@ def backproject(g: Sinogram, nu: WeightFunction,
             c, sn = math.cos(phis[i]), math.sin(phis[i])
             sv = xf * c + yf * sn
             gi = np.interp(sv, s, g.values[i])
-            w = kap[i] * wphi[i]
-            if nu_const is not None:
-                acc += (w * nu_const) * gi
-            else:
-                acc += w * gi * nu(pts, phis[i])
+            acc += (kap[i] * wphi[i] * nu(pts, phis[i])) * gi
         return acc
 
     acc = accumulate_chunks(worker, active.size)

@@ -105,6 +105,16 @@ def test_forward_from_raster_with_default_geometry(tmp_path):
     assert sino.values.max() > 0.0
 
 
+def test_forward_from_lying_raster_header_exits_1(tmp_path, capsys):
+    cfg, _ = _write_cfg(tmp_path, DEFAULTS_CONFIG)
+    raster = tmp_path / "lying.ltr"
+    raster.write_bytes(b"LTR1" + (0xFFFFFFFF).to_bytes(4, "little") + bytes(8))
+    rc = main(["forward", "--config", str(cfg), "--from-raster", str(raster),
+               "--out", str(tmp_path / "g.lts")])
+    assert rc == 1
+    assert "truncated" in capsys.readouterr().err
+
+
 def test_forward_and_reconstruct_subcommands(tmp_path):
     cfg, _ = _write_cfg(tmp_path, SMALL_CONFIG)
     sino_path = tmp_path / "g.lts"

@@ -65,6 +65,18 @@ def test_config_rejects_small_smax():
         loads_config(text)
 
 
+def test_config_rejects_infinite_smax():
+    text = MINIMAL + "\n[sinogram]\ns_max = inf\n"
+    with pytest.raises(ConfigError, match=r"^\[sinogram\]: .*finite"):
+        loads_config(text)
+
+
+def test_config_rejects_infinite_extent():
+    text = MINIMAL + "\n[image]\nextent = inf\n"
+    with pytest.raises(ConfigError, match=r"^\[image\]: .*finite"):
+        loads_config(text)
+
+
 def test_config_parse_error_carries_line():
     bad = "[image\nn = 32\n"
     with pytest.raises(ConfigError, match="line"):
@@ -217,5 +229,22 @@ def test_sinogram_truncated(tmp_path):
     write_sinogram(sino, path)
     data = path.read_bytes()
     path.write_bytes(data[:-40])
+    with pytest.raises(ValueError, match="truncated"):
+        read_sinogram(path)
+
+
+def test_raster_header_claiming_more_than_the_file(tmp_path):
+    # n = 2**32 - 1 claims about 7e19 payload bytes; the file holds 8.
+    path = tmp_path / "lying.ltr"
+    path.write_bytes(struct.pack("<4sIf4x", b"LTR1", 0xFFFFFFFF, 1.0) + b"\0" * 8)
+    with pytest.raises(ValueError, match="truncated"):
+        read_raster(path)
+
+
+def test_sinogram_header_claiming_more_than_the_file(tmp_path):
+    path = tmp_path / "lying.lts"
+    header = struct.pack("<4sIddId", b"LTS1", 0xFFFFFFFF, 0.0, 0.01,
+                         0xFFFFFFFF, 1.0)
+    path.write_bytes(header + b"\0" * 8)
     with pytest.raises(ValueError, match="truncated"):
         read_sinogram(path)

@@ -90,6 +90,28 @@ def test_symbol_rejects_zero_frequency():
         symbol_eval(_cfg(), (0.0, 0.0), (0.0, 0.0))
 
 
+def test_symbol_batched_equals_row_by_row():
+    psis = (np.arange(360) + 0.5) * (2.0 * math.pi / 360.0)
+    xi = 1.7 * np.stack([np.cos(psis), np.sin(psis)], axis=-1)
+    x = (0.1, -0.2)
+    win = AngularWindow(PHI1, PHI2, "finite-order", 2)
+    mu = WeightFunction.exponential(0.3)
+    for op in ("B", "Lambda"):
+        for window, weight in ((None, ONE), (win, ONE), (win, mu)):
+            cfg = ReconstructionConfig(op, weight, ONE, window=window)
+            batched = symbol_eval(cfg, x, xi)
+            assert batched.shape == (360,)
+            rows = [symbol_eval(cfg, x, v) for v in xi]
+            assert all(type(v) is float for v in rows)
+            np.testing.assert_array_equal(batched, rows)
+    zero_row = xi.copy()
+    zero_row[17] = 0.0
+    with pytest.raises(ValueError, match="nonzero"):
+        symbol_eval(_cfg(), x, zero_row)
+    with pytest.raises(ValueError, match=r"\(\.\.\., 2\)"):
+        symbol_eval(_cfg(), x, np.ones((360, 3)))
+
+
 def test_predicted_lines_unit_disk():
     win = AngularWindow(PHI1, PHI2, "finite-order", 1)
     lines = predicted_artifact_lines(UNIT_DISK, win)

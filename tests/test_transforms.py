@@ -139,6 +139,26 @@ def test_backproject_half_range():
     np.testing.assert_allclose(single.values, math.pi, atol=1e-10)
 
 
+def test_scalar_constant_weight_matches_array_weight_bitwise():
+    # WeightFunction.constant returns a bare scalar; a custom weight that
+    # returns a full array of the same value must give the same bits on
+    # both projectors, so neither needs a constant-weight fork.
+    c = 1.7
+    scalar = WeightFunction.constant(c)
+    array = WeightFunction(lambda x, phi: np.full(
+        np.broadcast_shapes(x[..., 0].shape, np.shape(phi)), c))
+    assert np.ndim(scalar(np.zeros((3, 2)), 0.4)) == 0
+    grid = ImageGrid(32, 1.2)
+    sg = SinogramGrid(n_phi=24, n_s=49, s_max=1.8)
+    f = rasterize(Phantom((Disk((0.1, -0.1), 0.7, 1.0),)), grid)
+    g = forward(f, scalar, sg)
+    np.testing.assert_array_equal(g.values, forward(f, array, sg).values)
+    win = AngularWindow(math.pi / 4.0, 3.0 * math.pi / 4.0, "finite-order", 1)
+    for window in (None, win):
+        np.testing.assert_array_equal(backproject(g, scalar, window, grid).values,
+                                      backproject(g, array, window, grid).values)
+
+
 def test_backproject_rejects_uncovered_pixels():
     sg = SinogramGrid(n_phi=90, n_s=65, s_max=1.0)
     grid = ImageGrid(16, 1.2)
