@@ -47,7 +47,7 @@ from .phantoms import (
     rasterize,
 )
 from .pipeline import PipelineError, run_pipeline
-from .transforms import Sinogram, WeightFunction, backproject, forward
+from .transforms import Sinogram, WeightFunction, backproject, backproject_windows, forward
 
 __version__ = "0.1.0"
 
@@ -74,6 +74,7 @@ __all__ = [
     "analytic_line_integral",
     "artifact_report",
     "backproject",
+    "backproject_windows",
     "d_ds",
     "default_probe_scales",
     "edge_singularities",

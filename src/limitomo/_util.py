@@ -1,4 +1,4 @@
-"""Thread-count handling and fixed-order parallel accumulation."""
+"""Thread-count handling and fixed-order parallel evaluation."""
 
 from __future__ import annotations
 
@@ -22,29 +22,13 @@ def chunk_slices(n_items: int, parts: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _run_chunks(worker, n_items: int, threads: int | None):
-    if threads is None:
-        threads = thread_count()
-    slices = chunk_slices(n_items, threads)
-    if len(slices) == 1:
-        return [worker(slices[0])]
-    with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-        return list(pool.map(worker, slices))
+def map_parts(worker, parts: list) -> list:
+    """Evaluate ``worker(part)`` for each part, concurrently, results in order.
 
-
-def accumulate_chunks(worker, n_items: int, threads: int | None = None):
-    """Sum ``worker(slice)`` over contiguous chunks of ``range(n_items)``.
-
-    Chunks may be evaluated concurrently but are always reduced in slice
-    order, so results are reproducible for a fixed chunking.
+    Callers reduce the results in this order, so they are reproducible
+    for a fixed partition.
     """
-    partials = _run_chunks(worker, n_items, threads)
-    total = partials[0]
-    for p in partials[1:]:
-        total = total + p
-    return total
-
-
-def map_chunks(worker, n_items: int, threads: int | None = None) -> list:
-    """Evaluate ``worker(slice)`` over contiguous chunks, results in order."""
-    return _run_chunks(worker, n_items, threads)
+    if len(parts) <= 1:
+        return [worker(p) for p in parts]
+    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+        return list(pool.map(worker, parts))

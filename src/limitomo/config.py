@@ -28,7 +28,7 @@ defaulted)::
 
     [weights]
     mu = constant 1.0       # constant C | exponential LAM [perp|parallel]
-    nu = constant 1.0
+    nu = constant 1.0       # LAM finite, |LAM| * max(s_max, sqrt(2) * extent) <= 709.78
 
     [reconstruction]
     operator = B            # B | Lambda
@@ -49,6 +49,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 
 from .filters import ReconstructionConfig
@@ -193,7 +194,12 @@ def _parse_shape(key: str, raw: str):
     return shape, norm
 
 
-def _parse_weight(raw: str, where: str) -> tuple[WeightFunction, str]:
+# exp(x) overflows float64 for x above this.
+_EXP_ARG_MAX = math.log(sys.float_info.max)
+
+
+def _parse_weight(raw: str, where: str, radius: float) -> tuple[WeightFunction, str]:
+    """Parse a weight spec; ``radius`` bounds the ``|x|`` the operators evaluate it at."""
     parts = raw.split()
     try:
         if parts and parts[0] == "constant" and len(parts) == 2:
@@ -202,7 +208,14 @@ def _parse_weight(raw: str, where: str) -> tuple[WeightFunction, str]:
         if parts and parts[0] == "exponential" and len(parts) in (2, 3):
             lam = float(parts[1])
             mode = parts[2] if len(parts) == 3 else "perp"
-            return WeightFunction.exponential(lam, mode), f"exponential {lam:.12g} {mode}"
+            weight = WeightFunction.exponential(lam, mode)
+            if abs(lam) * radius > _EXP_ARG_MAX:
+                raise ValueError(
+                    f"exponential rate {lam:.6g} overflows float64: |rate| * R = "
+                    f"{abs(lam) * radius:.6g} > {_EXP_ARG_MAX:.6g}, "
+                    f"R = max(s_max, sqrt(2) * extent) = {radius:.6g}"
+                )
+            return weight, f"exponential {lam:.12g} {mode}"
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(
@@ -288,8 +301,9 @@ def loads_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
 
-    mu, mu_spec = _parse_weight(get("weights", "mu", "constant 1.0"), "[weights] mu")
-    nu, nu_spec = _parse_weight(get("weights", "nu", "constant 1.0"), "[weights] nu")
+    radius = max(s_max, math.sqrt(2.0) * igrid.extent)
+    mu, mu_spec = _parse_weight(get("weights", "mu", "constant 1.0"), "[weights] mu", radius)
+    nu, nu_spec = _parse_weight(get("weights", "nu", "constant 1.0"), "[weights] nu", radius)
 
     where = "[reconstruction]"
     operator = get("reconstruction", "operator", "B").strip()

@@ -20,12 +20,12 @@ rings on rows with square-root singularities (tangent lines of a disk).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import AngularWindow, ImageGrid, Raster
-from .transforms import Sinogram, WeightFunction, backproject
+from .transforms import Sinogram, WeightFunction, backproject, backproject_windows
 
 FILTER_KINDS = ("hilbert", "d_ds", "neg_d2_ds2", "ramp")
 FILTER_IMPLS = ("spectral", "finite-difference")
@@ -146,9 +146,6 @@ class ReconstructionConfig:
         """Operator order: 0 for B, 1 for Lambda."""
         return 0 if self.operator == "B" else 1
 
-    def with_window(self, window: AngularWindow | None) -> "ReconstructionConfig":
-        return replace(self, window=window)
-
 
 def apply_operator_filter(g: Sinogram, cfg: ReconstructionConfig) -> Sinogram:
     """The row filter of the selected operator, before back-projection."""
@@ -163,18 +160,28 @@ def apply_operator_filter(g: Sinogram, cfg: ReconstructionConfig) -> Sinogram:
     return neg_d2_ds2(g, "finite-difference")
 
 
-def reconstruct(g: Sinogram, cfg: ReconstructionConfig, igrid: ImageGrid) -> Raster:
+def reconstruct(g: Sinogram, cfg: ReconstructionConfig, igrid: ImageGrid,
+                windows=None) -> Raster | list[Raster]:
     """Filtered back-projection reconstruction of a sinogram.
 
     Applies the operator's row filter, back-projects with the weight
     ``nu`` and the window cutoff, and scales by ``1/(4 pi)``.  The
     sinogram must have been produced with weight ``cfg.mu`` over an
     angular range covering the window.
+
+    With ``windows``, a sequence of windows (``None`` for no cutoff) used
+    in place of ``cfg.window``, the sinogram is filtered once and
+    back-projected for every window in one pass; the result is one
+    raster per window, each bit-identical to a single-window call.
     """
-    if cfg.window is not None:
-        lo, hi = g.grid.phi0, g.grid.phi1
-        if cfg.window.phi1 < lo - 1e-12 or cfg.window.phi2 > hi + 1e-12:
+    wins = [cfg.window] if windows is None else list(windows)
+    lo, hi = g.grid.phi0, g.grid.phi1
+    for win in wins:
+        if win is not None and (win.phi1 < lo - 1e-12 or win.phi2 > hi + 1e-12):
             raise ValueError("sinogram angular range does not cover the window")
     filt = apply_operator_filter(g, cfg)
-    img = backproject(filt, cfg.nu, cfg.window, igrid)
-    return Raster(igrid, img.values / (4.0 * math.pi))
+    if windows is None:
+        img = backproject(filt, cfg.nu, cfg.window, igrid)
+        return Raster(igrid, img.values / (4.0 * math.pi))
+    return [Raster(igrid, img.values / (4.0 * math.pi))
+            for img in backproject_windows(filt, cfg.nu, wins, igrid)]

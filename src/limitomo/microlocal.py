@@ -277,11 +277,13 @@ def strength_vs_order_study(phantom: Phantom, base_cfg: ReconstructionConfig,
                             k_list, igrid: ImageGrid, sgrid: SinogramGrid,
                             exclusion_radius: float | None = None,
                             report_dir=None) -> list[StudyRow]:
-    """Run the full pipeline per cutoff order and tabulate strength ratios.
+    """Reconstruct once per cutoff order and tabulate strength ratios.
 
-    The same sinogram (computed once with ``base_cfg.mu``) is reconstructed
-    with finite-order cutoffs of order ``k`` on identical grids; each run is
-    measured with :func:`artifact_report` and summarized as
+    The sinogram is computed once with ``base_cfg.mu`` and filtered once;
+    one back-projection pass over its angles then reconstructs it with
+    the finite-order cutoff of every order ``k`` on identical grids (see
+    :func:`~limitomo.filters.reconstruct` with ``windows``).  Each image
+    is measured with :func:`artifact_report` and summarized as
     ``(k, max line strength, max edge strength, ratio)``.  When
     ``report_dir`` is given, per-k CSV reports and a JSON summary are
     written there.
@@ -297,12 +299,12 @@ def strength_vs_order_study(phantom: Phantom, base_cfg: ReconstructionConfig,
         exclusion_radius = 4.0 * igrid.h
 
     sino = forward(phantom, base_cfg.mu, sgrid)
+    wins = [AngularWindow(base_cfg.window.phi1, base_cfg.window.phi2,
+                          "finite-order", k) for k in ks]
+    recons = reconstruct(sino, base_cfg, igrid, windows=wins)
     rows: list[StudyRow] = []
     reports: list[ArtifactReport] = []
-    for k in ks:
-        win = AngularWindow(base_cfg.window.phi1, base_cfg.window.phi2,
-                            "finite-order", k)
-        recon = reconstruct(sino, base_cfg.with_window(win), igrid)
+    for k, win, recon in zip(ks, wins, recons):
         rep = artifact_report(recon, phantom, win, exclusion_radius)
         reports.append(rep)
         edge = rep.max_edge_strength

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-from ._util import accumulate_chunks, map_chunks
+from ._util import chunk_slices, map_parts, thread_count
 from .geometry import AngularWindow, ImageGrid, Raster, SinogramGrid
 from .phantoms import Phantom, analytic_sinogram_row
 
@@ -61,6 +61,8 @@ class WeightFunction:
         if mode not in ("perp", "parallel"):
             raise ValueError("exponential weight mode must be 'perp' or 'parallel'")
         lam = float(lam)
+        if not math.isfinite(lam):
+            raise ValueError("exponential weight rate must be finite")
 
         def fn(x, phi):
             c, s = np.cos(phi), np.sin(phi)
@@ -131,6 +133,8 @@ class Sinogram:
 
 
 def _forward_raster(raster: Raster, mu: WeightFunction, sgrid: SinogramGrid) -> np.ndarray:
+    if not np.all(np.isfinite(raster.values)):
+        raise ValueError("raster contains non-finite values")
     grid = raster.grid
     L, h = grid.extent, grid.h
     # Raster files store the extent as float32: allow for its rounding.
@@ -161,7 +165,8 @@ def _forward_raster(raster: Raster, mu: WeightFunction, sgrid: SinogramGrid) -> 
             out[row] = acc * dt
         return out
 
-    return np.concatenate(map_chunks(worker, sgrid.n_phi), axis=0)
+    chunks = map_parts(worker, chunk_slices(sgrid.n_phi, thread_count()))
+    return np.concatenate(chunks, axis=0)
 
 
 def forward(source: Phantom | Raster, mu: WeightFunction,
@@ -199,6 +204,19 @@ def backproject(g: Sinogram, nu: WeightFunction,
     linear interpolation in ``s``; ``window=None`` means ``kappa == 1``
     over the sinogram's angular range.
     """
+    return backproject_windows(g, nu, [window], igrid)[0]
+
+
+def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
+                        igrid: ImageGrid) -> list[Raster]:
+    """:func:`backproject` for several windows in one pass over the angles.
+
+    Each active angle interpolates its row at ``x . theta`` and evaluates
+    ``nu`` once, then adds the row, times ``w_phi kappa(phi) nu``, to the
+    accumulator of every window that uses it.  Every window keeps the
+    chunking of its own active angles across threads, so each image is
+    bit-identical to a single-window call at the same thread count.
+    """
     if not np.all(np.isfinite(g.values)):
         raise ValueError("sinogram contains non-finite values")
     if igrid.pixel_radius > g.grid.s_max + 1e-12:
@@ -207,21 +225,34 @@ def backproject(g: Sinogram, nu: WeightFunction,
         )
     phis = g.grid.phis()
     wphi = g.grid.phi_weights()
-    kap = np.ones(g.grid.n_phi) if window is None else window.kappa(phis)
+    coef = np.array([(1.0 if w is None else w.kappa(phis)) * wphi for w in windows])
     s = g.grid.s_values()
+    ax = igrid.axis()
     X, Y = igrid.centers()
-    xf, yf = X.ravel(), Y.ravel()
-    pts = np.stack([xf, yf], axis=-1)
-    active = np.nonzero(kap * wphi != 0.0)[0]
+    pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
+    threads = min(thread_count(), phis.size)
+    # uses[j, k, i]: angle i is in chunk j of window k's active angles
+    uses = np.zeros((threads, len(windows), phis.size), dtype=bool)
+    for k, ck in enumerate(coef):
+        active = np.nonzero(ck)[0]
+        for j, sl in enumerate(chunk_slices(active.size, threads)):
+            uses[j, k, active[sl]] = True
 
-    def worker(sl: slice) -> np.ndarray:
-        acc = np.zeros(xf.size)
-        for i in active[sl]:
+    def worker(use: np.ndarray) -> np.ndarray:
+        acc = np.zeros((len(windows), pts.shape[0]))
+        for i in np.nonzero(use.any(axis=0))[0]:
             c, sn = math.cos(phis[i]), math.sin(phis[i])
-            sv = xf * c + yf * sn
-            gi = np.interp(sv, s, g.values[i])
-            acc += (kap[i] * wphi[i] * nu(pts, phis[i])) * gi
+            sv = (ax * c)[None, :] + (ax * sn)[:, None]
+            gi = np.interp(sv, s, g.values[i]).ravel()
+            nu_i = nu(pts, phis[i])
+            for k in np.nonzero(use[:, i])[0]:
+                acc[k] += (coef[k, i] * nu_i) * gi
         return acc
 
-    acc = accumulate_chunks(worker, active.size)
-    return Raster(igrid, acc.reshape(igrid.n, igrid.n))
+    # Chunks reduce in order.  A sum never holds -0.0, so adding the zeros
+    # of a chunk in which a window has no angle changes none of its bits.
+    partials = map_parts(worker, [u for u in uses if u.any()] or [uses[0]])
+    total = partials[0]
+    for part in partials[1:]:
+        total += part
+    return [Raster(igrid, t.reshape(igrid.n, igrid.n)) for t in total]

@@ -115,6 +115,31 @@ def test_forward_from_lying_raster_header_exits_1(tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+def test_forward_from_nonfinite_raster_exits_1(tmp_path, capsys):
+    cfg, _ = _write_cfg(tmp_path, DEFAULTS_CONFIG)
+    values = np.zeros((16, 16), dtype="<f4")
+    values[4, 5] = np.nan
+    raster = tmp_path / "nan.ltr"
+    raster.write_bytes(b"LTR1" + (16).to_bytes(4, "little")
+                       + np.float32(1.2).tobytes() + bytes(4) + values.tobytes())
+    out = tmp_path / "g.lts"
+    rc = main(["forward", "--config", str(cfg), "--from-raster", str(raster),
+               "--out", str(out)])
+    assert rc == 1
+    assert "raster contains non-finite values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["inf", "nan", "1000"])
+def test_analyze_bad_weight_rate_exits_1(tmp_path, capsys, rate):
+    cfg, out = _write_cfg(tmp_path, DEFAULTS_CONFIG + f"\n[weights]\nnu = exponential {rate}\n")
+    assert main(["analyze", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [config] [weights] nu: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_forward_and_reconstruct_subcommands(tmp_path):
     cfg, _ = _write_cfg(tmp_path, SMALL_CONFIG)
     sino_path = tmp_path / "g.lts"

@@ -77,6 +77,22 @@ def test_config_rejects_infinite_extent():
         loads_config(text)
 
 
+@pytest.mark.parametrize("key", ["mu", "nu"])
+@pytest.mark.parametrize("rate", ["inf", "nan", "1000", "-1000"])
+def test_config_rejects_bad_exponential_rate(key, rate):
+    text = MINIMAL + f"\n[weights]\n{key} = exponential {rate}\n"
+    with pytest.raises(ConfigError, match=rf"^\[weights\] {key}: "):
+        loads_config(text)
+
+
+def test_exponential_rate_bound_uses_largest_radius():
+    # R = max(s_max, sqrt(2) * extent): 300 * 2 < 709.78 < 300 * 2.5
+    base = MINIMAL + "\n[image]\nextent = 1.2\n\n[weights]\nmu = exponential 300\n"
+    assert loads_config(base + "\n[sinogram]\ns_max = 2\n").mu.params[0] == 300.0
+    with pytest.raises(ConfigError, match=r"^\[weights\] mu: .*overflows"):
+        loads_config(base + "\n[sinogram]\ns_max = 2.5\n")
+
+
 def test_config_parse_error_carries_line():
     bad = "[image\nn = 32\n"
     with pytest.raises(ConfigError, match="line"):

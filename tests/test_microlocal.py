@@ -22,7 +22,8 @@ from limitomo import (
     symbol_eval,
     wavefront_probe,
 )
-from limitomo.microlocal import write_report_csv
+from limitomo import filters
+from limitomo.microlocal import StudyRow, write_report_csv
 
 ONE = WeightFunction.constant(1.0)
 UNIT_DISK = Phantom((Disk((0.0, 0.0), 1.0, 1.0),))
@@ -290,6 +291,52 @@ def test_study_persists_reports(tmp_path):
     assert summary["rows"][0]["ratio"] == pytest.approx(rows[0].ratio)
     header = (tmp_path / "report_k1.csv").read_text().splitlines()[0]
     assert header == "k,line_id,generator_x,generator_y,j,strength,edge_strength,ratio"
+
+
+def _study_setup(n=64, n_phi=46, L=1.5):
+    grid = ImageGrid(n, L)
+    s_max = math.sqrt(2.0) * L
+    sg = SinogramGrid(n_phi=n_phi, n_s=int(round(2 * s_max / grid.h)) + 1,
+                      s_max=s_max, phi0=PHI1, phi1=PHI2)
+    win = AngularWindow(PHI1, PHI2, "finite-order", 1)
+    return grid, sg, win
+
+
+@pytest.mark.parametrize("operator", ["B", "Lambda"])
+def test_study_matches_per_k_reconstructions(tmp_path, operator):
+    grid, sg, win = _study_setup()
+    cfg = ReconstructionConfig(operator, ONE, WeightFunction.exponential(0.3),
+                               window=win)
+    ks = [1, 2, 3, 4]
+    rows = strength_vs_order_study(UNIT_DISK, cfg, ks, grid, sg,
+                                   report_dir=tmp_path / "study")
+    g = forward(UNIT_DISK, ONE, sg)
+    for k, row in zip(ks, rows):
+        win_k = AngularWindow(PHI1, PHI2, "finite-order", k)
+        single = ReconstructionConfig(operator, ONE, cfg.nu, window=win_k)
+        rep = artifact_report(reconstruct(g, single, grid), UNIT_DISK, win_k,
+                              4.0 * grid.h)
+        edge, line = rep.max_edge_strength, rep.max_line_strength
+        assert row == StudyRow(k, line, edge, line / edge)
+        write_report_csv(rep, tmp_path / f"report_k{k}.csv")
+        assert ((tmp_path / "study" / f"report_k{k}.csv").read_bytes()
+                == (tmp_path / f"report_k{k}.csv").read_bytes())
+
+
+def test_study_filters_the_sinogram_once(monkeypatch):
+    grid, sg, win = _study_setup(n=32, n_phi=16)
+    calls = []
+    original = filters.apply_operator_filter
+
+    def counting(g, cfg):
+        calls.append(g)
+        return original(g, cfg)
+
+    monkeypatch.setattr(filters, "apply_operator_filter", counting)
+    rows = strength_vs_order_study(UNIT_DISK, ReconstructionConfig("B", ONE, ONE, window=win),
+                                   [1, 2, 3], grid, sg)
+    assert len(rows) == 3
+    assert len(calls) == 1
 
 
 def test_report_csv_roundtrip(tmp_path):

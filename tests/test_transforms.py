@@ -14,6 +14,7 @@ from limitomo import (
     SinogramGrid,
     WeightFunction,
     backproject,
+    backproject_windows,
     forward,
     rasterize,
 )
@@ -42,6 +43,12 @@ def test_weight_exponential():
     assert wp(x, phi) == pytest.approx(expected_p, rel=1e-14)
     with pytest.raises(ValueError):
         WeightFunction.exponential(0.3, mode="radial")
+
+
+@pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+def test_weight_exponential_rejects_nonfinite_rate(lam):
+    with pytest.raises(ValueError, match="finite"):
+        WeightFunction.exponential(lam)
 
 
 def test_weight_tabulated_interpolates():
@@ -173,6 +180,64 @@ def test_backproject_rejects_nonfinite():
     values[3, 5] = np.nan
     with pytest.raises(ValueError, match="finite"):
         backproject(Sinogram(sg, values), ONE, None, grid)
+
+
+def test_forward_rejects_nonfinite_raster():
+    grid = ImageGrid(8, 1.2)
+    values = np.zeros((8, 8))
+    values[2, 3] = np.nan
+    with pytest.raises(ValueError, match="raster contains non-finite values"):
+        forward(Raster(grid, values), ONE, SinogramGrid(n_phi=4, n_s=17, s_max=1.8))
+
+
+def _reference_backproject(g, nu, window, grid):
+    # The plain per-angle sum, in the operand order the kernel keeps.
+    phis, wphi, s = g.grid.phis(), g.grid.phi_weights(), g.grid.s_values()
+    kap = np.ones(phis.size) if window is None else window.kappa(phis)
+    X, Y = grid.centers()
+    xf, yf = X.ravel(), Y.ravel()
+    pts = np.stack([xf, yf], axis=-1)
+    acc = np.zeros(xf.size)
+    for i in np.nonzero(kap * wphi != 0.0)[0]:
+        gi = np.interp(xf * math.cos(phis[i]) + yf * math.sin(phis[i]), s, g.values[i])
+        acc += (kap[i] * wphi[i] * nu(pts, phis[i])) * gi
+    return acc.reshape(grid.n, grid.n)
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+@pytest.mark.parametrize("nu", [ONE, WeightFunction.exponential(0.4)],
+                         ids=["constant", "exponential"])
+def test_backproject_windows_bitwise_equal_single(threads, nu, monkeypatch):
+    # One pass over the angles for many windows gives each window the
+    # bits of its own single-window call at the same thread count.
+    if threads is None:
+        monkeypatch.delenv("LIMITOMO_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("LIMITOMO_THREADS", threads)
+    phi1, phi2 = math.pi / 4.0, 3.0 * math.pi / 4.0
+    sg = SinogramGrid(n_phi=61, n_s=49, s_max=1.8, phi0=0.0, phi1=math.pi)
+    grid = ImageGrid(24, 1.2)
+    g = Sinogram(sg, np.random.default_rng(7).standard_normal((61, 49)))
+    windows = [None, AngularWindow(phi1, phi2, "indicator")]
+    windows += [AngularWindow(phi1, phi2, "finite-order", k) for k in (1, 2, 3, 4)]
+    windows.append(AngularWindow(0.3, 1.1, "finite-order", 2))
+    batched = backproject_windows(g, nu, windows, grid)
+    assert len(batched) == len(windows)
+    for win, img in zip(windows, batched):
+        np.testing.assert_array_equal(img.values,
+                                      backproject(g, nu, win, grid).values)
+        if threads is None:
+            np.testing.assert_array_equal(img.values,
+                                          _reference_backproject(g, nu, win, grid))
+
+
+def test_backproject_window_between_samples_is_zero():
+    # No sample angle falls inside the window: every kappa is zero.
+    sg = SinogramGrid(n_phi=5, n_s=9, s_max=1.8, phi0=0.0, phi1=math.pi)
+    g = Sinogram(sg, np.ones((5, 9)))
+    win = AngularWindow(0.1, 0.2, "indicator")
+    img = backproject(g, ONE, win, ImageGrid(8, 1.2))
+    assert np.all(img.values == 0.0)
 
 
 def test_forward_linear_in_source():
