@@ -28,7 +28,8 @@ defaulted)::
 
     [weights]
     mu = constant 1.0       # constant C | exponential LAM [perp|parallel]
-    nu = constant 1.0       # LAM finite, |LAM| * max(s_max, sqrt(2) * extent) <= 709.78
+    nu = constant 1.0       # LAM finite, |LAM| * R <= 709.78, R = max(s_max, sqrt(2) * extent),
+                            # and (|LAM of mu| + |LAM of nu|) * R <= 709.78
 
     [reconstruction]
     operator = B            # B | Lambda
@@ -304,6 +305,14 @@ def loads_config(text: str) -> RunConfig:
     radius = max(s_max, math.sqrt(2.0) * igrid.extent)
     mu, mu_spec = _parse_weight(get("weights", "mu", "constant 1.0"), "[weights] mu", radius)
     nu, nu_spec = _parse_weight(get("weights", "nu", "constant 1.0"), "[weights] nu", radius)
+    # The weighted back-projection multiplies a mu-weighted sinogram by nu.
+    rate = sum(abs(w.params[0]) for w in (mu, nu) if w.kind == "exponential")
+    if rate * radius > _EXP_ARG_MAX:
+        raise ConfigError(
+            f"[weights]: exponential rates of mu and nu overflow float64 together: "
+            f"(|mu rate| + |nu rate|) * R = {rate * radius:.6g} > {_EXP_ARG_MAX:.6g}, "
+            f"R = max(s_max, sqrt(2) * extent) = {radius:.6g}"
+        )
 
     where = "[reconstruction]"
     operator = get("reconstruction", "operator", "B").strip()

@@ -37,20 +37,33 @@ def _check_payload(fh, count: int, what: str) -> None:
         raise ValueError(f"{what}: truncated payload ({have} of {4 * count} bytes)")
 
 
+def _float32_payload(values: np.ndarray, what: str) -> bytes:
+    """Samples as little-endian float32 bytes; raise unless all are finite there.
+
+    The check runs on the cast array: a finite float64 beyond the float32
+    range (about 3.4e38) casts to inf.
+    """
+    with np.errstate(over="ignore"):
+        data = values.astype("<f4")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{what} contains non-finite values as float32")
+    return data.tobytes(order="C")
+
+
 def write_raster(raster: Raster, path, fmt: str = "raw-f32") -> None:
     """Write a raster as raw-f32 (bit-exact) or pgm16 (for inspection)."""
     values = raster.values
-    if not np.all(np.isfinite(values)):
-        raise ValueError("raster contains non-finite values")
     if fmt == "raw-f32":
         header = _RASTER_HEADER.pack(RASTER_MAGIC, raster.grid.n,
                                      raster.grid.extent)
-        data = values.astype("<f4").tobytes(order="C")
+        data = _float32_payload(values, "raster")
         with open(path, "wb") as fh:
             fh.write(header)
             fh.write(data)
         return
     if fmt == "pgm16":
+        if not np.all(np.isfinite(values)):
+            raise ValueError("raster contains non-finite values")
         lo, hi = float(values.min()), float(values.max())
         if hi > lo:
             norm = (values - lo) / (hi - lo)
@@ -82,14 +95,13 @@ def read_raster(path) -> Raster:
 
 def write_sinogram(sino: Sinogram, path) -> None:
     """Write a sinogram with its angular/offset geometry header."""
-    if not np.all(np.isfinite(sino.values)):
-        raise ValueError("sinogram contains non-finite values")
     g = sino.grid
     header = _SINO_HEADER.pack(SINO_MAGIC, g.n_phi, g.phi0, g.dphi,
                                g.n_s, g.s_max)
+    data = _float32_payload(sino.values, "sinogram")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(sino.values.astype("<f4").tobytes(order="C"))
+        fh.write(data)
 
 
 def read_sinogram(path) -> Sinogram:

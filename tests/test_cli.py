@@ -140,6 +140,26 @@ def test_analyze_bad_weight_rate_exits_1(tmp_path, capsys, rate):
     assert not out.exists()
 
 
+def test_analyze_combined_weight_rates_exit_1(tmp_path, capsys):
+    cfg, out = _write_cfg(tmp_path, DEFAULTS_CONFIG
+                          + "\n[weights]\nmu = exponential 400\nnu = exponential 400\n")
+    assert main(["analyze", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [config] [weights]: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_analyze_float32_overflow_exits_1(tmp_path, capsys):
+    # exp(100 * R) with R = 1.70 fits float64, not float32
+    cfg, out = _write_cfg(tmp_path, DEFAULTS_CONFIG + "\n[weights]\nmu = exponential 100\n")
+    assert main(["analyze", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "error [write] sinogram contains non-finite values as float32"
+    assert "Traceback" not in err
+    assert not (out / "sinogram.lts").exists()
+
+
 def test_forward_and_reconstruct_subcommands(tmp_path):
     cfg, _ = _write_cfg(tmp_path, SMALL_CONFIG)
     sino_path = tmp_path / "g.lts"

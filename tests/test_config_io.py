@@ -93,6 +93,16 @@ def test_exponential_rate_bound_uses_largest_radius():
         loads_config(base + "\n[sinogram]\ns_max = 2.5\n")
 
 
+def test_config_bounds_combined_exponential_rate():
+    # R = sqrt(2) * 1.2 = 1.697: 400 * R < 709.78 < 800 * R
+    base = MINIMAL + "\n[image]\nextent = 1.2\n\n[weights]\nmu = exponential 400\n"
+    assert loads_config(base + "nu = constant 1\n").mu.params[0] == 400.0
+    with pytest.raises(ConfigError, match=r"^\[weights\]: .*overflow"):
+        loads_config(base + "nu = exponential 400\n")
+    with pytest.raises(ConfigError, match=r"^\[weights\]: "):
+        loads_config(base + "nu = exponential -400 parallel\n")
+
+
 def test_config_parse_error_carries_line():
     bad = "[image\nn = 32\n"
     with pytest.raises(ConfigError, match="line"):
@@ -179,6 +189,20 @@ def test_raster_write_rejects_nonfinite(tmp_path):
     values[0, 0] = np.inf
     with pytest.raises(ValueError, match="finite"):
         write_raster(Raster(grid, values), tmp_path / "bad.ltr")
+
+
+def test_writers_reject_float32_overflow(tmp_path):
+    # 1e39 is finite in float64 and inf in float32
+    values = np.zeros((8, 8))
+    values[2, 3] = 1e39
+    path = tmp_path / "big.ltr"
+    with pytest.raises(ValueError, match="float32"):
+        write_raster(Raster(ImageGrid(8, 1.0), values), path)
+    assert not path.exists()
+    path = tmp_path / "big.lts"
+    with pytest.raises(ValueError, match="float32"):
+        write_sinogram(Sinogram(SinogramGrid(n_phi=8, n_s=8, s_max=1.5), values), path)
+    assert not path.exists()
 
 
 def test_pgm_constant_maps_to_zero(tmp_path):

@@ -296,3 +296,47 @@ def test_sinogram_shape_validation():
     sg = SinogramGrid(n_phi=16, n_s=17, s_max=1.0)
     with pytest.raises(ValueError):
         Sinogram(sg, np.zeros((17, 16)))
+
+
+def test_forward_raster_constant_exact_between_opposite_edges():
+    # Joseph's projector reads exactly 1 at every crossing inside the hull of
+    # pixel centres, so a constant raster integrates to the chord length
+    # 2L / max(|cos|, |sin|) of a line through two opposite edges.
+    n, L = 64, 1.2
+    grid = ImageGrid(n, L)
+    sg = SinogramGrid(n_phi=20, n_s=129, s_max=1.8)
+    g = forward(Raster(grid, np.ones((n, n))), ONE, sg)
+    s = sg.s_values()
+    checked = 0
+    for phi, row in zip(sg.phis(), g.values):
+        a, b = sorted((abs(math.cos(phi)), abs(math.sin(phi))), reverse=True)
+        # every crossing |u| <= (|s| + (L - h/2) b) / a stays inside L - h/2
+        m = np.abs(s) < (L - 0.5 * grid.h) * (a - b) - 1e-9
+        np.testing.assert_allclose(row[m], 2.0 * L / a, rtol=0, atol=1e-12)
+        checked += int(m.sum())
+    assert checked > 300
+
+
+@pytest.mark.parametrize("mu", [ONE, WeightFunction.exponential(0.8)])
+def test_forward_raster_zero_beyond_support(mu):
+    n, L = 32, 1.2
+    grid = ImageGrid(n, L)
+    values = 1.0 + np.random.default_rng(4).random((n, n))  # non-zero border
+    sg = SinogramGrid(n_phi=37, n_s=201, s_max=2.5)
+    g = forward(Raster(grid, values), mu, sg)
+    far = np.abs(sg.s_values()) > math.sqrt(2.0) * L + grid.h
+    assert far.sum() > 40
+    assert np.all(g.values[:, far] == 0.0)
+    assert np.all(g.values[:, np.abs(sg.s_values()) < L] > 0.0)
+
+
+@pytest.mark.parametrize("mu", [ONE, WeightFunction.exponential(0.5)])
+def test_forward_raster_bitwise_equal_across_threads(mu, monkeypatch):
+    grid = ImageGrid(48, 1.2)
+    values = np.random.default_rng(5).normal(size=(48, 48))
+    sg = SinogramGrid(n_phi=30, n_s=71, s_max=1.8)
+    monkeypatch.delenv("LIMITOMO_THREADS", raising=False)
+    one = forward(Raster(grid, values), mu, sg).values
+    monkeypatch.setenv("LIMITOMO_THREADS", "2")
+    two = forward(Raster(grid, values), mu, sg).values
+    np.testing.assert_array_equal(one, two)
