@@ -42,7 +42,6 @@ from .phantoms import (
     EdgeSingularity,
     Ellipse,
     Phantom,
-    analytic_line_integral,
     edge_singularities,
     rasterize,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "StudyRow",
     "WavefrontProbe",
     "WeightFunction",
-    "analytic_line_integral",
     "artifact_report",
     "backproject",
     "backproject_windows",

@@ -29,7 +29,7 @@ def _log(msg: str) -> None:
 
 def _cmd_phantom(args) -> int:
     cfg = load_config(args.config)
-    raster = rasterize(cfg.phantom, cfg.igrid, cfg.supersample)
+    raster = rasterize(cfg.phantom, cfg.igrid)
     write_raster(raster, args.out)
     if args.pgm:
         write_raster(raster, args.pgm, fmt="pgm16")
@@ -105,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forward", help="compute the weighted sinogram")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output sinogram file")
-    p.add_argument("--from-raster", help="use the raster quadrature path "
-                                         "instead of the analytic phantom path")
+    p.add_argument("--from-raster", help="project this raster file with Joseph's "
+                                         "projector instead of the analytic phantom path")
     p.set_defaults(fn=_cmd_forward)
 
     p = sub.add_parser("reconstruct", help="reconstruct from a sinogram file")

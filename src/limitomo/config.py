@@ -6,7 +6,6 @@ defaulted)::
     [image]
     n = 512                 # pixels per axis
     extent = 1.2            # half-width L of [-L, L]^2
-    supersample = false
 
     [phantom]               # one shapeN key per shape, additive densities
     shape1 = disk 0 0 1 1                   # cx cy r density
@@ -34,13 +33,13 @@ defaulted)::
     [reconstruction]
     operator = B            # B | Lambda
     filter_impl = spectral  # spectral | finite-difference
-    pad_factor = 2
-    apodize = false
 
     [output]
     dir = out
 
-Unknown sections or keys are rejected.  ``load_config`` fills every
+Unknown sections or keys are rejected, and so is a grid whose float64
+image (``8 n^2`` bytes) or padded row spectrum (``32 n_phi n_s`` bytes)
+exceeds ``MAX_BUFFER_BYTES`` (2 GiB).  ``load_config`` fills every
 default and the result echoes back as a normalized dump via
 :meth:`RunConfig.dumps`.
 """
@@ -64,12 +63,12 @@ class ConfigError(ValueError):
 
 
 _KNOWN_KEYS = {
-    "image": {"n", "extent", "supersample"},
+    "image": {"n", "extent"},
     "phantom": None,  # shapeN keys, validated separately
     "sinogram": {"n_phi", "phi0_deg", "phi1_deg", "n_s", "s_max"},
     "window": {"kind", "phi1_deg", "phi2_deg", "k"},
     "weights": {"mu", "nu"},
-    "reconstruction": {"operator", "filter_impl", "pad_factor", "apodize"},
+    "reconstruction": {"operator", "filter_impl"},
     "output": {"dir"},
 }
 
@@ -79,7 +78,6 @@ class RunConfig:
     """Validated, fully-defaulted pipeline configuration."""
 
     igrid: ImageGrid
-    supersample: bool
     phantom: Phantom
     phantom_spec: tuple[str, ...]
     sgrid: SinogramGrid
@@ -90,15 +88,12 @@ class RunConfig:
     window: AngularWindow | None
     operator: str
     filter_impl: str
-    pad_factor: int
-    apodize: bool
     out_dir: str
 
     def recon_config(self) -> ReconstructionConfig:
         return ReconstructionConfig(
             operator=self.operator, mu=self.mu, nu=self.nu,
             window=self.window, filter_impl=self.filter_impl,
-            pad_factor=self.pad_factor, apodize=self.apodize,
         )
 
     def dumps(self) -> str:
@@ -106,7 +101,6 @@ class RunConfig:
         lines = ["[image]",
                  f"n = {self.igrid.n}",
                  f"extent = {self.igrid.extent:.12g}",
-                 f"supersample = {str(self.supersample).lower()}",
                  "",
                  "[phantom]"]
         for i, spec in enumerate(self.phantom_spec, start=1):
@@ -138,8 +132,6 @@ class RunConfig:
                   "[reconstruction]",
                   f"operator = {self.operator}",
                   f"filter_impl = {self.filter_impl}",
-                  f"pad_factor = {self.pad_factor}",
-                  f"apodize = {str(self.apodize).lower()}",
                   "",
                   "[output]",
                   f"dir = {self.out_dir}",
@@ -148,15 +140,6 @@ class RunConfig:
 
     def sha256(self) -> str:
         return hashlib.sha256(self.dumps().encode("utf-8")).hexdigest()
-
-
-def _parse_bool(raw: str, where: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"{where}: expected a boolean, got {raw!r}")
 
 
 def _parse_shape(key: str, raw: str):
@@ -197,6 +180,16 @@ def _parse_shape(key: str, raw: str):
 
 # exp(x) overflows float64 for x above this.
 _EXP_ARG_MAX = math.log(sys.float_info.max)
+
+# Bytes of the largest array a run allocates for one grid: a grid beyond it
+# fails at load, not in numpy.
+MAX_BUFFER_BYTES = 2 * 1024**3
+
+
+def _check_buffer(where: str, what: str, nbytes: int) -> None:
+    if nbytes > MAX_BUFFER_BYTES:
+        raise ConfigError(f"{where}: the {what} takes {nbytes / 2**30:.4g} GiB, "
+                          f"more than the {MAX_BUFFER_BYTES / 2**30:g} GiB limit")
 
 
 def _parse_weight(raw: str, where: str, radius: float) -> tuple[WeightFunction, str]:
@@ -256,7 +249,7 @@ def loads_config(text: str) -> RunConfig:
         igrid = ImageGrid(n, extent)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    supersample = _parse_bool(get("image", "supersample", "false"), where)
+    _check_buffer(where, f"{n}x{n} float64 image", 8 * n * n)
 
     shapes, specs = [], []
     if parser.has_section("phantom") and parser.options("phantom"):
@@ -283,6 +276,10 @@ def loads_config(text: str) -> RunConfig:
         sgrid = SinogramGrid(n_phi, n_s, s_max, phi0, phi1)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    # The row filter's zero-padded complex spectrum is four times the
+    # float64 sinogram, so it bounds both.
+    _check_buffer(where, f"{n_phi}x{2 * n_s} complex128 padded row spectrum",
+                  16 * n_phi * 2 * n_s)
     if s_max < math.sqrt(2.0) * igrid.extent - 1e-12:
         raise ConfigError(
             f"{where}: s_max = {s_max:.6g} violates s_max >= sqrt(2) * extent "
@@ -317,20 +314,13 @@ def loads_config(text: str) -> RunConfig:
     where = "[reconstruction]"
     operator = get("reconstruction", "operator", "B").strip()
     filter_impl = get("reconstruction", "filter_impl", "spectral").strip()
-    try:
-        pad_factor = int(get("reconstruction", "pad_factor", "2"))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    apodize = _parse_bool(get("reconstruction", "apodize", "false"), where)
 
     out_dir = get("output", "dir", "out").strip()
 
     cfg = RunConfig(
-        igrid=igrid, supersample=supersample, phantom=phantom,
-        phantom_spec=tuple(specs), sgrid=sgrid, mu=mu, nu=nu,
-        mu_spec=mu_spec, nu_spec=nu_spec, window=window,
-        operator=operator, filter_impl=filter_impl, pad_factor=pad_factor,
-        apodize=apodize, out_dir=out_dir,
+        igrid=igrid, phantom=phantom, phantom_spec=tuple(specs), sgrid=sgrid,
+        mu=mu, nu=nu, mu_spec=mu_spec, nu_spec=nu_spec, window=window,
+        operator=operator, filter_impl=filter_impl, out_dir=out_dir,
     )
     try:
         cfg.recon_config()

@@ -12,9 +12,12 @@ frequency ``sigma`` the symbols are
   ``(i sigma)(-i sign sigma) = |sigma|``.
 
 Padding suppresses circular wrap-around of the nonlocal Hilbert kernel;
-the operators are meant on the line, not the circle.  Finite-difference
-variants of the derivatives are provided because spectral differentiation
-rings on rows with square-root singularities (tangent lines of a disk).
+the operators are meant on the line, not the circle.  :func:`d_ds` and
+:func:`neg_d2_ds2` are finite-difference stencils, the ``filter_impl =
+finite-difference`` derivatives, because spectral differentiation rings on
+rows with square-root singularities (tangent lines of a disk); the spectral
+derivatives are ``filter_chain(g, "d_ds")`` and
+``filter_chain(g, "neg_d2_ds2")``.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ def _multiplier(kind: str, sigma: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown filter kind {kind!r}; expected one of {FILTER_KINDS}")
 
 
-def filter_chain(g: Sinogram, kinds, pad_factor: int = 2,
-                 apodize: bool = False) -> Sinogram:
+def filter_chain(g: Sinogram, kinds, pad_factor: int = 2) -> Sinogram:
     """Apply a chain of spectral symbols in a single padded transform.
 
     Successive symbols multiply the same padded spectrum, so a chain is
@@ -59,8 +61,6 @@ def filter_chain(g: Sinogram, kinds, pad_factor: int = 2,
     spec = np.fft.fft(g.values, n=M, axis=1)
     for kind in kinds:
         spec *= _multiplier(kind, sigma)
-    if apodize:
-        spec *= 0.5 * (1.0 + np.cos(math.pi * sigma / np.max(np.abs(sigma))))
     out = np.fft.ifft(spec, axis=1).real[:, :n_s]
     return Sinogram(g.grid, out)
 
@@ -73,17 +73,13 @@ def hilbert(g: Sinogram, pad_factor: int = 2) -> Sinogram:
     return filter_chain(g, "hilbert", pad_factor)
 
 
-def d_ds(g: Sinogram, impl: str = "spectral", pad_factor: int = 2) -> Sinogram:
-    """Row-wise derivative in ``s``.
+def d_ds(g: Sinogram) -> Sinogram:
+    """Row-wise derivative in ``s`` by finite differences.
 
-    The finite-difference form is the central stencil
-    ``(g[j+1] - g[j-1]) / (2 ds)`` with one-sided differences at the ends;
-    it is exact on polynomials of degree <= 2 in the interior.
+    The central stencil ``(g[j+1] - g[j-1]) / (2 ds)`` with one-sided
+    differences at the ends; it is exact on polynomials of degree <= 2 in
+    the interior.
     """
-    if impl == "spectral":
-        return filter_chain(g, "d_ds", pad_factor)
-    if impl != "finite-difference":
-        raise ValueError(f"unknown filter impl {impl!r}; expected one of {FILTER_IMPLS}")
     v = g.values
     ds = g.grid.ds
     out = np.empty_like(v)
@@ -93,17 +89,12 @@ def d_ds(g: Sinogram, impl: str = "spectral", pad_factor: int = 2) -> Sinogram:
     return Sinogram(g.grid, out)
 
 
-def neg_d2_ds2(g: Sinogram, impl: str = "spectral", pad_factor: int = 2) -> Sinogram:
-    """Row-wise ``-d^2/ds^2``.
+def neg_d2_ds2(g: Sinogram) -> Sinogram:
+    """Row-wise ``-d^2/ds^2`` by finite differences.
 
-    The finite-difference form is ``-(g[j+1] - 2 g[j] + g[j-1]) / ds^2``
-    with the stencil shifted one sample inward at the ends (still exact on
-    quadratics).
+    The stencil ``-(g[j+1] - 2 g[j] + g[j-1]) / ds^2``, shifted one sample
+    inward at the ends (still exact on quadratics).
     """
-    if impl == "spectral":
-        return filter_chain(g, "neg_d2_ds2", pad_factor)
-    if impl != "finite-difference":
-        raise ValueError(f"unknown filter impl {impl!r}; expected one of {FILTER_IMPLS}")
     v = g.values
     ds2 = g.grid.ds ** 2
     out = np.empty_like(v)
@@ -129,35 +120,25 @@ class ReconstructionConfig:
     nu: WeightFunction
     window: AngularWindow | None = None
     filter_impl: str = "spectral"
-    pad_factor: int = 2
-    apodize: bool = False
 
     def __post_init__(self):
         if self.operator not in ("B", "Lambda"):
             raise ValueError("operator must be 'B' or 'Lambda'")
         if self.filter_impl not in FILTER_IMPLS:
             raise ValueError(f"filter_impl must be one of {FILTER_IMPLS}")
-        if int(self.pad_factor) != self.pad_factor or self.pad_factor < 2:
-            raise ValueError("pad_factor must be an integer >= 2")
-        object.__setattr__(self, "pad_factor", int(self.pad_factor))
-
-    @property
-    def order(self) -> int:
-        """Operator order: 0 for B, 1 for Lambda."""
-        return 0 if self.operator == "B" else 1
 
 
 def apply_operator_filter(g: Sinogram, cfg: ReconstructionConfig) -> Sinogram:
     """The row filter of the selected operator, before back-projection."""
     if cfg.operator == "B":
         if cfg.filter_impl == "spectral":
-            return filter_chain(g, "ramp", cfg.pad_factor, cfg.apodize)
+            return filter_chain(g, "ramp")
         # Hilbert is nonlocal and has no stencil form; only the derivative
         # switches to finite differences.
-        return hilbert(d_ds(g, "finite-difference"), cfg.pad_factor)
+        return hilbert(d_ds(g))
     if cfg.filter_impl == "spectral":
-        return filter_chain(g, "neg_d2_ds2", cfg.pad_factor, cfg.apodize)
-    return neg_d2_ds2(g, "finite-difference")
+        return filter_chain(g, "neg_d2_ds2")
+    return neg_d2_ds2(g)
 
 
 def reconstruct(g: Sinogram, cfg: ReconstructionConfig, igrid: ImageGrid,

@@ -3,11 +3,12 @@
 Phantoms are additive superpositions of convex shapes (disks, ellipses and
 half-plane-clipped disks).  Because every supported shape is convex with an
 analytically known boundary, chord lengths, boundary normals, curvatures
-and areas are all available in closed form.  The analytic line integral
-below serves as the oracle for the discrete forward transform: it
-integrates the weight over each closed-form chord with a fixed
-Gauss-Legendre rule, exact for a constant weight and accurate to rounding
-for a weight that is smooth along the chord.
+and areas are all available in closed form.  The analytic sinogram row
+below (:func:`analytic_sinogram_row`) serves as the oracle for the
+discrete forward transform: it integrates the weight over each
+closed-form chord with a fixed Gauss-Legendre rule, exact for a constant
+weight and accurate to rounding for a weight that is smooth along the
+chord.
 """
 
 from __future__ import annotations
@@ -362,26 +363,16 @@ class Phantom:
                 np.concatenate(curv), np.concatenate(idx).astype(int))
 
 
-def rasterize(phantom: Phantom, grid: ImageGrid, supersample: bool = False) -> Raster:
+def rasterize(phantom: Phantom, grid: ImageGrid) -> Raster:
     """Sample the phantom on the pixel lattice.
 
     Pixel values are the summed densities of the shapes containing the
-    pixel center; with ``supersample`` each pixel is averaged over a 2x2
-    subgrid for anti-aliasing.
+    pixel center.
     """
     if not phantom.fits_inside(grid):
         raise ValueError("phantom does not fit strictly inside the image extent")
     X, Y = grid.centers()
-    if not supersample:
-        pts = np.stack([X, Y], axis=-1)
-        return Raster(grid, phantom.evaluate(pts))
-    acc = np.zeros((grid.n, grid.n))
-    q = grid.h / 4.0
-    for ox in (-q, q):
-        for oy in (-q, q):
-            pts = np.stack([X + ox, Y + oy], axis=-1)
-            acc += phantom.evaluate(pts)
-    return Raster(grid, acc / 4.0)
+    return Raster(grid, phantom.evaluate(np.stack([X, Y], axis=-1)))
 
 
 # Gauss-Legendre rules (nodes, weights) on [-1, 1].  One node is exact for
@@ -399,10 +390,8 @@ def analytic_sinogram_row(phantom: Phantom, mu, phi: float, s) -> np.ndarray:
     ``mu(x(t), phi)`` is integrated over it with a fixed Gauss-Legendre
     rule, vectorized over ``s`` and the shapes: one node for a constant
     weight (exact), 16 nodes otherwise.  The rule assumes a weight that is
-    smooth along each chord.  A piecewise-bilinear tabulated weight has
-    kinks along the chord: for a table sampled from a smooth weight the
-    relative error is about 1e-4, and a rough table can reach several
-    percent.  Lines missing (or tangent to) every shape yield 0.
+    smooth along each chord.  Lines missing (or tangent to) every shape
+    yield 0.
     """
     s = np.asarray(s, dtype=float)
     if not phantom.shapes:
@@ -422,16 +411,6 @@ def analytic_sinogram_row(phantom: Phantom, mu, phi: float, s) -> np.ndarray:
     chord_integrals = half * (mu(pts, phi) * weights).sum(axis=-1)
     density = np.array([sh.density for sh in phantom.shapes]).reshape((-1,) + (1,) * s.ndim)
     return (density * chord_integrals).sum(axis=0)
-
-
-def analytic_line_integral(phantom: Phantom, mu, phi: float, s: float) -> float:
-    """Weighted line integral of the phantom along the line ``(phi, s)``.
-
-    A one-sample :func:`analytic_sinogram_row`: closed-form chords, the
-    weight integrated over each with a fixed Gauss-Legendre rule (exact for
-    a constant weight, rounding-level for a weight smooth along the chord).
-    """
-    return float(analytic_sinogram_row(phantom, mu, phi, np.array([s], dtype=float))[0])
 
 
 def edge_singularities(phantom: Phantom, window: AngularWindow,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from .config import RunConfig
 from .filters import reconstruct
-from .io import write_raster, write_sinogram
+from .io import _float32_payload, write_raster, write_sinogram
 from .microlocal import artifact_report, write_report_csv, write_report_json
 from .phantoms import rasterize
 from .transforms import forward
@@ -36,12 +36,14 @@ def run_pipeline(cfg: RunConfig, log=None) -> int:
     Outputs land in ``cfg.out_dir``: the normalized config echo, the
     rasterized phantom, the sinogram, the reconstruction (raw + PGM
     preview) and the artifact report (CSV + JSON).  The run is
-    deterministic for a fixed configuration and thread count.
+    deterministic for a fixed configuration and thread count.  Every
+    float32 payload is checked before the directory is made, so a
+    ``[write]`` error on non-finite data leaves no file behind.
     """
     if log is None:
         log = lambda msg: print(msg, file=sys.stderr)
 
-    raster = _stage("phantom", rasterize, cfg.phantom, cfg.igrid, cfg.supersample)
+    raster = _stage("phantom", rasterize, cfg.phantom, cfg.igrid)
     log(f"phantom: rasterized {cfg.igrid.n}x{cfg.igrid.n}")
 
     sino = _stage("forward", forward, cfg.phantom, cfg.mu, cfg.sgrid)
@@ -56,6 +58,9 @@ def run_pipeline(cfg: RunConfig, log=None) -> int:
     log(f"analyze: {len(report.lines)} predicted line(s)")
 
     def write_all():
+        for values, what in ((raster.values, "raster"), (sino.values, "sinogram"),
+                             (recon.values, "raster")):
+            _float32_payload(values, what)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.normalized.ini").write_text(cfg.dumps(), encoding="utf-8")

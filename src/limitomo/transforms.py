@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from ._util import chunk_slices, map_parts, thread_count
 from .geometry import AngularWindow, ImageGrid, Raster, SinogramGrid
@@ -74,46 +73,6 @@ class WeightFunction:
             return np.exp(lam * proj)
 
         return cls(fn, "exponential", (lam, mode))
-
-    @classmethod
-    def tabulated(cls, phis: np.ndarray, axis: np.ndarray,
-                  table: np.ndarray) -> "WeightFunction":
-        """Tabulated weight: bilinear in ``x``, linear in ``phi``.
-
-        ``table[p, j, i]`` holds the value at ``phi = phis[p]``,
-        ``y = axis[j]``, ``x = axis[i]`` with uniformly spaced ``phis``.
-        Angles wrap periodically over the tabulated range; spatial queries
-        are clamped to the table edge.  The analytic forward integrates it
-        with a fixed 16-node rule, which its kinks limit to a relative error
-        of about 1e-4 for a table sampled from a smooth weight.
-        """
-        phis = np.asarray(phis, dtype=float)
-        axis = np.asarray(axis, dtype=float)
-        table = np.asarray(table, dtype=float)
-        if table.shape != (phis.size, axis.size, axis.size):
-            raise ValueError("table shape must be (n_phi, n_axis, n_axis)")
-        if np.any(table <= 0):
-            raise ValueError("tabulated weight must be strictly positive")
-        dps = np.diff(phis)
-        if phis.size < 2 or not np.allclose(dps, dps[0]):
-            raise ValueError("tabulated weight requires a uniform phi grid")
-        ext = np.concatenate([table, table[:1]], axis=0)  # wrap row in phi
-        x0, dx = axis[0], axis[1] - axis[0]
-        p0, dp = phis[0], dps[0]
-        n_p = phis.size
-
-        def fn(x, phi):
-            xi = np.clip((x[..., 0] - x0) / dx, 0, axis.size - 1)
-            yi = np.clip((x[..., 1] - x0) / dx, 0, axis.size - 1)
-            pf = np.mod((np.asarray(phi, dtype=float) - p0) / dp, n_p)
-            shape = np.broadcast_shapes(xi.shape, pf.shape)
-            coords = [np.broadcast_to(pf, shape).ravel(),
-                      np.broadcast_to(yi, shape).ravel(),
-                      np.broadcast_to(xi, shape).ravel()]
-            out = map_coordinates(ext, coords, order=1, mode="nearest")
-            return out.reshape(shape) if shape else float(out[0])
-
-        return cls(fn, "tabulated", (phis, axis, table))
 
 
 @dataclass(frozen=True, eq=False)

@@ -55,8 +55,7 @@ def _fbp_error(n: int, n_phi: int) -> float:
     sg = SinogramGrid(n_phi=n_phi, n_s=int(round(2 * s_max / grid.h)) + 1,
                       s_max=s_max)
     g = forward(UNIT_DISK, ONE, sg)
-    cfg = ReconstructionConfig("B", ONE, ONE, window=None,
-                               filter_impl="spectral", pad_factor=2)
+    cfg = ReconstructionConfig("B", ONE, ONE, window=None, filter_impl="spectral")
     rec = reconstruct(g, cfg, grid)
     f = rasterize(UNIT_DISK, grid)
     interior = binary_erosion(f.values > 0.5, iterations=2)

@@ -157,7 +157,16 @@ def test_analyze_float32_overflow_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == "error [write] sinogram contains non-finite values as float32"
     assert "Traceback" not in err
-    assert not (out / "sinogram.lts").exists()
+    # Every payload is checked before the output directory is made.
+    assert not out.exists()
+
+
+def test_analyze_removed_key_exits_1(tmp_path, capsys):
+    cfg, out = _write_cfg(tmp_path, DEFAULTS_CONFIG + "\n[reconstruction]\napodize = true\n")
+    assert main(["analyze", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error [config] [reconstruction] unknown key 'apodize'\n"
+    assert not out.exists()
 
 
 def test_forward_and_reconstruct_subcommands(tmp_path):

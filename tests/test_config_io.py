@@ -36,7 +36,6 @@ def test_minimal_config_defaults(tmp_path):
     cfg = load_config(path)
     assert cfg.igrid.n == 512
     assert cfg.sgrid.n_phi == 720
-    assert cfg.pad_factor == 2
     assert cfg.window is None
     assert cfg.operator == "B"
     assert cfg.sgrid.s_max == pytest.approx(math.sqrt(2.0) * cfg.igrid.extent)
@@ -114,6 +113,23 @@ def test_config_rejects_unknown_keys():
         loads_config(MINIMAL + "\n[image]\nnn = 12\n")
     with pytest.raises(ConfigError, match="unknown section"):
         loads_config(MINIMAL + "\n[imaging]\nn = 12\n")
+    # Removed keys: MINIMAL ends inside [reconstruction].
+    for extra, error in (("\n[image]\nsupersample = false\n", "[image] unknown key 'supersample'"),
+                         ("pad_factor = 2\n", "[reconstruction] unknown key 'pad_factor'"),
+                         ("apodize = false\n", "[reconstruction] unknown key 'apodize'")):
+        with pytest.raises(ConfigError) as exc:
+            loads_config(MINIMAL + extra)
+        assert str(exc.value) == error
+
+
+@pytest.mark.parametrize("section,line,size", [
+    ("image", "n = 1000000", "1000000x1000000 float64 image"),
+    ("sinogram", "n_phi = 100000000", "100000000x1536 complex128 padded row spectrum"),
+], ids=["image", "sinogram"])
+def test_config_rejects_oversized_grid(section, line, size):
+    # Checked at load: nothing of the grid's size is allocated.
+    with pytest.raises(ConfigError, match=rf"^\[{section}\]: the {size} takes .* GiB"):
+        loads_config(MINIMAL + f"\n[{section}]\n{line}\n")
 
 
 def test_config_rejects_oversized_phantom():
@@ -160,7 +176,7 @@ filter_impl = finite-difference
     assert cfg.nu.params[0] == 2.0
     assert cfg.operator == "Lambda"
     rc = cfg.recon_config()
-    assert rc.order == 1
+    assert rc.operator == "Lambda"
 
 
 def test_raster_file_size_and_roundtrip(tmp_path):

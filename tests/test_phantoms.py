@@ -12,7 +12,6 @@ from limitomo import (
     ImageGrid,
     Phantom,
     WeightFunction,
-    analytic_line_integral,
     edge_singularities,
     rasterize,
 )
@@ -41,16 +40,16 @@ def brute_line_integral(phantom, weight, phi, s, n_t=200001, t_max=4.0):
 
 def test_disk_chord_values():
     ph = Phantom((Disk((0.0, 0.0), 1.0, 1.0),))
-    assert analytic_line_integral(ph, ONE, 0.7, 0.0) == pytest.approx(2.0, abs=1e-12)
-    assert analytic_line_integral(ph, ONE, 1.3, 0.6) == pytest.approx(1.6, abs=1e-12)
-    assert analytic_line_integral(ph, ONE, 0.2, 1.2) == 0.0
-    assert analytic_line_integral(ph, ONE, 0.2, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert analytic_sinogram_row(ph, ONE, 0.7, [0.0])[0] == pytest.approx(2.0, abs=1e-12)
+    assert analytic_sinogram_row(ph, ONE, 1.3, [0.6])[0] == pytest.approx(1.6, abs=1e-12)
+    assert analytic_sinogram_row(ph, ONE, 0.2, [1.2])[0] == 0.0
+    assert analytic_sinogram_row(ph, ONE, 0.2, [1.0])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("phi,s", [(0.3, 0.2), (1.2, -0.5), (2.9, 0.75)])
 def test_disk_chord_matches_brute_force(phi, s):
     ph = Phantom((DISK,))
-    exact = analytic_line_integral(ph, ONE, phi, s)
+    exact = analytic_sinogram_row(ph, ONE, phi, [s])[0]
     brute = brute_line_integral(ph, ONE, phi, s)
     assert exact == pytest.approx(brute, abs=2e-4)
 
@@ -58,7 +57,7 @@ def test_disk_chord_matches_brute_force(phi, s):
 @pytest.mark.parametrize("phi,s", [(0.0, 0.1), (0.9, -0.3), (2.2, 0.4), (1.5708, 0.0)])
 def test_ellipse_chord_matches_brute_force(phi, s):
     ph = Phantom((ELLIPSE,))
-    exact = analytic_line_integral(ph, ONE, phi, s)
+    exact = analytic_sinogram_row(ph, ONE, phi, [s])[0]
     brute = brute_line_integral(ph, ONE, phi, s)
     assert exact == pytest.approx(brute, abs=2e-4)
 
@@ -66,7 +65,7 @@ def test_ellipse_chord_matches_brute_force(phi, s):
 @pytest.mark.parametrize("phi,s", [(0.2, 0.0), (1.0, 0.3), (2.5, -0.2), (0.7854, 0.5)])
 def test_clipped_disk_chord_matches_brute_force(phi, s):
     ph = Phantom((CLIPPED,))
-    exact = analytic_line_integral(ph, ONE, phi, s)
+    exact = analytic_sinogram_row(ph, ONE, phi, [s])[0]
     brute = brute_line_integral(ph, ONE, phi, s)
     assert exact == pytest.approx(brute, abs=2e-4)
 
@@ -75,7 +74,7 @@ def test_weighted_line_integral_matches_brute_force():
     mu = WeightFunction.exponential(0.4)
     ph = Phantom((Disk((0.0, 0.2), 0.7, 1.0), Ellipse((-0.2, -0.3), 0.5, 0.3, 1.1, 0.5)))
     for phi, s in ((0.4, 0.1), (1.7, -0.25), (2.9, 0.5)):
-        exact = analytic_line_integral(ph, mu, phi, s)
+        exact = analytic_sinogram_row(ph, mu, phi, [s])[0]
         brute = brute_line_integral(ph, mu, phi, s, n_t=800001)
         assert exact == pytest.approx(brute, abs=1e-5)
 
@@ -92,9 +91,10 @@ def test_exponential_weights_match_closed_form(shape, lam):
         assert t1 > t0
         want_perp = shape.density * (math.exp(lam * t1) - math.exp(lam * t0)) / lam
         want_parallel = shape.density * math.exp(lam * s) * (t1 - t0)
-        assert analytic_line_integral(ph, perp, phi, s) == pytest.approx(want_perp, rel=1e-12)
-        assert analytic_line_integral(ph, parallel, phi, s) == pytest.approx(want_parallel,
-                                                                             rel=1e-12)
+        assert analytic_sinogram_row(ph, perp, phi, [s])[0] == pytest.approx(want_perp,
+                                                                            rel=1e-12)
+        assert analytic_sinogram_row(ph, parallel, phi, [s])[0] == pytest.approx(want_parallel,
+                                                                                rel=1e-12)
 
 
 def test_smooth_custom_weight_matches_quad():
@@ -106,7 +106,7 @@ def test_smooth_custom_weight_matches_quad():
             val, _ = quad(lambda t: float(SMOOTH(s * theta(phi) + t * theta_perp(phi), phi)),
                           t0, t1, epsabs=1e-13, epsrel=1e-13)
             want += sh.density * val
-        assert analytic_line_integral(ph, SMOOTH, phi, s) == pytest.approx(want, rel=1e-12)
+        assert analytic_sinogram_row(ph, SMOOTH, phi, [s])[0] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("lam", [-3.0, 3.0])
@@ -121,33 +121,9 @@ def test_empty_chord_far_along_line_is_zero(dphi, lam):
     assert t1 <= t0 and max(abs(t0), abs(t1)) > 100
     mu = WeightFunction.exponential(lam, "perp")
     with np.errstate(all="raise"):
-        assert analytic_line_integral(Phantom((CLIPPED,)), mu, phi, s) == 0.0
+        assert analytic_sinogram_row(Phantom((CLIPPED,)), mu, phi, [s])[0] == 0.0
         row = analytic_sinogram_row(Phantom((DISK, CLIPPED)), mu, phi, np.linspace(-2, 2, 41))
     assert np.all(np.isfinite(row))
-
-
-def test_tabulated_weight_error_bound():
-    # A bilinear table has kinks along the chord, so the 16-node rule is not
-    # rounding-level there.  Oracle: quad on each piece between the table's
-    # grid-line crossings, where the weight is a quadratic in t.
-    axis = np.linspace(-1.5, 1.5, 17)
-    phis = np.arange(8) * 2.0 * math.pi / 8
-    P, Y, X = np.meshgrid(phis, axis, axis, indexing="ij")
-    mu = WeightFunction.tabulated(phis, axis, SMOOTH(np.stack([X, Y], axis=-1), P))
-    for sh in (DISK, ELLIPSE, CLIPPED):
-        for phi, s in LINES:
-            th, tp = theta(phi), theta_perp(phi)
-            t0, t1 = (float(v) for v in sh.chord_interval(phi, s))
-            cuts = [t0, t1]
-            for k in (0, 1):
-                t = (axis - s * th[k]) / tp[k]
-                cuts.extend(t[(t > t0) & (t < t1)])
-            cuts = sorted(cuts)
-            want = sh.density * sum(
-                quad(lambda t: float(mu(s * th + t * tp, phi)), a, b,
-                     epsabs=1e-14, epsrel=1e-13)[0] for a, b in zip(cuts[:-1], cuts[1:]))
-            got = analytic_line_integral(Phantom((sh,)), mu, phi, s)
-            assert got == pytest.approx(want, rel=1e-3)
 
 
 @pytest.mark.parametrize("mu", [ONE, WeightFunction.exponential(0.3), SMOOTH],
@@ -158,8 +134,7 @@ def test_line_integral_is_one_sample_row(mu):
     s_row = np.linspace(-1.5, 1.5, 31)
     row = analytic_sinogram_row(ph, mu, phi, s_row)
     for s, r in zip(s_row, row):
-        one = analytic_line_integral(ph, mu, phi, s)
-        assert one == analytic_sinogram_row(ph, mu, phi, [s])[0]
+        one = analytic_sinogram_row(ph, mu, phi, [s])[0]
         assert one == pytest.approx(r, rel=1e-14, abs=1e-15)
     assert row[0] == 0.0 and row[-1] == 0.0
 
@@ -169,17 +144,17 @@ def test_line_integral_linear_in_densities():
     d2 = Phantom((Disk((0.1, 0.0), 0.8, 2.5),))
     both = Phantom((Disk((0.1, 0.0), 0.8, 1.0), Disk((0.1, 0.0), 0.8, 2.5)))
     phi, s = 0.9, 0.2
-    v1 = analytic_line_integral(d1, ONE, phi, s)
-    v2 = analytic_line_integral(d2, ONE, phi, s)
+    v1 = analytic_sinogram_row(d1, ONE, phi, [s])[0]
+    v2 = analytic_sinogram_row(d2, ONE, phi, [s])[0]
     assert v2 == pytest.approx(2.5 * v1, rel=1e-12)
-    assert analytic_line_integral(both, ONE, phi, s) == pytest.approx(v1 + v2, rel=1e-12)
+    assert analytic_sinogram_row(both, ONE, phi, [s])[0] == pytest.approx(v1 + v2, rel=1e-12)
 
 
 def test_line_integral_even_under_antipodal_flip():
     ph = Phantom((Disk((0.3, -0.2), 0.6, 1.0), Ellipse((0.0, 0.25), 0.5, 0.2, 0.4, 0.7)))
     for phi, s in ((0.5, 0.3), (2.0, -0.4)):
-        a = analytic_line_integral(ph, ONE, phi, s)
-        b = analytic_line_integral(ph, ONE, phi + math.pi, -s)
+        a = analytic_sinogram_row(ph, ONE, phi, [s])[0]
+        b = analytic_sinogram_row(ph, ONE, phi + math.pi, [-s])[0]
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -211,16 +186,6 @@ def test_rasterize_mass_matches_area():
     mass = r.values.sum() * grid.h ** 2
     expected = sum(sh.density * sh.area() for sh in shapes)
     assert mass == pytest.approx(expected, rel=0.01)
-
-
-def test_rasterize_supersample():
-    grid = ImageGrid(64, 1.5)
-    ph = Phantom((Disk((0.0, 0.0), 1.0, 1.0),))
-    r = rasterize(ph, grid, supersample=True)
-    assert r.values.min() >= 0.0
-    assert r.values.max() <= 1.0
-    mass = r.values.sum() * grid.h ** 2
-    assert mass == pytest.approx(math.pi, rel=0.02)
 
 
 def test_rasterize_rejects_oversized_phantom():

@@ -51,20 +51,6 @@ def test_weight_exponential_rejects_nonfinite_rate(lam):
         WeightFunction.exponential(lam)
 
 
-def test_weight_tabulated_interpolates():
-    axis = np.linspace(-1.0, 1.0, 65)
-    phis = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
-    X, Y = np.meshgrid(axis, axis, indexing="xy")
-    table = np.stack([np.exp(0.3 * (X * math.cos(p) + Y * math.sin(p))) for p in phis])
-    w = WeightFunction.tabulated(phis, axis, table)
-    x = np.array([0.25, -0.4])
-    p = 1.3
-    expected = math.exp(0.3 * (0.25 * math.cos(p) - 0.4 * math.sin(p)))
-    assert float(w(x, p)) == pytest.approx(expected, rel=5e-3)
-    with pytest.raises(ValueError):
-        WeightFunction.tabulated(phis, axis, -table)
-
-
 def test_forward_disk_center_sample():
     # odd n_s puts a sample exactly at s = 0
     sg = SinogramGrid(n_phi=4, n_s=129, s_max=1.5)
