@@ -153,7 +153,8 @@ def reconstruct(g: Sinogram, cfg: ReconstructionConfig, igrid: ImageGrid,
     With ``windows``, a sequence of windows (``None`` for no cutoff) used
     in place of ``cfg.window``, the sinogram is filtered once and
     back-projected for every window in one pass; the result is one
-    raster per window, each bit-identical to a single-window call.
+    raster per window, each bit-identical to a single-window call except
+    as :func:`~limitomo.transforms.backproject_windows` states.
     """
     wins = [cfg.window] if windows is None else list(windows)
     lo, hi = g.grid.phi0, g.grid.phi1

@@ -34,15 +34,20 @@ def _rot(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _disk_chord(center, radius: float, phi: float, s):
+def _frame(phi: float, frame):
+    """``(theta(phi), theta_perp(phi))``, or ``frame`` when the caller has it."""
+    return (theta(phi), theta_perp(phi)) if frame is None else frame
+
+
+def _disk_chord(center, radius: float, th, tp, s):
     """Chord ``(t0, t1)`` of the circle ``|x - center| <= radius``; ``t0 > t1`` if missed."""
     s = np.asarray(s, dtype=float)
     c = np.asarray(center)
-    d = c @ theta(phi) - s          # line misses if |d| > r
+    d = c @ th - s                  # line misses if |d| > r
     disc = radius * radius - d * d
     hit = disc >= 0.0
     half = np.sqrt(np.maximum(disc, 0.0))
-    tm = float(c @ theta_perp(phi))
+    tm = float(c @ tp)
     return np.where(hit, tm - half, 1.0), np.where(hit, tm + half, -1.0)
 
 
@@ -74,13 +79,14 @@ class Disk:
     def area(self) -> float:
         return math.pi * self.radius * self.radius
 
-    def chord_interval(self, phi: float, s):
+    def chord_interval(self, phi: float, s, frame=None):
         """Intersection interval(s) of the line ``(phi, s)`` with the shape.
 
         Returns ``(t0, t1)`` arrays over the broadcast shape of ``s``;
-        ``t0 > t1`` encodes an empty intersection.
+        ``t0 > t1`` encodes an empty intersection.  ``frame`` is
+        ``(theta(phi), theta_perp(phi))`` when the caller has computed it.
         """
-        return _disk_chord(self.center, self.radius, phi, s)
+        return _disk_chord(self.center, self.radius, *_frame(phi, frame), s)
 
     def boundary_points(self, m: int = 1024):
         """Sample points, outward unit normals and curvatures along the boundary."""
@@ -136,7 +142,7 @@ class Ellipse:
     def area(self) -> float:
         return math.pi * self.a * self.b
 
-    def chord_interval(self, phi: float, s):
+    def chord_interval(self, phi: float, s, frame=None):
         # Along x(t) = s theta + t theta_perp the membership form is a
         # quadratic in t; in the rotated frame the standard chord formula
         # 2ab sqrt(q^2 - s'^2)/q^2 applies with q^2 = a^2 cos^2 + b^2 sin^2.
@@ -144,13 +150,12 @@ class Ellipse:
         c = np.asarray(self.center)
         beta = phi - self.angle
         q2 = (self.a * math.cos(beta)) ** 2 + (self.b * math.sin(beta)) ** 2
-        th = theta(phi)
+        th, tp = _frame(phi, frame)
         se = s - c @ th
         disc = q2 - se * se
         hit = disc >= 0.0
         half = self.a * self.b * np.sqrt(np.maximum(disc, 0.0)) / q2
         # chord midpoint along t: stationary point of the membership quadratic
-        tp = theta_perp(phi)
         ca, sa = math.cos(self.angle), math.sin(self.angle)
         R = np.array([[ca, sa], [-sa, ca]])      # world -> ellipse frame
         thl = R @ th
@@ -235,12 +240,11 @@ class ClippedDisk:
         seg = r * r * math.acos(d / r) - d * math.sqrt(r * r - d * d)
         return math.pi * r * r - seg
 
-    def chord_interval(self, phi: float, s):
+    def chord_interval(self, phi: float, s, frame=None):
         s = np.asarray(s, dtype=float)
         c = np.asarray(self.center)
-        th = theta(phi)
-        tp = theta_perp(phi)
-        t0, t1 = _disk_chord(self.center, self.radius, phi, s)
+        th, tp = _frame(phi, frame)
+        t0, t1 = _disk_chord(self.center, self.radius, th, tp, s)
         # intersect with n . (x(t) - c) = off + t g <= clip_offset, linear in t
         n = np.asarray(self.clip_normal)
         g = float(n @ tp)
@@ -397,7 +401,8 @@ def analytic_sinogram_row(phantom: Phantom, mu, phi: float, s) -> np.ndarray:
     if not phantom.shapes:
         return np.zeros(s.shape)
     nodes, weights = _RULE_CONSTANT if getattr(mu, "kind", None) == "constant" else _RULE_SMOOTH
-    chords = np.array([sh.chord_interval(phi, s) for sh in phantom.shapes])
+    frame = (theta(phi), theta_perp(phi))
+    chords = np.array([sh.chord_interval(phi, s, frame) for sh in phantom.shapes])
     t0, t1 = chords[:, 0], chords[:, 1]            # (n_shapes, *s.shape)
     # An empty chord becomes [0, 0]: its ends can lie far out on the line
     # (a clip line nearly parallel to it), where the weight may overflow.

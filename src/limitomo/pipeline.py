@@ -38,15 +38,19 @@ def run_pipeline(cfg: RunConfig, log=None) -> int:
     preview) and the artifact report (CSV + JSON).  The run is
     deterministic for a fixed configuration and thread count.  Every
     float32 payload is checked before the directory is made, so a
-    ``[write]`` error on non-finite data leaves no file behind.
+    ``[write]`` error on non-finite data leaves no file behind; the
+    phantom and the sinogram are checked as soon as each exists, so such
+    a run stops before the stages that follow.
     """
     if log is None:
         log = lambda msg: print(msg, file=sys.stderr)
 
     raster = _stage("phantom", rasterize, cfg.phantom, cfg.igrid)
+    _stage("write", _float32_payload, raster.values, "raster")
     log(f"phantom: rasterized {cfg.igrid.n}x{cfg.igrid.n}")
 
     sino = _stage("forward", forward, cfg.phantom, cfg.mu, cfg.sgrid)
+    _stage("write", _float32_payload, sino.values, "sinogram")
     log(f"forward: sinogram {cfg.sgrid.n_phi}x{cfg.sgrid.n_s}")
 
     recon = _stage("reconstruct", reconstruct, sino, cfg.recon_config(), cfg.igrid)
@@ -58,9 +62,7 @@ def run_pipeline(cfg: RunConfig, log=None) -> int:
     log(f"analyze: {len(report.lines)} predicted line(s)")
 
     def write_all():
-        for values, what in ((raster.values, "raster"), (sino.values, "sinogram"),
-                             (recon.values, "raster")):
-            _float32_payload(values, what)
+        _float32_payload(recon.values, "raster")
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.normalized.ini").write_text(cfg.dumps(), encoding="utf-8")

@@ -179,6 +179,9 @@ def backproject(g: Sinogram, nu: WeightFunction,
     ``sum_phi w_phi kappa(phi) nu(x, phi) g(phi, x . theta(phi))`` with
     linear interpolation in ``s``; ``window=None`` means ``kappa == 1``
     over the sinogram's angular range.
+    With ``window=None`` on a full circle the angles ``phi`` and
+    ``phi + pi`` may be folded first; :func:`backproject_windows` says
+    when, and gives the tolerance.
     """
     return backproject_windows(g, nu, [window], igrid)[0]
 
@@ -192,6 +195,18 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     accumulator of every window that uses it.  Every window keeps the
     chunking of its own active angles across threads, so each image is
     bit-identical to a single-window call at the same thread count.
+
+    Opposite-angle fold: angle ``phi_i + pi`` reads the line of
+    ``phi_i`` at offset ``-s``.  On a full circle with ``n_phi = 2 m``,
+    when every window is ``None`` and ``nu(x, phi_i)`` equals
+    ``nu(x, phi_{i+m})`` bitwise on every pixel for every ``i < m``, row
+    ``i + m`` reversed in ``s`` is added to row ``i`` and the same kernel
+    runs over the ``m`` folded rows: half the interpolations.  The result
+    is within 1e-13 of the image maximum of the unfolded sum, not
+    bitwise, because ``s_values()`` is ``linspace`` and not bitwise
+    symmetric.  Every other call (a cutoff, a half range, an odd
+    ``n_phi``, a weight that differs at a pair) is unfolded, so a
+    ``None`` window batched with cutoff windows gets the unfolded bits.
     """
     if not np.all(np.isfinite(g.values)):
         raise ValueError("sinogram contains non-finite values")
@@ -201,11 +216,21 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
         )
     phis = g.grid.phis()
     wphi = g.grid.phi_weights()
-    coef = np.array([(1.0 if w is None else w.kappa(phis)) * wphi for w in windows])
+    rows = g.values
     s = g.grid.s_values()
     ax = igrid.axis()
-    X, Y = igrid.centers()
-    pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
+    # The meshgrid is not kept, so the kernel's working set, folded rows
+    # included, stays below the row filter's peak.
+    pts = np.stack(igrid.centers(), axis=-1).reshape(-1, 2)
+    # Opposite-angle fold (see the docstring).  The periodic weights are
+    # uniform, so the folded row i keeps w_i.
+    m = phis.size // 2
+    if (g.grid.periodic and phis.size % 2 == 0 and all(w is None for w in windows)
+            and all(np.array_equal(nu(pts, phis[i]), nu(pts, phis[i + m]))
+                    for i in range(m))):
+        rows = np.add(rows[:m], rows[m:, ::-1], out=np.empty((m, s.size)))
+        phis, wphi = phis[:m], wphi[:m]
+    coef = np.array([(1.0 if w is None else w.kappa(phis)) * wphi for w in windows])
     threads = min(thread_count(), phis.size)
     # uses[j, k, i]: angle i is in chunk j of window k's active angles
     uses = np.zeros((threads, len(windows), phis.size), dtype=bool)
@@ -219,7 +244,7 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
         for i in np.nonzero(use.any(axis=0))[0]:
             c, sn = math.cos(phis[i]), math.sin(phis[i])
             sv = (ax * c)[None, :] + (ax * sn)[:, None]
-            gi = np.interp(sv, s, g.values[i]).ravel()
+            gi = np.interp(sv, s, rows[i]).ravel()
             nu_i = nu(pts, phis[i])
             for k in np.nonzero(use[:, i])[0]:
                 acc[k] += (coef[k, i] * nu_i) * gi

@@ -161,6 +161,22 @@ def test_analyze_float32_overflow_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_analyze_float32_overflow_stops_before_reconstruct(tmp_path, capsys, monkeypatch):
+    # The sinogram's payload is checked as soon as it exists.
+    import limitomo.pipeline as pipeline
+
+    calls = []
+    real = pipeline.reconstruct
+    monkeypatch.setattr(pipeline, "reconstruct",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    cfg, out = _write_cfg(tmp_path, DEFAULTS_CONFIG + "\n[weights]\nmu = exponential 100\n")
+    assert main(["analyze", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "error [write] sinogram contains non-finite values as float32"
+    assert calls == []
+    assert not out.exists()
+
+
 def test_analyze_removed_key_exits_1(tmp_path, capsys):
     cfg, out = _write_cfg(tmp_path, DEFAULTS_CONFIG + "\n[reconstruction]\napodize = true\n")
     assert main(["analyze", "--config", str(cfg)]) == 1

@@ -1,4 +1,4 @@
-"""Property tests (hypothesis) for the batched windowed back-projection."""
+"""Property tests (hypothesis): batched windowed back-projection and io round-trips."""
 
 import math
 
@@ -7,15 +7,21 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from limitomo import (  # noqa: E402
     AngularWindow,
     ImageGrid,
+    Raster,
     Sinogram,
     SinogramGrid,
     WeightFunction,
     backproject,
     backproject_windows,
+    read_raster,
+    read_sinogram,
+    write_raster,
+    write_sinogram,
 )
 
 GRID = ImageGrid(12, 1.2)
@@ -39,3 +45,44 @@ def test_batched_backprojection_is_bitwise_single(wins, values, lam):
     nu = WeightFunction.constant(1.0) if lam is None else WeightFunction.exponential(lam)
     for win, img in zip(wins, backproject_windows(g, nu, wins, GRID)):
         np.testing.assert_array_equal(img.values, backproject(g, nu, win, GRID).values)
+
+
+F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+LENGTHS = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(8, 12), extent=LENGTHS)
+def test_raster_round_trip(tmp_path_factory, data, n, extent):
+    values = data.draw(arrays(np.float32, (n, n), elements=F32))
+    path = tmp_path_factory.mktemp("io") / "r.ltr"
+    write_raster(Raster(ImageGrid(n, extent), values.astype(float)), path)
+    back = read_raster(path)
+    assert back.grid.n == n
+    assert back.grid.extent == float(np.float32(extent))
+    np.testing.assert_array_equal(back.values, values)
+
+
+@st.composite
+def sinogram_grids(draw):
+    n_phi, n_s = draw(st.integers(2, 8)), draw(st.integers(2, 9))
+    s_max = draw(LENGTHS)
+    if draw(st.booleans()):
+        return SinogramGrid(n_phi, n_s, s_max)
+    phi0 = draw(st.floats(0.0, 3.0))
+    phi1 = draw(st.floats(phi0 + 1e-3, 2.0 * math.pi))
+    return SinogramGrid(n_phi, n_s, s_max, phi0, phi1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), grid=sinogram_grids())
+def test_sinogram_round_trip(tmp_path_factory, data, grid):
+    values = data.draw(arrays(np.float32, (grid.n_phi, grid.n_s), elements=F32))
+    path = tmp_path_factory.mktemp("io") / "g.lts"
+    write_sinogram(Sinogram(grid, values.astype(float)), path)
+    back = read_sinogram(path)
+    assert (back.grid.n_phi, back.grid.n_s) == (grid.n_phi, grid.n_s)
+    # s_max is a float64 header field, so it comes back exactly.
+    assert back.grid.s_max == grid.s_max
+    np.testing.assert_allclose(back.grid.phis(), grid.phis(), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(back.values, values)

@@ -217,6 +217,60 @@ def test_backproject_windows_bitwise_equal_single(threads, nu, monkeypatch):
                                           _reference_backproject(g, nu, win, grid))
 
 
+FOLD_SG = SinogramGrid(n_phi=48, n_s=49, s_max=1.8)
+FOLD_GRID = ImageGrid(24, 1.2)
+RADIAL = WeightFunction(lambda x, phi: 1.0 + (x * x).sum(axis=-1))
+
+
+def _fold_sinogram(sg=FOLD_SG):
+    return Sinogram(sg, np.random.default_rng(11).standard_normal((sg.n_phi, sg.n_s)))
+
+
+@pytest.mark.parametrize("nu", [ONE, RADIAL], ids=["constant", "radial"])
+def test_folded_backproject_matches_reference(nu):
+    # Full circle, even n_phi, no window, nu(x, phi + pi) == nu(x, phi):
+    # rows phi and phi + pi are summed before one interpolation.
+    g = _fold_sinogram()
+    img = backproject(g, nu, None, FOLD_GRID).values
+    ref = _reference_backproject(g, nu, None, FOLD_GRID)
+    np.testing.assert_allclose(img, ref, rtol=1e-12, atol=1e-13 * np.abs(ref).max())
+    # s_values() is not bitwise symmetric, so the folded sum is not bitwise.
+    assert not np.array_equal(img, ref)
+
+
+def test_weight_even_only_up_to_rounding_does_not_fold():
+    # cos(phi + pi) != -cos(phi) bitwise, so (x . theta)^2 differs at the pair.
+    nu = WeightFunction(lambda x, phi: 1.0 + (x[..., 0] * np.cos(phi)
+                                              + x[..., 1] * np.sin(phi)) ** 2)
+    g = _fold_sinogram()
+    np.testing.assert_array_equal(backproject(g, nu, None, FOLD_GRID).values,
+                                  _reference_backproject(g, nu, None, FOLD_GRID))
+
+
+@pytest.mark.parametrize("nu, sg", [
+    (WeightFunction.exponential(0.4), FOLD_SG),
+    (ONE, SinogramGrid(n_phi=47, n_s=49, s_max=1.8)),
+], ids=["exponential", "odd-n_phi"])
+def test_unfoldable_backproject_keeps_reference_bits(nu, sg):
+    g = _fold_sinogram(sg)
+    np.testing.assert_array_equal(backproject(g, nu, None, FOLD_GRID).values,
+                                  _reference_backproject(g, nu, None, FOLD_GRID))
+
+
+def test_folded_backproject_bit_reproducible_with_threads(monkeypatch):
+    monkeypatch.setenv("LIMITOMO_THREADS", "2")
+    g = _fold_sinogram()
+    first = backproject(g, ONE, None, FOLD_GRID).values
+    np.testing.assert_array_equal(first, backproject(g, ONE, None, FOLD_GRID).values)
+    ref = _reference_backproject(g, ONE, None, FOLD_GRID)
+    np.testing.assert_allclose(first, ref, rtol=1e-12, atol=1e-13 * np.abs(ref).max())
+
+
+def test_folded_backproject_windows_gives_equal_images():
+    a, b = backproject_windows(_fold_sinogram(), ONE, [None, None], FOLD_GRID)
+    np.testing.assert_array_equal(a.values, b.values)
+
+
 def test_backproject_window_between_samples_is_zero():
     # No sample angle falls inside the window: every kappa is zero.
     sg = SinogramGrid(n_phi=5, n_s=9, s_max=1.8, phi0=0.0, phi1=math.pi)
