@@ -1,4 +1,8 @@
-"""Thread-count handling and fixed-order parallel evaluation."""
+"""Thread count and the one chunked parallel loop both projectors use.
+
+Each worker writes its own slice of a preallocated output and no result
+is reduced across threads, so outputs do not depend on the thread count.
+"""
 
 from __future__ import annotations
 
@@ -7,28 +11,23 @@ from concurrent.futures import ThreadPoolExecutor
 
 
 def thread_count() -> int:
-    """Worker count, overridable through the LIMITOMO_THREADS variable."""
-    raw = os.environ.get("LIMITOMO_THREADS", "")
+    """Worker count from LIMITOMO_THREADS (default 1), at most the usable CPUs."""
     try:
-        n = int(raw)
+        n = int(os.environ.get("LIMITOMO_THREADS", ""))
     except ValueError:
         return 1
-    return max(n, 1)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(min(n, cpus), 1)
 
 
-def chunk_slices(n_items: int, parts: int) -> list[slice]:
-    parts = max(min(parts, n_items), 1)
+def for_each_chunk(worker, n_items: int) -> None:
+    """Call ``worker(sl)`` for up to thread_count() contiguous slices of range(n_items)."""
+    parts = max(min(thread_count(), n_items), 1)
     bounds = [round(i * n_items / parts) for i in range(parts + 1)]
-    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def map_parts(worker, parts: list) -> list:
-    """Evaluate ``worker(part)`` for each part, concurrently, results in order.
-
-    Callers reduce the results in this order, so they are reproducible
-    for a fixed partition.
-    """
-    if len(parts) <= 1:
-        return [worker(p) for p in parts]
-    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-        return list(pool.map(worker, parts))
+    slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    if parts == 1:
+        worker(slices[0])
+        return
+    with ThreadPoolExecutor(max_workers=parts) as pool:
+        list(pool.map(worker, slices))

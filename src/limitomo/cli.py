@@ -2,8 +2,8 @@
 
 Subcommands: ``phantom``, ``forward``, ``reconstruct``, ``analyze``,
 ``study``, ``selftest``.  The LIMITOMO_THREADS environment variable
-overrides the worker count used by the forward and back-projection
-loops (default 1, fully deterministic).
+sets the worker count of the forward and back-projection loops (default
+1, at most the usable CPUs); outputs are bit-identical for every value.
 """
 
 from __future__ import annotations

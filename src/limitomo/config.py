@@ -54,6 +54,7 @@ from dataclasses import dataclass
 
 from .filters import ReconstructionConfig
 from .geometry import AngularWindow, ImageGrid, SinogramGrid
+from .io import check_sinogram_grid
 from .phantoms import ClippedDisk, Disk, Ellipse, Phantom
 from .transforms import WeightFunction
 
@@ -274,6 +275,7 @@ def loads_config(text: str) -> RunConfig:
         s_default = math.sqrt(2.0) * igrid.extent
         s_max = float(get("sinogram", "s_max", repr(s_default)))
         sgrid = SinogramGrid(n_phi, n_s, s_max, phi0, phi1)
+        check_sinogram_grid(sgrid)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     # The row filter's zero-padded complex spectrum is four times the

@@ -93,9 +93,33 @@ def read_raster(path) -> Raster:
     return Raster(grid, data.reshape(n, n).astype(float))
 
 
+def _header_grid(n_phi, phi0, dphi, n_s, s_max) -> SinogramGrid:
+    """The full circle when ``n_phi * dphi == 2 pi`` (to float32-scale
+    tolerance), else the inclusive range ``[phi0, phi0 + (n_phi - 1) dphi]``."""
+    full = abs(n_phi * dphi - 2.0 * math.pi) < 1e-6
+    return SinogramGrid(n_phi, n_s, s_max, phi0,
+                        phi0 + (2.0 * math.pi if full else (n_phi - 1) * dphi))
+
+
+def check_sinogram_grid(g: SinogramGrid) -> None:
+    """Raise ValueError unless the header written for ``g`` reads back as ``g``.
+
+    A sub-range spanning ``2 pi (n_phi - 1) / n_phi`` has the header of
+    the full circle, and a span whose ``dphi`` underflows cannot be read.
+    """
+    try:
+        periodic = _header_grid(g.n_phi, g.phi0, g.dphi, g.n_s, g.s_max).periodic
+    except ValueError as exc:
+        raise ValueError(f"the sinogram header cannot be read back: {exc}") from exc
+    if periodic != g.periodic:
+        raise ValueError("the sinogram header would read this angular range back as "
+                         + ("the full circle" if periodic else "a sub-range"))
+
+
 def write_sinogram(sino: Sinogram, path) -> None:
-    """Write a sinogram with its angular/offset geometry header."""
+    """Write a sinogram with its geometry header, after :func:`check_sinogram_grid`."""
     g = sino.grid
+    check_sinogram_grid(g)
     header = _SINO_HEADER.pack(SINO_MAGIC, g.n_phi, g.phi0, g.dphi,
                                g.n_s, g.s_max)
     data = _float32_payload(sino.values, "sinogram")
@@ -105,12 +129,7 @@ def write_sinogram(sino: Sinogram, path) -> None:
 
 
 def read_sinogram(path) -> Sinogram:
-    """Read a sinogram file, reconstructing its grid from the header.
-
-    The angular range is taken as the full circle when
-    ``n_phi * dphi == 2 pi`` (to float32-scale tolerance) and as the
-    inclusive interval ``[phi0, phi0 + (n_phi - 1) dphi]`` otherwise.
-    """
+    """Read a sinogram file, its grid from the header by :func:`_header_grid`."""
     with open(path, "rb") as fh:
         header = fh.read(_SINO_HEADER.size)
         if len(header) != _SINO_HEADER.size:
@@ -120,8 +139,5 @@ def read_sinogram(path) -> Sinogram:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {SINO_MAGIC!r}")
         _check_payload(fh, n_phi * n_s, f"{path}: sinogram {n_phi}x{n_s}")
         data = np.fromfile(fh, dtype="<f4", count=n_phi * n_s)
-    if abs(n_phi * dphi - 2.0 * math.pi) < 1e-6:
-        grid = SinogramGrid(n_phi, n_s, s_max, phi0, phi0 + 2.0 * math.pi)
-    else:
-        grid = SinogramGrid(n_phi, n_s, s_max, phi0, phi0 + (n_phi - 1) * dphi)
-    return Sinogram(grid, data.reshape(n_phi, n_s).astype(float))
+    return Sinogram(_header_grid(n_phi, phi0, dphi, n_s, s_max),
+                    data.reshape(n_phi, n_s).astype(float))

@@ -216,7 +216,7 @@ def artifact_report(recon: Raster, phantom: Phantom,
     if tube_radius is None:
         tube_radius = 3.0 * h
 
-    bpts, bnrm, _, bidx = phantom.boundary_cloud()
+    bpts, bnrm, bidx = phantom.boundary_cloud()
     tree = cKDTree(bpts) if len(bpts) else None
 
     lines = predicted_artifact_lines(phantom, window) if window is not None else []

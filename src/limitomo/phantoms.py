@@ -89,12 +89,10 @@ class Disk:
         return _disk_chord(self.center, self.radius, *_frame(phi, frame), s)
 
     def boundary_points(self, m: int = 1024):
-        """Sample points, outward unit normals and curvatures along the boundary."""
+        """Sample points and outward unit normals along the boundary."""
         psi = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
         nrm = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
-        pts = np.asarray(self.center) + self.radius * nrm
-        curv = np.full(m, 1.0 / self.radius)
-        return pts, nrm, curv
+        return np.asarray(self.center) + self.radius * nrm, nrm
 
     def points_with_normal(self, e, tol: float = 1e-9):
         """Boundary points whose outward normal is parallel to ``+-e``."""
@@ -175,10 +173,7 @@ class Ellipse:
         pts = np.asarray(self.center) + loc @ R.T
         nl = np.stack([np.cos(psi) / self.a, np.sin(psi) / self.b], axis=-1)
         nl = nl / np.linalg.norm(nl, axis=-1, keepdims=True)
-        nrm = nl @ R.T
-        curv = (self.a * self.b
-                / ((self.a * np.sin(psi)) ** 2 + (self.b * np.cos(psi)) ** 2) ** 1.5)
-        return pts, nrm, curv
+        return pts, nl @ R.T
 
     def points_with_normal(self, e, tol: float = 1e-9):
         e = _unit(e)
@@ -275,15 +270,11 @@ class ClippedDisk:
         psi = alpha + np.linspace(beta, 2.0 * math.pi - beta, m_arc)
         nrm_arc = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
         pts_arc = c + self.radius * nrm_arc
-        curv_arc = np.full(m_arc, 1.0 / self.radius)
         tvec = np.array([-n[1], n[0]])
         tpar = np.linspace(-chord_half, chord_half, m_seg)
         pts_seg = c + self.clip_offset * n + tpar[:, None] * tvec
         nrm_seg = np.tile(n, (m_seg, 1))
-        curv_seg = np.zeros(m_seg)
-        return (np.concatenate([pts_arc, pts_seg]),
-                np.concatenate([nrm_arc, nrm_seg]),
-                np.concatenate([curv_arc, curv_seg]))
+        return np.concatenate([pts_arc, pts_seg]), np.concatenate([nrm_arc, nrm_seg])
 
     def points_with_normal(self, e, tol: float = 1e-9):
         e = _unit(e)
@@ -351,20 +342,18 @@ class Phantom:
     def boundary_cloud(self, points_per_shape: int = 2048):
         """Concatenated boundary samples of all shapes.
 
-        Returns ``(points, normals, curvatures, shape_index)``.
+        Returns ``(points, normals, shape_index)``.
         """
-        pts, nrm, curv, idx = [], [], [], []
+        pts, nrm, idx = [], [], []
         for i, sh in enumerate(self.shapes):
-            p, n, c = sh.boundary_points(points_per_shape)
+            p, n = sh.boundary_points(points_per_shape)
             pts.append(p)
             nrm.append(n)
-            curv.append(c)
             idx.append(np.full(len(p), i))
         if not pts:
             z = np.zeros((0, 2))
-            return z, z, np.zeros(0), np.zeros(0, dtype=int)
-        return (np.concatenate(pts), np.concatenate(nrm),
-                np.concatenate(curv), np.concatenate(idx).astype(int))
+            return z, z, np.zeros(0, dtype=int)
+        return np.concatenate(pts), np.concatenate(nrm), np.concatenate(idx).astype(int)
 
 
 def rasterize(phantom: Phantom, grid: ImageGrid) -> Raster:

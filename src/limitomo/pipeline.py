@@ -35,9 +35,9 @@ def run_pipeline(cfg: RunConfig, log=None) -> int:
 
     Outputs land in ``cfg.out_dir``: the normalized config echo, the
     rasterized phantom, the sinogram, the reconstruction (raw + PGM
-    preview) and the artifact report (CSV + JSON).  The run is
-    deterministic for a fixed configuration and thread count.  Every
-    float32 payload is checked before the directory is made, so a
+    preview) and the artifact report (CSV + JSON).  Their bytes depend
+    on the configuration only, not on the thread count.  Every float32
+    payload is checked before the directory is made, so a
     ``[write]`` error on non-finite data leaves no file behind; the
     phantom and the sinogram are checked as soon as each exists, so such
     a run stops before the stages that follow.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import chunk_slices, map_parts, thread_count
+from ._util import for_each_chunk
 from .geometry import AngularWindow, ImageGrid, Raster, SinogramGrid
 from .phantoms import Phantom, analytic_sinogram_row
 
@@ -110,12 +110,13 @@ def _forward_raster(raster: Raster, mu: WeightFunction, sgrid: SinogramGrid) -> 
     flat = np.pad(np.stack([img, img.T]), ((0, 0), (0, 0), (1, 2))).reshape(2, -1)
     base = (np.arange(n) * (n + 3))[None, :]
 
-    def worker(sl: slice) -> np.ndarray:
-        out = np.zeros((sl.stop - sl.start, sgrid.n_s))
+    out = np.empty((sgrid.n_phi, sgrid.n_s))
+
+    def worker(sl: slice) -> None:
         # Crossing points as an (n_s, n, 2) view of two contiguous planes.
         xy = np.empty((2, sgrid.n_s, n))
         pts = np.moveaxis(xy, 0, -1)
-        for row, i in enumerate(range(sl.start, sl.stop)):
+        for i in range(sl.start, sl.stop):
             c, sn = math.cos(phis[i]), math.sin(phis[i])
             # One step per pixel line along the line's dominant axis: the
             # rows (y = a_j) when |cos| >= |sin|, the columns (x = a_j) otherwise.
@@ -132,11 +133,10 @@ def _forward_raster(raster: Raster, mu: WeightFunction, sgrid: SinogramGrid) -> 
             f0 = flat[k].take(idx)
             f = f0 + frac * (flat[k].take(idx + 1) - f0)
             f *= mu(pts, phis[i])
-            out[row] = f.sum(axis=1) * (h / abs(a))
-        return out
+            out[i] = f.sum(axis=1) * (h / abs(a))
 
-    chunks = map_parts(worker, chunk_slices(sgrid.n_phi, thread_count()))
-    return np.concatenate(chunks, axis=0)
+    for_each_chunk(worker, sgrid.n_phi)
+    return out
 
 
 def forward(source: Phantom | Raster, mu: WeightFunction,
@@ -178,10 +178,10 @@ def backproject(g: Sinogram, nu: WeightFunction,
     For each pixel ``x`` this accumulates
     ``sum_phi w_phi kappa(phi) nu(x, phi) g(phi, x . theta(phi))`` with
     linear interpolation in ``s``; ``window=None`` means ``kappa == 1``
-    over the sinogram's angular range.
-    With ``window=None`` on a full circle the angles ``phi`` and
-    ``phi + pi`` may be folded first; :func:`backproject_windows` says
-    when, and gives the tolerance.
+    over the sinogram's angular range.  The image is bit-identical for
+    every ``LIMITOMO_THREADS``.  With ``window=None`` on a full circle the
+    angles ``phi`` and ``phi + pi`` may be folded first;
+    :func:`backproject_windows` says when, and gives the 1e-13 tolerance.
     """
     return backproject_windows(g, nu, [window], igrid)[0]
 
@@ -192,9 +192,9 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
 
     Each active angle interpolates its row at ``x . theta`` and evaluates
     ``nu`` once, then adds the row, times ``w_phi kappa(phi) nu``, to the
-    accumulator of every window that uses it.  Every window keeps the
-    chunking of its own active angles across threads, so each image is
-    bit-identical to a single-window call at the same thread count.
+    image of every window that uses it.  Threads split the image into
+    bands of rows, never the angles, so each image is bit-identical to a
+    single-window call and to itself for every ``LIMITOMO_THREADS``.
 
     Opposite-angle fold: angle ``phi_i + pi`` reads the line of
     ``phi_i`` at offset ``-s``.  On a full circle with ``n_phi = 2 m``,
@@ -231,29 +231,20 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
         rows = np.add(rows[:m], rows[m:, ::-1], out=np.empty((m, s.size)))
         phis, wphi = phis[:m], wphi[:m]
     coef = np.array([(1.0 if w is None else w.kappa(phis)) * wphi for w in windows])
-    threads = min(thread_count(), phis.size)
-    # uses[j, k, i]: angle i is in chunk j of window k's active angles
-    uses = np.zeros((threads, len(windows), phis.size), dtype=bool)
-    for k, ck in enumerate(coef):
-        active = np.nonzero(ck)[0]
-        for j, sl in enumerate(chunk_slices(active.size, threads)):
-            uses[j, k, active[sl]] = True
+    n = igrid.n
+    out = np.zeros((len(windows), n * n))
+    active = np.nonzero(coef.any(axis=0))[0]
 
-    def worker(use: np.ndarray) -> np.ndarray:
-        acc = np.zeros((len(windows), pts.shape[0]))
-        for i in np.nonzero(use.any(axis=0))[0]:
+    def worker(band: slice) -> None:
+        # Image rows band.start .. band.stop - 1, one contiguous run of pixels.
+        px = slice(band.start * n, band.stop * n)
+        for i in active:
             c, sn = math.cos(phis[i]), math.sin(phis[i])
-            sv = (ax * c)[None, :] + (ax * sn)[:, None]
+            sv = (ax * c)[None, :] + (ax[band] * sn)[:, None]
             gi = np.interp(sv, s, rows[i]).ravel()
-            nu_i = nu(pts, phis[i])
-            for k in np.nonzero(use[:, i])[0]:
-                acc[k] += (coef[k, i] * nu_i) * gi
-        return acc
+            nu_i = nu(pts[px], phis[i])
+            for k in np.nonzero(coef[:, i])[0]:
+                out[k, px] += (coef[k, i] * nu_i) * gi
 
-    # Chunks reduce in order.  A sum never holds -0.0, so adding the zeros
-    # of a chunk in which a window has no angle changes none of its bits.
-    partials = map_parts(worker, [u for u in uses if u.any()] or [uses[0]])
-    total = partials[0]
-    for part in partials[1:]:
-        total += part
-    return [Raster(igrid, t.reshape(igrid.n, igrid.n)) for t in total]
+    for_each_chunk(worker, n)
+    return [Raster(igrid, img.reshape(n, n)) for img in out]

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -293,4 +294,35 @@ def test_threads_env_var_matches_serial(tmp_path, monkeypatch):
     assert main(["forward", "--config", str(cfg), "--out", str(sino2)]) == 0
     a = read_sinogram(sino1)
     b = read_sinogram(sino2)
-    np.testing.assert_allclose(a.values, b.values, atol=1e-12)
+    np.testing.assert_array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("template, argv", [
+    (SMALL_CONFIG, ["analyze"]),
+    (STUDY_CONFIG, ["study", "--k-list", "1,2"]),
+], ids=["analyze-folded", "study"])
+def test_outputs_byte_identical_for_every_thread_count(tmp_path, monkeypatch, template, argv):
+    # SMALL_CONFIG is a full circle with even n_phi and a constant nu, so
+    # analyze folds opposite angles; study back-projects a batch of windows.
+    cfg, out = _write_cfg(tmp_path, template)
+    runs = []
+    for threads in (None, "2"):
+        if threads is None:
+            monkeypatch.delenv("LIMITOMO_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("LIMITOMO_THREADS", threads)
+        assert main(argv + ["--config", str(cfg), "--out-dir", str(out)]) == 0
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        shutil.rmtree(out)
+    assert len(runs[0]) >= 3
+    assert runs[0] == runs[1]
+
+
+def test_analyze_ambiguous_sinogram_range_exits_1(tmp_path, capsys):
+    # Two angles over [0, pi] have the file header of the full circle.
+    text = DEFAULTS_CONFIG.replace("n_phi = 8", "n_phi = 2\nphi0_deg = 0\nphi1_deg = 180")
+    cfg, out = _write_cfg(tmp_path, text)
+    assert main(["analyze", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [config] [sinogram]: the sinogram header would read")
+    assert not out.exists()

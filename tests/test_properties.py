@@ -67,22 +67,40 @@ def test_raster_round_trip(tmp_path_factory, data, n, extent):
 def sinogram_grids(draw):
     n_phi, n_s = draw(st.integers(2, 8)), draw(st.integers(2, 9))
     s_max = draw(LENGTHS)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["full", "sub", "ambiguous"]))
+    if kind == "full":
         return SinogramGrid(n_phi, n_s, s_max)
+    if kind == "ambiguous":
+        # A sub-range of n_phi * dphi == 2 pi: its header is the full circle's.
+        phi0 = draw(st.floats(0.0, 2.0 * math.pi / n_phi, exclude_max=True))
+        return SinogramGrid(n_phi, n_s, s_max, phi0,
+                            phi0 + 2.0 * math.pi * (n_phi - 1) / n_phi)
     phi0 = draw(st.floats(0.0, 3.0))
-    phi1 = draw(st.floats(phi0 + 1e-3, 2.0 * math.pi))
+    phi1 = draw(st.floats(phi0, 2.0 * math.pi, exclude_min=True))
     return SinogramGrid(n_phi, n_s, s_max, phi0, phi1)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data(), grid=sinogram_grids())
 def test_sinogram_round_trip(tmp_path_factory, data, grid):
+    # Every write reads back with its periodic flag and angle weights, or
+    # raises before the file is made.
     values = data.draw(arrays(np.float32, (grid.n_phi, grid.n_s), elements=F32))
     path = tmp_path_factory.mktemp("io") / "g.lts"
-    write_sinogram(Sinogram(grid, values.astype(float)), path)
+    ambiguous = not grid.periodic and math.isclose(
+        grid.n_phi * grid.dphi, 2.0 * math.pi, rel_tol=1e-12)
+    try:
+        write_sinogram(Sinogram(grid, values.astype(float)), path)
+    except ValueError:
+        assert not path.exists()
+        return
+    assert not ambiguous
     back = read_sinogram(path)
     assert (back.grid.n_phi, back.grid.n_s) == (grid.n_phi, grid.n_s)
+    assert back.grid.periodic == grid.periodic
     # s_max is a float64 header field, so it comes back exactly.
     assert back.grid.s_max == grid.s_max
     np.testing.assert_allclose(back.grid.phis(), grid.phis(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(back.grid.phi_weights(), grid.phi_weights(),
+                               rtol=1e-12, atol=0)
     np.testing.assert_array_equal(back.values, values)

@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -195,7 +197,8 @@ def _reference_backproject(g, nu, window, grid):
                          ids=["constant", "exponential"])
 def test_backproject_windows_bitwise_equal_single(threads, nu, monkeypatch):
     # One pass over the angles for many windows gives each window the
-    # bits of its own single-window call at the same thread count.
+    # bits of its own single-window call and of the plain per-angle sum,
+    # at every thread count.
     if threads is None:
         monkeypatch.delenv("LIMITOMO_THREADS", raising=False)
     else:
@@ -212,9 +215,8 @@ def test_backproject_windows_bitwise_equal_single(threads, nu, monkeypatch):
     for win, img in zip(windows, batched):
         np.testing.assert_array_equal(img.values,
                                       backproject(g, nu, win, grid).values)
-        if threads is None:
-            np.testing.assert_array_equal(img.values,
-                                          _reference_backproject(g, nu, win, grid))
+        np.testing.assert_array_equal(img.values,
+                                      _reference_backproject(g, nu, win, grid))
 
 
 FOLD_SG = SinogramGrid(n_phi=48, n_s=49, s_max=1.8)
@@ -380,3 +382,34 @@ def test_forward_raster_bitwise_equal_across_threads(mu, monkeypatch):
     monkeypatch.setenv("LIMITOMO_THREADS", "2")
     two = forward(Raster(grid, values), mu, sg).values
     np.testing.assert_array_equal(one, two)
+
+
+def test_thread_count_bounded_by_usable_cpus(monkeypatch):
+    from limitomo import _util
+    monkeypatch.setenv("LIMITOMO_THREADS", "100000")
+    assert _util.thread_count() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _util.thread_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _util.thread_count() == 1
+    for raw in ("", "x", "0", "-4"):
+        monkeypatch.setenv("LIMITOMO_THREADS", raw)
+        assert _util.thread_count() == 1
+
+
+def test_backproject_bands_stress_matches_reference(monkeypatch):
+    # Eight threads on eight bands of three image rows, switching often:
+    # a write outside a thread's own band would change the bits.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setenv("LIMITOMO_THREADS", "8")
+    g = _fold_sinogram(SinogramGrid(n_phi=47, n_s=49, s_max=1.8))
+    nu = WeightFunction.exponential(0.4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            np.testing.assert_array_equal(backproject(g, nu, None, FOLD_GRID).values,
+                                          _reference_backproject(g, nu, None, FOLD_GRID))
+    finally:
+        sys.setswitchinterval(interval)
