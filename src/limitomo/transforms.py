@@ -21,6 +21,11 @@ from ._util import for_each_chunk
 from .geometry import AngularWindow, ImageGrid, Raster, SinogramGrid
 from .phantoms import Phantom, analytic_sinogram_row
 
+# Pixels per back-projection block: one float64 plane of it is 256 KiB,
+# so the k-study's four accumulators and the block's temporaries stay in
+# cache while every active angle is added to them.
+BLOCK_PIXELS = 32768
+
 
 class WeightFunction:
     """Strictly positive smooth weight ``w(x, phi)`` on image x direction.
@@ -193,20 +198,22 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     Each active angle interpolates its row at ``x . theta`` and evaluates
     ``nu`` once, then adds the row, times ``w_phi kappa(phi) nu``, to the
     image of every window that uses it.  Threads split the image into
-    bands of rows, never the angles, so each image is bit-identical to a
-    single-window call and to itself for every ``LIMITOMO_THREADS``.
+    bands of rows, never the angles; each band is walked in blocks of
+    ``BLOCK_PIXELS`` pixels so the accumulators stay in cache.  Each pixel
+    gets the same operations in the same order, so each image is
+    bit-identical to a single-window call and for every ``LIMITOMO_THREADS``.
 
     Opposite-angle fold: angle ``phi_i + pi`` reads the line of
     ``phi_i`` at offset ``-s``.  On a full circle with ``n_phi = 2 m``,
-    when every window is ``None`` and ``nu(x, phi_i)`` equals
-    ``nu(x, phi_{i+m})`` bitwise on every pixel for every ``i < m``, row
-    ``i + m`` reversed in ``s`` is added to row ``i`` and the same kernel
-    runs over the ``m`` folded rows: half the interpolations.  The result
-    is within 1e-13 of the image maximum of the unfolded sum, not
-    bitwise, because ``s_values()`` is ``linspace`` and not bitwise
-    symmetric.  Every other call (a cutoff, a half range, an odd
-    ``n_phi``, a weight that differs at a pair) is unfolded, so a
-    ``None`` window batched with cutoff windows gets the unfolded bits.
+    when every window is ``None`` and ``nu`` returns a scalar equal at
+    ``phi_i`` and ``phi_{i+m}`` for every ``i < m``, row ``i + m``
+    reversed in ``s`` is added to row ``i`` and the same kernel runs over
+    the ``m`` folded rows: half the interpolations.  The result is within
+    1e-13 of the image maximum of the unfolded sum, not bitwise, because
+    ``s_values()`` is ``linspace`` and not bitwise symmetric.  Every other
+    call (a cutoff, a half range, an odd ``n_phi``, an array-valued or
+    unequal weight) is unfolded, so a ``None`` window batched with cutoff
+    windows gets the unfolded bits.
     """
     if not np.all(np.isfinite(g.values)):
         raise ValueError("sinogram contains non-finite values")
@@ -226,7 +233,8 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     # uniform, so the folded row i keeps w_i.
     m = phis.size // 2
     if (g.grid.periodic and phis.size % 2 == 0 and all(w is None for w in windows)
-            and all(np.array_equal(nu(pts, phis[i]), nu(pts, phis[i + m]))
+            and all(np.ndim(nu(pts, phis[i])) == 0
+                    and np.array_equal(nu(pts, phis[i]), nu(pts, phis[i + m]))
                     for i in range(m))):
         rows = np.add(rows[:m], rows[m:, ::-1], out=np.empty((m, s.size)))
         phis, wphi = phis[:m], wphi[:m]
@@ -234,17 +242,20 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     n = igrid.n
     out = np.zeros((len(windows), n * n))
     active = np.nonzero(coef.any(axis=0))[0]
+    step = max(1, BLOCK_PIXELS // n)
 
     def worker(band: slice) -> None:
-        # Image rows band.start .. band.stop - 1, one contiguous run of pixels.
-        px = slice(band.start * n, band.stop * n)
-        for i in active:
-            c, sn = math.cos(phis[i]), math.sin(phis[i])
-            sv = (ax * c)[None, :] + (ax[band] * sn)[:, None]
-            gi = np.interp(sv, s, rows[i]).ravel()
-            nu_i = nu(pts[px], phis[i])
-            for k in np.nonzero(coef[:, i])[0]:
-                out[k, px] += (coef[k, i] * nu_i) * gi
+        for start in range(band.start, band.stop, step):
+            # Image rows block.start .. block.stop - 1, one contiguous run of pixels.
+            block = slice(start, min(start + step, band.stop))
+            px = slice(block.start * n, block.stop * n)
+            for i in active:
+                c, sn = math.cos(phis[i]), math.sin(phis[i])
+                sv = (ax * c)[None, :] + (ax[block] * sn)[:, None]
+                gi = np.interp(sv, s, rows[i]).ravel()
+                nu_i = nu(pts[px], phis[i])
+                for k in np.nonzero(coef[:, i])[0]:
+                    out[k, px] += (coef[k, i] * nu_i) * gi
 
     for_each_chunk(worker, n)
     return [Raster(igrid, img.reshape(n, n)) for img in out]

@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from limitomo import (
     forward,
     rasterize,
 )
+from limitomo import transforms
 
 ONE = WeightFunction.constant(1.0)
 UNIT_DISK = Phantom((Disk((0.0, 0.0), 1.0, 1.0),))
@@ -137,7 +139,9 @@ def test_backproject_half_range():
 def test_scalar_constant_weight_matches_array_weight_bitwise():
     # WeightFunction.constant returns a bare scalar; a custom weight that
     # returns a full array of the same value must give the same bits on
-    # both projectors, so neither needs a constant-weight fork.
+    # both projectors, so neither needs a constant-weight fork.  The one
+    # place the weight's shape matters is the opposite-angle fold, which
+    # only a scalar weight takes; a batch with a cutoff window never folds.
     c = 1.7
     scalar = WeightFunction.constant(c)
     array = WeightFunction(lambda x, phi: np.full(
@@ -149,9 +153,13 @@ def test_scalar_constant_weight_matches_array_weight_bitwise():
     g = forward(f, scalar, sg)
     np.testing.assert_array_equal(g.values, forward(f, array, sg).values)
     win = AngularWindow(math.pi / 4.0, 3.0 * math.pi / 4.0, "finite-order", 1)
-    for window in (None, win):
-        np.testing.assert_array_equal(backproject(g, scalar, window, grid).values,
-                                      backproject(g, array, window, grid).values)
+    for a, b in zip(backproject_windows(g, scalar, [None, win], grid),
+                    backproject_windows(g, array, [None, win], grid)):
+        np.testing.assert_array_equal(a.values, b.values)
+    folded = backproject(g, scalar, None, grid).values
+    unfolded = backproject(g, array, None, grid).values
+    np.testing.assert_allclose(folded, unfolded, rtol=1e-12,
+                               atol=1e-13 * np.abs(unfolded).max())
 
 
 def test_backproject_rejects_uncovered_pixels():
@@ -230,11 +238,15 @@ def _fold_sinogram(sg=FOLD_SG):
 
 @pytest.mark.parametrize("nu", [ONE, RADIAL], ids=["constant", "radial"])
 def test_folded_backproject_matches_reference(nu):
-    # Full circle, even n_phi, no window, nu(x, phi + pi) == nu(x, phi):
-    # rows phi and phi + pi are summed before one interpolation.
+    # Full circle, even n_phi, no window, a scalar nu(phi + pi) == nu(phi):
+    # rows phi and phi + pi are summed before one interpolation.  An
+    # array-valued weight is not folded, even one equal at every pair.
     g = _fold_sinogram()
     img = backproject(g, nu, None, FOLD_GRID).values
     ref = _reference_backproject(g, nu, None, FOLD_GRID)
+    if nu is RADIAL:
+        np.testing.assert_array_equal(img, ref)
+        return
     np.testing.assert_allclose(img, ref, rtol=1e-12, atol=1e-13 * np.abs(ref).max())
     # s_values() is not bitwise symmetric, so the folded sum is not bitwise.
     assert not np.array_equal(img, ref)
@@ -413,3 +425,52 @@ def test_backproject_bands_stress_matches_reference(monkeypatch):
                                           _reference_backproject(g, nu, None, FOLD_GRID))
     finally:
         sys.setswitchinterval(interval)
+
+
+BLOCK_GRID = ImageGrid(37, 1.2)
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "8"])
+@pytest.mark.parametrize("nu", [ONE, WeightFunction.exponential(0.4)],
+                         ids=["constant", "exponential"])
+def test_backproject_blocks_match_reference(threads, nu, monkeypatch):
+    # Blocks of 5 rows on a 37-row image line up neither with the bands of
+    # 1, 2 or 8 threads nor with the image's last row: a block that skips,
+    # repeats or overruns a row changes the bits.
+    monkeypatch.delenv("LIMITOMO_THREADS", raising=False)
+    folded = backproject(_fold_sinogram(), ONE, None, BLOCK_GRID).values
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setenv("LIMITOMO_THREADS", threads)
+    monkeypatch.setattr(transforms, "BLOCK_PIXELS", 5 * 37)
+    sg = SinogramGrid(n_phi=61, n_s=49, s_max=1.8, phi0=0.0, phi1=math.pi)
+    g = Sinogram(sg, np.random.default_rng(7).standard_normal((61, 49)))
+    windows = [None] + [AngularWindow(math.pi / 4.0, 3.0 * math.pi / 4.0,
+                                      "finite-order", k) for k in (1, 2, 4)]
+    for win, img in zip(windows, backproject_windows(g, nu, windows, BLOCK_GRID)):
+        np.testing.assert_array_equal(img.values,
+                                      _reference_backproject(g, nu, win, BLOCK_GRID))
+        np.testing.assert_array_equal(img.values, backproject(g, nu, win, BLOCK_GRID).values)
+    np.testing.assert_array_equal(
+        backproject(_fold_sinogram(), ONE, None, BLOCK_GRID).values, folded)
+
+
+def test_backproject_temporaries_are_block_sized(monkeypatch):
+    # Beyond the (4, n^2) output and the (n^2, 2) pixel points, the
+    # k-study pass holds about three block planes (x . theta, the
+    # interpolated row, the weighted row).  Band-sized temporaries would
+    # hold six at n = 256.
+    monkeypatch.delenv("LIMITOMO_THREADS", raising=False)
+    n = 256
+    grid = ImageGrid(n, 1.2)
+    sg = SinogramGrid(n_phi=91, n_s=2 * n + 1, s_max=1.8, phi0=0.0, phi1=math.pi)
+    g = Sinogram(sg, np.random.default_rng(3).standard_normal((91, 2 * n + 1)))
+    windows = [AngularWindow(math.pi / 4.0, 3.0 * math.pi / 4.0, "finite-order", k)
+               for k in (1, 2, 3, 4)]
+    tracemalloc.start()
+    try:
+        backproject_windows(g, ONE, windows, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plane = transforms.BLOCK_PIXELS * 8
+    assert peak - (4 + 2) * n * n * 8 < 5 * plane
