@@ -1,7 +1,9 @@
 """Thread count and the one chunked parallel loop both projectors use.
 
-Each worker writes its own slice of a preallocated output and no result
-is reduced across threads, so outputs do not depend on the thread count.
+The projectors run one worker per CPU this process may run on; its
+affinity mask (``taskset``) is the only limit.  Each worker writes its
+own slice of a preallocated output and no result is reduced across
+threads, so outputs do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -11,14 +13,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 
 def thread_count() -> int:
-    """Worker count from LIMITOMO_THREADS (default 1), at most the usable CPUs."""
-    try:
-        n = int(os.environ.get("LIMITOMO_THREADS", ""))
-    except ValueError:
-        return 1
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return max(min(n, cpus), 1)
+    """The CPUs this process may run on, or ``os.cpu_count()`` without an affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def for_each_chunk(worker, n_items: int) -> None:

@@ -1,9 +1,9 @@
 """Subcommand CLI tying the pipeline together.
 
 Subcommands: ``phantom``, ``forward``, ``reconstruct``, ``analyze``,
-``study``, ``selftest``.  The LIMITOMO_THREADS environment variable
-sets the worker count of the forward and back-projection loops (default
-1, at most the usable CPUs); outputs are bit-identical for every value.
+``study``, ``selftest``.  The raster forward and back-projection loops
+run one worker per CPU the process may use (limit them with ``taskset``);
+outputs are bit-identical for every worker count.
 """
 
 from __future__ import annotations

@@ -154,8 +154,8 @@ def reconstruct(g: Sinogram, cfg: ReconstructionConfig, igrid: ImageGrid,
     in place of ``cfg.window``, the sinogram is filtered once and
     back-projected for every window in one pass; the result is one
     raster per window, each bit-identical to a single-window call and for
-    every ``LIMITOMO_THREADS``, except for the opposite-angle fold (within
-    1e-13) that :func:`~limitomo.transforms.backproject_windows` states.
+    every thread count, except for the opposite-angle fold (within 1e-13)
+    that :func:`~limitomo.transforms.backproject_windows` states.
     """
     wins = [cfg.window] if windows is None else list(windows)
     lo, hi = g.grid.phi0, g.grid.phi1

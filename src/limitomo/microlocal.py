@@ -80,13 +80,6 @@ class ArtifactLine:
         d = self.direction
         return np.array([d[1], -d[0]])
 
-    def distance(self, pts) -> np.ndarray:
-        """Unsigned distances from point(s) of shape ``(..., 2)`` to the line."""
-        pts = np.asarray(pts, dtype=float)
-        n = self.normal
-        return np.abs((pts[..., 0] - self.point[0]) * n[0]
-                      + (pts[..., 1] - self.point[1]) * n[1])
-
 
 def predicted_artifact_lines(phantom: Phantom, window: AngularWindow,
                              tol: float = 1e-9) -> list[ArtifactLine]:

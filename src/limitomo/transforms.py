@@ -132,11 +132,18 @@ def _forward_raster(raster: Raster, mu: WeightFunction, sgrid: SinogramGrid) -> 
             u /= a
             v[...] = ax
             q = np.clip((u + L) / h + 0.5, 0.0, n + 1.0)
-            k0 = q.astype(np.intp)
-            frac = q - k0
-            idx = k0 + base
+            # f0 + frac * (f1 - f0) in place: q becomes frac and idx steps
+            # to the right neighbour, so each worker holds fewer planes.
+            idx = q.astype(np.intp)
+            q -= idx
+            idx += base
             f0 = flat[k].take(idx)
-            f = f0 + frac * (flat[k].take(idx + 1) - f0)
+            idx += 1
+            f = flat[k].take(idx)
+            f -= f0
+            f *= q
+            f += f0
+            del q, idx, f0
             f *= mu(pts, phis[i])
             out[i] = f.sum(axis=1) * (h / abs(a))
 
@@ -184,7 +191,7 @@ def backproject(g: Sinogram, nu: WeightFunction,
     ``sum_phi w_phi kappa(phi) nu(x, phi) g(phi, x . theta(phi))`` with
     linear interpolation in ``s``; ``window=None`` means ``kappa == 1``
     over the sinogram's angular range.  The image is bit-identical for
-    every ``LIMITOMO_THREADS``.  With ``window=None`` on a full circle the
+    every thread count.  With ``window=None`` on a full circle the
     angles ``phi`` and ``phi + pi`` may be folded first;
     :func:`backproject_windows` says when, and gives the 1e-13 tolerance.
     """
@@ -197,11 +204,13 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
 
     Each active angle interpolates its row at ``x . theta`` and evaluates
     ``nu`` once, then adds the row, times ``w_phi kappa(phi) nu``, to the
-    image of every window that uses it.  Threads split the image into
-    bands of rows, never the angles; each band is walked in blocks of
-    ``BLOCK_PIXELS`` pixels so the accumulators stay in cache.  Each pixel
-    gets the same operations in the same order, so each image is
-    bit-identical to a single-window call and for every ``LIMITOMO_THREADS``.
+    image of every window that uses it.  The image is cut into blocks of
+    whole rows, about ``BLOCK_PIXELS`` pixels each, so the accumulators
+    stay in cache; each block builds its own pixel points.  One worker per
+    usable CPU, and never more workers than blocks, takes a contiguous run
+    of whole blocks; the angles are never split.  Each pixel gets the same
+    operations in the same order, so each image is bit-identical to a
+    single-window call and for every thread count.
 
     Opposite-angle fold: angle ``phi_i + pi`` reads the line of
     ``phi_i`` at offset ``-s``.  On a full circle with ``n_phi = 2 m``,
@@ -226,15 +235,14 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     rows = g.values
     s = g.grid.s_values()
     ax = igrid.axis()
-    # The meshgrid is not kept, so the kernel's working set, folded rows
-    # included, stays below the row filter's peak.
-    pts = np.stack(igrid.centers(), axis=-1).reshape(-1, 2)
-    # Opposite-angle fold (see the docstring).  The periodic weights are
+    # Opposite-angle fold (see the docstring).  A scalar weight does not
+    # depend on x, so one pixel centre tells.  The periodic weights are
     # uniform, so the folded row i keeps w_i.
+    p0 = np.array([[ax[0], ax[0]]])
     m = phis.size // 2
     if (g.grid.periodic and phis.size % 2 == 0 and all(w is None for w in windows)
-            and all(np.ndim(nu(pts, phis[i])) == 0
-                    and np.array_equal(nu(pts, phis[i]), nu(pts, phis[i + m]))
+            and all(np.ndim(nu(p0, phis[i])) == 0
+                    and np.array_equal(nu(p0, phis[i]), nu(p0, phis[i + m]))
                     for i in range(m))):
         rows = np.add(rows[:m], rows[m:, ::-1], out=np.empty((m, s.size)))
         phis, wphi = phis[:m], wphi[:m]
@@ -244,18 +252,21 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     active = np.nonzero(coef.any(axis=0))[0]
     step = max(1, BLOCK_PIXELS // n)
 
-    def worker(band: slice) -> None:
-        for start in range(band.start, band.stop, step):
-            # Image rows block.start .. block.stop - 1, one contiguous run of pixels.
-            block = slice(start, min(start + step, band.stop))
-            px = slice(block.start * n, block.stop * n)
+    def worker(blocks: slice) -> None:
+        # Whole blocks of image rows, each a contiguous run of pixels; the
+        # slices stop the last block at the image's last row.
+        for r0 in range(blocks.start * step, blocks.stop * step, step):
+            px = slice(r0 * n, (r0 + step) * n)
+            y = ax[r0:r0 + step]
+            pts = np.stack(np.meshgrid(ax, y, copy=False), axis=-1).reshape(-1, 2)
             for i in active:
                 c, sn = math.cos(phis[i]), math.sin(phis[i])
-                sv = (ax * c)[None, :] + (ax[block] * sn)[:, None]
-                gi = np.interp(sv, s, rows[i]).ravel()
-                nu_i = nu(pts[px], phis[i])
+                gi = np.interp(ax * c + y[:, None] * sn, s, rows[i]).ravel()
+                nu_i = nu(pts, phis[i])
                 for k in np.nonzero(coef[:, i])[0]:
                     out[k, px] += (coef[k, i] * nu_i) * gi
+                # Free this angle's planes before the next one allocates its own.
+                del gi, nu_i
 
-    for_each_chunk(worker, n)
+    for_each_chunk(worker, math.ceil(n / step))
     return [Raster(igrid, img.reshape(n, n)) for img in out]

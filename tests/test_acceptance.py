@@ -152,11 +152,12 @@ def test_criterion_5_artifact_geometry():
     rec = reconstruct(g, cfg, grid)
 
     X, Y = grid.centers()
-    pts = np.stack([X, Y], axis=-1)
     boundary_dist = np.abs(np.hypot(X, Y) - 1.0)
     lines = predicted_artifact_lines(UNIT_DISK, win)
     assert len(lines) == 4
-    line_dist = np.min(np.stack([ln.distance(pts) for ln in lines]), axis=0)
+    line_dist = np.min(np.stack([np.abs((X - ln.point[0]) * ln.normal[0]
+                                        + (Y - ln.point[1]) * ln.normal[1])
+                                 for ln in lines]), axis=0)
     energy = rec.values ** 2
     outside = boundary_dist > 3.0 * h
     contained = energy[outside & (line_dist <= 3.0 * h)].sum() / energy[outside].sum()

@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from limitomo import read_raster, read_sinogram
+from limitomo import _util, read_raster, read_sinogram, transforms
 from limitomo.cli import main
 
 SMALL_CONFIG = """
@@ -285,35 +285,52 @@ def test_help_smoke():
     assert exc.value.code == 0
 
 
-def test_threads_env_var_matches_serial(tmp_path, monkeypatch):
+def _record_pools(monkeypatch):
+    # The max_workers of every thread pool the projectors make, in order.
+    pools = []
+    pool = _util.ThreadPoolExecutor
+    monkeypatch.setattr(_util, "ThreadPoolExecutor",
+                        lambda max_workers: pools.append(max_workers) or pool(max_workers))
+    return pools
+
+
+def test_raster_forward_file_byte_identical_for_one_and_two_cpus(tmp_path, monkeypatch,
+                                                                usable_cpus):
+    # The raster forward is the threaded forward path; two CPUs must
+    # really start two workers and write the same bytes as one.
+    pools = _record_pools(monkeypatch)
     cfg, _ = _write_cfg(tmp_path, SMALL_CONFIG)
-    sino1 = tmp_path / "g1.lts"
-    assert main(["forward", "--config", str(cfg), "--out", str(sino1)]) == 0
-    monkeypatch.setenv("LIMITOMO_THREADS", "2")
-    sino2 = tmp_path / "g2.lts"
-    assert main(["forward", "--config", str(cfg), "--out", str(sino2)]) == 0
-    a = read_sinogram(sino1)
-    b = read_sinogram(sino2)
-    np.testing.assert_array_equal(a.values, b.values)
+    raster = tmp_path / "phantom.ltr"
+    assert main(["phantom", "--config", str(cfg), "--out", str(raster)]) == 0
+    files = []
+    for cpus in (1, 2):
+        usable_cpus(cpus)
+        files.append(tmp_path / f"g{cpus}.lts")
+        assert main(["forward", "--config", str(cfg), "--from-raster", str(raster),
+                     "--out", str(files[-1])]) == 0
+    assert pools == [2]
+    assert files[0].read_bytes() == files[1].read_bytes()
 
 
 @pytest.mark.parametrize("template, argv", [
     (SMALL_CONFIG, ["analyze"]),
     (STUDY_CONFIG, ["study", "--k-list", "1,2"]),
 ], ids=["analyze-folded", "study"])
-def test_outputs_byte_identical_for_every_thread_count(tmp_path, monkeypatch, template, argv):
+def test_outputs_byte_identical_for_every_thread_count(tmp_path, monkeypatch, template, argv,
+                                                       usable_cpus):
     # SMALL_CONFIG is a full circle with even n_phi and a constant nu, so
     # analyze folds opposite angles; study back-projects a batch of windows.
+    # Blocks of 16 rows give the 64-row image's back-projection two workers.
+    monkeypatch.setattr(transforms, "BLOCK_PIXELS", 16 * 64)
+    pools = _record_pools(monkeypatch)
     cfg, out = _write_cfg(tmp_path, template)
     runs = []
-    for threads in (None, "2"):
-        if threads is None:
-            monkeypatch.delenv("LIMITOMO_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("LIMITOMO_THREADS", threads)
+    for cpus in (1, 2):
+        usable_cpus(cpus)
         assert main(argv + ["--config", str(cfg), "--out-dir", str(out)]) == 0
         runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         shutil.rmtree(out)
+    assert pools and set(pools) == {2}
     assert len(runs[0]) >= 3
     assert runs[0] == runs[1]
 

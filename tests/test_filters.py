@@ -226,7 +226,6 @@ def test_infinite_order_cutoff_weakens_streaks():
                       phi0=phi1, phi1=phi2)
     g = forward(UNIT_DISK, ONE, sg)
     X, Y = grid.centers()
-    pts = np.stack([X, Y], axis=-1)
     bdist = np.abs(np.hypot(X, Y) - 1.0)
 
     def line_energy(kind, k):
@@ -235,7 +234,9 @@ def test_infinite_order_cutoff_weakens_streaks():
                                    filter_impl="finite-difference")
         rec = reconstruct(g, cfg, grid)
         lines = predicted_artifact_lines(UNIT_DISK, win)
-        ldist = np.min(np.stack([ln.distance(pts) for ln in lines]), axis=0)
+        ldist = np.min(np.stack([np.abs((X - ln.point[0]) * ln.normal[0]
+                                        + (Y - ln.point[1]) * ln.normal[1])
+                                 for ln in lines]), axis=0)
         gdist = np.min(np.stack([np.hypot(X - ln.point[0], Y - ln.point[1])
                                  for ln in lines]), axis=0)
         sel = (bdist > 24 * h) & (gdist > 24 * h) & (ldist <= 3 * h)

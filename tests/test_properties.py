@@ -1,4 +1,4 @@
-"""Property tests (hypothesis): batched windowed back-projection and io round-trips."""
+"""Property tests (hypothesis): batched windowed back-projection, io round-trips and chords."""
 
 import math
 
@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from limitomo import (  # noqa: E402
     AngularWindow,
+    ClippedDisk,
+    Disk,
+    Ellipse,
     ImageGrid,
     Raster,
     Sinogram,
@@ -23,6 +26,7 @@ from limitomo import (  # noqa: E402
     write_raster,
     write_sinogram,
 )
+from limitomo.geometry import theta, theta_perp  # noqa: E402
 
 GRID = ImageGrid(12, 1.2)
 SGRID = SinogramGrid(n_phi=17, n_s=21, s_max=1.8, phi0=0.0, phi1=math.pi)
@@ -104,3 +108,39 @@ def test_sinogram_round_trip(tmp_path_factory, data, grid):
     np.testing.assert_allclose(back.grid.phi_weights(), grid.phi_weights(),
                                rtol=1e-12, atol=0)
     np.testing.assert_array_equal(back.values, values)
+
+
+ANGLES = st.floats(0.0, 2.0 * math.pi)
+SIZES = st.floats(0.05, 1.0)
+
+
+@st.composite
+def shapes(draw):
+    center = (draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)))
+    kind = draw(st.sampled_from(["disk", "ellipse", "clipped"]))
+    if kind == "disk":
+        return Disk(center, draw(SIZES))
+    if kind == "ellipse":
+        return Ellipse(center, draw(SIZES), draw(SIZES), draw(ANGLES))
+    r, alpha = draw(SIZES), draw(ANGLES)
+    return ClippedDisk(center, r, (math.cos(alpha), math.sin(alpha)),
+                       draw(st.floats(-0.95, 0.95)) * r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=shapes(), phi=ANGLES, s=st.floats(-1.6, 1.6))
+def test_chord_interval_agrees_with_contains(shape, phi, s):
+    # Along x(t) = s theta + t theta_perp, points more than 1e-9 inside
+    # the chord [t0, t1] are in the shape and points more than 1e-9
+    # outside it are not; t0 > t1 is the empty chord.  A line that grazes
+    # the boundary (a tangent, or nearly parallel to a clip edge) has
+    # endpoints that rounding sets, so it is skipped: moving it by 1e-9
+    # would move an endpoint by more than 1e-6.
+    t0, t1 = (float(v) for v in shape.chord_interval(phi, s))
+    for ds in (-1e-9, 1e-9):
+        u0, u1 = shape.chord_interval(phi, s + ds)
+        assume(abs(u0 - t0) < 1e-6 and abs(u1 - t1) < 1e-6)
+    t = np.linspace(-2.0, 2.0, 4001)
+    inside = shape.contains(s * theta(phi) + t[:, None] * theta_perp(phi))
+    assert np.all(inside[(t > t0 + 1e-9) & (t < t1 - 1e-9)])
+    assert not np.any(inside[(t < t0 - 1e-9) | (t > t1 + 1e-9)])

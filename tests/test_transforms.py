@@ -200,17 +200,15 @@ def _reference_backproject(g, nu, window, grid):
     return acc.reshape(grid.n, grid.n)
 
 
-@pytest.mark.parametrize("threads", [None, "2"])
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("nu", [ONE, WeightFunction.exponential(0.4)],
                          ids=["constant", "exponential"])
-def test_backproject_windows_bitwise_equal_single(threads, nu, monkeypatch):
+def test_backproject_windows_bitwise_equal_single(cpus, nu, monkeypatch, usable_cpus):
     # One pass over the angles for many windows gives each window the
     # bits of its own single-window call and of the plain per-angle sum,
-    # at every thread count.
-    if threads is None:
-        monkeypatch.delenv("LIMITOMO_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("LIMITOMO_THREADS", threads)
+    # at every thread count.  Five blocks of 5 rows give two CPUs two workers.
+    usable_cpus(cpus)
+    monkeypatch.setattr(transforms, "BLOCK_PIXELS", 5 * 24)
     phi1, phi2 = math.pi / 4.0, 3.0 * math.pi / 4.0
     sg = SinogramGrid(n_phi=61, n_s=49, s_max=1.8, phi0=0.0, phi1=math.pi)
     grid = ImageGrid(24, 1.2)
@@ -271,8 +269,9 @@ def test_unfoldable_backproject_keeps_reference_bits(nu, sg):
                                   _reference_backproject(g, nu, None, FOLD_GRID))
 
 
-def test_folded_backproject_bit_reproducible_with_threads(monkeypatch):
-    monkeypatch.setenv("LIMITOMO_THREADS", "2")
+def test_folded_backproject_bit_reproducible_with_threads(monkeypatch, usable_cpus):
+    usable_cpus(2)
+    monkeypatch.setattr(transforms, "BLOCK_PIXELS", 12 * 24)
     g = _fold_sinogram()
     first = backproject(g, ONE, None, FOLD_GRID).values
     np.testing.assert_array_equal(first, backproject(g, ONE, None, FOLD_GRID).values)
@@ -385,36 +384,34 @@ def test_forward_raster_zero_beyond_support(mu):
 
 
 @pytest.mark.parametrize("mu", [ONE, WeightFunction.exponential(0.5)])
-def test_forward_raster_bitwise_equal_across_threads(mu, monkeypatch):
+def test_forward_raster_bitwise_equal_across_threads(mu, usable_cpus):
     grid = ImageGrid(48, 1.2)
     values = np.random.default_rng(5).normal(size=(48, 48))
     sg = SinogramGrid(n_phi=30, n_s=71, s_max=1.8)
-    monkeypatch.delenv("LIMITOMO_THREADS", raising=False)
+    usable_cpus(1)
     one = forward(Raster(grid, values), mu, sg).values
-    monkeypatch.setenv("LIMITOMO_THREADS", "2")
+    usable_cpus(2)
     two = forward(Raster(grid, values), mu, sg).values
     np.testing.assert_array_equal(one, two)
 
 
-def test_thread_count_bounded_by_usable_cpus(monkeypatch):
+def test_thread_count_bounded_by_usable_cpus(monkeypatch, usable_cpus):
     from limitomo import _util
-    monkeypatch.setenv("LIMITOMO_THREADS", "100000")
     assert _util.thread_count() == len(os.sched_getaffinity(0))
+    usable_cpus(5)
+    assert _util.thread_count() == 5
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert _util.thread_count() == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _util.thread_count() == 1
-    for raw in ("", "x", "0", "-4"):
-        monkeypatch.setenv("LIMITOMO_THREADS", raw)
-        assert _util.thread_count() == 1
 
 
-def test_backproject_bands_stress_matches_reference(monkeypatch):
-    # Eight threads on eight bands of three image rows, switching often:
-    # a write outside a thread's own band would change the bits.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.setenv("LIMITOMO_THREADS", "8")
+def test_backproject_bands_stress_matches_reference(monkeypatch, usable_cpus):
+    # Eight threads on eight blocks of three image rows, switching often:
+    # a write outside a thread's own blocks would change the bits.
+    usable_cpus(8)
+    monkeypatch.setattr(transforms, "BLOCK_PIXELS", 3 * 24)
     g = _fold_sinogram(SinogramGrid(n_phi=47, n_s=49, s_max=1.8))
     nu = WeightFunction.exponential(0.4)
     interval = sys.getswitchinterval()
@@ -430,17 +427,16 @@ def test_backproject_bands_stress_matches_reference(monkeypatch):
 BLOCK_GRID = ImageGrid(37, 1.2)
 
 
-@pytest.mark.parametrize("threads", ["1", "2", "8"])
+@pytest.mark.parametrize("cpus", [1, 2, 8])
 @pytest.mark.parametrize("nu", [ONE, WeightFunction.exponential(0.4)],
                          ids=["constant", "exponential"])
-def test_backproject_blocks_match_reference(threads, nu, monkeypatch):
-    # Blocks of 5 rows on a 37-row image line up neither with the bands of
-    # 1, 2 or 8 threads nor with the image's last row: a block that skips,
-    # repeats or overruns a row changes the bits.
-    monkeypatch.delenv("LIMITOMO_THREADS", raising=False)
+def test_backproject_blocks_match_reference(cpus, nu, monkeypatch, usable_cpus):
+    # Blocks of 5 rows on a 37-row image do not line up with its last row,
+    # and 1, 2 or 8 threads take runs of 8, 4 or 1 of the 8 blocks: a block
+    # that skips, repeats or overruns a row changes the bits.
+    usable_cpus(1)
     folded = backproject(_fold_sinogram(), ONE, None, BLOCK_GRID).values
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.setenv("LIMITOMO_THREADS", threads)
+    usable_cpus(cpus)
     monkeypatch.setattr(transforms, "BLOCK_PIXELS", 5 * 37)
     sg = SinogramGrid(n_phi=61, n_s=49, s_max=1.8, phi0=0.0, phi1=math.pi)
     g = Sinogram(sg, np.random.default_rng(7).standard_normal((61, 49)))
@@ -454,23 +450,39 @@ def test_backproject_blocks_match_reference(threads, nu, monkeypatch):
         backproject(_fold_sinogram(), ONE, None, BLOCK_GRID).values, folded)
 
 
-def test_backproject_temporaries_are_block_sized(monkeypatch):
-    # Beyond the (4, n^2) output and the (n^2, 2) pixel points, the
-    # k-study pass holds about three block planes (x . theta, the
-    # interpolated row, the weighted row).  Band-sized temporaries would
-    # hold six at n = 256.
-    monkeypatch.delenv("LIMITOMO_THREADS", raising=False)
+def test_backproject_temporaries_are_block_sized(usable_cpus):
+    # Beyond the (4, n^2) output, one worker holds about four block planes
+    # at n = 256: its block's pixel points (two), x . theta and the
+    # interpolated row, or that row and the weighted row.  Image-wide
+    # points would add four more.  Two workers hold twice that.
     n = 256
     grid = ImageGrid(n, 1.2)
     sg = SinogramGrid(n_phi=91, n_s=2 * n + 1, s_max=1.8, phi0=0.0, phi1=math.pi)
     g = Sinogram(sg, np.random.default_rng(3).standard_normal((91, 2 * n + 1)))
     windows = [AngularWindow(math.pi / 4.0, 3.0 * math.pi / 4.0, "finite-order", k)
                for k in (1, 2, 3, 4)]
-    tracemalloc.start()
-    try:
-        backproject_windows(g, ONE, windows, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     plane = transforms.BLOCK_PIXELS * 8
-    assert peak - (4 + 2) * n * n * 8 < 5 * plane
+    for cpus in (1, 2):
+        usable_cpus(cpus)
+        tracemalloc.start()
+        try:
+            backproject_windows(g, ONE, windows, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 4 * n * n * 8 < cpus * 5 * plane
+
+
+def test_single_block_backprojects_in_calling_thread(monkeypatch, usable_cpus):
+    # A grid of one block has one worker, whatever the CPU count: no pool.
+    from limitomo import _util
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was made for a single block")
+
+    usable_cpus(8)
+    monkeypatch.setattr(_util, "ThreadPoolExecutor", no_pool)
+    g = _fold_sinogram(SinogramGrid(n_phi=47, n_s=49, s_max=1.8))
+    nu = WeightFunction.exponential(0.4)
+    np.testing.assert_array_equal(backproject(g, nu, None, FOLD_GRID).values,
+                                  _reference_backproject(g, nu, None, FOLD_GRID))
