@@ -18,13 +18,9 @@ from .filters import reconstruct
 from .io import read_raster, read_sinogram, write_raster, write_sinogram
 from .microlocal import strength_vs_order_study
 from .phantoms import rasterize
-from .pipeline import PipelineError, run_pipeline
+from .pipeline import PipelineError, _log, run_pipeline
 from .selftest import run_selftest
 from .transforms import forward
-
-
-def _log(msg: str) -> None:
-    print(msg, file=sys.stderr)
 
 
 def _cmd_phantom(args) -> int:
@@ -64,7 +60,7 @@ def _cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     if args.out_dir:
         cfg = dataclasses.replace(cfg, out_dir=args.out_dir)
-    return run_pipeline(cfg, log=_log)
+    return run_pipeline(cfg)
 
 
 def _cmd_study(args) -> int:
@@ -85,7 +81,7 @@ def _cmd_study(args) -> int:
 
 def _cmd_selftest(args) -> int:
     out_dir = args.out_dir or tempfile.mkdtemp(prefix="limitomo-selftest-")
-    return run_selftest(out_dir, log=print)
+    return run_selftest(out_dir)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,7 +145,7 @@ def main(argv=None) -> int:
         print(f"error [config] {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error [{args.command}] {exc}", file=sys.stderr)
         return 1
 
 

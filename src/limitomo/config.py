@@ -51,6 +51,7 @@ import hashlib
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .filters import ReconstructionConfig
 from .geometry import AngularWindow, ImageGrid, SinogramGrid
@@ -152,6 +153,8 @@ def _parse_shape(key: str, raw: str):
         vals = [float(a) for a in args]
     except ValueError:
         raise ConfigError(f"[phantom] {key}: non-numeric shape parameter in {raw!r}")
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"[phantom] {key}: non-finite shape parameter in {raw!r}")
     try:
         if kind == "disk":
             if len(vals) != 4:
@@ -187,10 +190,11 @@ _EXP_ARG_MAX = math.log(sys.float_info.max)
 MAX_BUFFER_BYTES = 2 * 1024**3
 
 
-def _check_buffer(where: str, what: str, nbytes: int) -> None:
+def _check_buffer(what: str, nbytes: int) -> None:
+    # Decimal: a count of hundreds of digits overflows a float.
     if nbytes > MAX_BUFFER_BYTES:
-        raise ConfigError(f"{where}: the {what} takes {nbytes / 2**30:.4g} GiB, "
-                          f"more than the {MAX_BUFFER_BYTES / 2**30:g} GiB limit")
+        raise ValueError(f"the {what} takes {Decimal(nbytes) / 2**30:.4g} GiB, "
+                         f"more than the {MAX_BUFFER_BYTES / 2**30:g} GiB limit")
 
 
 def _parse_weight(raw: str, where: str, radius: float) -> tuple[WeightFunction, str]:
@@ -248,9 +252,9 @@ def loads_config(text: str) -> RunConfig:
         n = int(get("image", "n", "512"))
         extent = float(get("image", "extent", "1.2"))
         igrid = ImageGrid(n, extent)
+        _check_buffer(f"{n}x{n} float64 image", 8 * n * n)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    _check_buffer(where, f"{n}x{n} float64 image", 8 * n * n)
 
     shapes, specs = [], []
     if parser.has_section("phantom") and parser.options("phantom"):
@@ -275,13 +279,13 @@ def loads_config(text: str) -> RunConfig:
         s_default = math.sqrt(2.0) * igrid.extent
         s_max = float(get("sinogram", "s_max", repr(s_default)))
         sgrid = SinogramGrid(n_phi, n_s, s_max, phi0, phi1)
+        # The row filter's zero-padded complex spectrum is four times the
+        # float64 sinogram, so it bounds both.
+        _check_buffer(f"{n_phi}x{2 * n_s} complex128 padded row spectrum",
+                      16 * n_phi * 2 * n_s)
         check_sinogram_grid(sgrid)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    # The row filter's zero-padded complex spectrum is four times the
-    # float64 sinogram, so it bounds both.
-    _check_buffer(where, f"{n_phi}x{2 * n_s} complex128 padded row spectrum",
-                  16 * n_phi * 2 * n_s)
     if s_max < math.sqrt(2.0) * igrid.extent - 1e-12:
         raise ConfigError(
             f"{where}: s_max = {s_max:.6g} violates s_max >= sqrt(2) * extent "

@@ -77,16 +77,10 @@ def d_ds(g: Sinogram) -> Sinogram:
     """Row-wise derivative in ``s`` by finite differences.
 
     The central stencil ``(g[j+1] - g[j-1]) / (2 ds)`` with one-sided
-    differences at the ends; it is exact on polynomials of degree <= 2 in
-    the interior.
+    differences at the ends (``np.gradient``); it is exact on polynomials
+    of degree <= 2 in the interior.
     """
-    v = g.values
-    ds = g.grid.ds
-    out = np.empty_like(v)
-    out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * ds)
-    out[:, 0] = (v[:, 1] - v[:, 0]) / ds
-    out[:, -1] = (v[:, -1] - v[:, -2]) / ds
-    return Sinogram(g.grid, out)
+    return Sinogram(g.grid, np.gradient(g.values, g.grid.ds, axis=1))
 
 
 def neg_d2_ds2(g: Sinogram) -> Sinogram:
@@ -154,8 +148,9 @@ def reconstruct(g: Sinogram, cfg: ReconstructionConfig, igrid: ImageGrid,
     in place of ``cfg.window``, the sinogram is filtered once and
     back-projected for every window in one pass; the result is one
     raster per window, each bit-identical to a single-window call and for
-    every thread count, except for the opposite-angle fold (within 1e-13)
-    that :func:`~limitomo.transforms.backproject_windows` states.
+    every thread count, except for the opposite-angle fold of a constant
+    weight (within 1e-13) that
+    :func:`~limitomo.transforms.backproject_windows` states.
     """
     wins = [cfg.window] if windows is None else list(windows)
     lo, hi = g.grid.phi0, g.grid.phi1

@@ -122,8 +122,9 @@ class SinogramGrid:
             raise ValueError("SinogramGrid.n_phi must be an integer >= 2")
         if int(self.n_s) != self.n_s or self.n_s < 2:
             raise ValueError("SinogramGrid.n_s must be an integer >= 2")
-        if not (0 < self.s_max < math.inf):
-            raise ValueError("SinogramGrid.s_max must be positive and finite")
+        # 2 s_max spans the offsets, so it must be finite too.
+        if not (0 < 2.0 * self.s_max < math.inf):
+            raise ValueError("SinogramGrid.s_max must be positive, with 2 s_max finite")
         if not (0.0 <= self.phi0 < self.phi1 <= TWO_PI + 1e-12):
             raise ValueError("SinogramGrid requires 0 <= phi0 < phi1 <= 2*pi")
         object.__setattr__(self, "n_phi", int(self.n_phi))

@@ -6,7 +6,8 @@ followed by ``n*n`` row-major little-endian float32 samples.  Sinogram
 files use magic ``LTS1`` and the header fields
 ``(n_phi: uint32, phi0: float64, dphi: float64, n_s: uint32,
 s_max: float64)`` followed by ``n_phi*n_s`` row-major little-endian
-float32 samples.  16-bit PGM output is for visual inspection only:
+float32 samples.  The readers reject a payload shorter or longer than
+the header states.  16-bit PGM output is for visual inspection only:
 min-max normalized, big-endian samples, top row at largest ``y``; a
 constant raster maps to all zeros.
 """
@@ -30,11 +31,13 @@ _SINO_HEADER = struct.Struct("<4sIddId")
 RASTER_FORMATS = ("raw-f32", "pgm16")
 
 
-def _check_payload(fh, count: int, what: str) -> None:
-    """Raise before reading unless the file holds ``count`` float32 samples."""
-    have = os.fstat(fh.fileno()).st_size - fh.tell()
-    if have < 4 * count:
-        raise ValueError(f"{what}: truncated payload ({have} of {4 * count} bytes)")
+def _check_payload(fh, samples: int, what: str) -> None:
+    """Raise before reading unless the rest of the file is ``samples`` float32 samples."""
+    have, want = os.fstat(fh.fileno()).st_size - fh.tell(), 4 * samples
+    if have < want:
+        raise ValueError(f"{what}: truncated payload ({have} of {want} bytes)")
+    if have > want:
+        raise ValueError(f"{what}: {have - want} bytes after the payload")
 
 
 def _float32_payload(values: np.ndarray, what: str) -> bytes:

@@ -26,6 +26,9 @@ from .transforms import forward
 
 NO_SIGNAL = float("nan")
 
+# Scales on the :func:`default_probe_scales` ladder.
+PROBE_SCALES = 12
+
 
 def symbol_eval(cfg: ReconstructionConfig, x, xi) -> float | np.ndarray:
     """Principal symbol of the configured operator at ``(x, xi)``.
@@ -81,11 +84,10 @@ class ArtifactLine:
         return np.array([d[1], -d[0]])
 
 
-def predicted_artifact_lines(phantom: Phantom, window: AngularWindow,
-                             tol: float = 1e-9) -> list[ArtifactLine]:
+def predicted_artifact_lines(phantom: Phantom, window: AngularWindow) -> list[ArtifactLine]:
     """Streak lines generated by the phantom's edge singularities."""
     lines = []
-    for gen in edge_singularities(phantom, window, tol):
+    for gen in edge_singularities(phantom, window):
         e = window.boundary_direction(gen.j)
         direction = np.array([-e[1], e[0]])
         lines.append(ArtifactLine(gen, gen.j, gen.point, direction))
@@ -122,9 +124,9 @@ class WavefrontProbe:
         object.__setattr__(self, "scales", sc)
 
 
-def default_probe_scales(n: int, count: int = 12) -> tuple[float, ...]:
-    """Geometric scale ladder over [8, n/4] cycles per extent."""
-    return tuple(np.geomspace(8.0, n / 4.0, count))
+def default_probe_scales(n: int) -> tuple[float, ...]:
+    """Geometric ladder of ``PROBE_SCALES`` scales over [8, n/4] cycles per extent."""
+    return tuple(np.geomspace(8.0, n / 4.0, PROBE_SCALES))
 
 
 def wavefront_probe(img: Raster, probe: WavefrontProbe) -> float:
@@ -190,7 +192,6 @@ def _sample_raster(raster: Raster, pts: np.ndarray) -> np.ndarray:
 
 def artifact_report(recon: Raster, phantom: Phantom,
                     window: AngularWindow | None, exclusion_radius: float,
-                    tube_radius: float | None = None,
                     metadata: dict | None = None) -> ArtifactReport:
     """Measure streak and edge strengths of a reconstruction.
 
@@ -198,7 +199,7 @@ def artifact_report(recon: Raster, phantom: Phantom,
     within ``exclusion_radius`` of the phantom boundary or of the line's
     generator are dropped and the peak absolute value of the rest is the
     line strength.  Edge strengths are peak absolute values in a tube
-    (half-width ``tube_radius``, default 3 pixels) around the boundary
+    (half-width ``tube_radius``, 3 pixels) around the boundary
     arcs whose normals lie in the window; with ``window=None`` the whole
     boundary counts as visible.
     """
@@ -206,8 +207,7 @@ def artifact_report(recon: Raster, phantom: Phantom,
     h, L = grid.h, grid.extent
     if exclusion_radius < 2.0 * h:
         raise ValueError("exclusion radius must be at least 2 pixels")
-    if tube_radius is None:
-        tube_radius = 3.0 * h
+    tube_radius = 3.0 * h
 
     bpts, bnrm, bidx = phantom.boundary_cloud()
     tree = cKDTree(bpts) if len(bpts) else None

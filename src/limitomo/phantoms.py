@@ -20,6 +20,13 @@ import numpy as np
 
 from .geometry import AngularWindow, ImageGrid, Raster, theta, theta_perp
 
+# Boundary samples per shape in :meth:`Phantom.boundary_cloud`.
+BOUNDARY_POINTS = 2048
+
+# How far ``|n . e|`` of a clip edge may be from 1 for its normal to count
+# as parallel to ``e`` in :func:`edge_singularities`.
+NORMAL_TOL = 1e-9
+
 
 def _unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
@@ -88,13 +95,13 @@ class Disk:
         """
         return _disk_chord(self.center, self.radius, *_frame(phi, frame), s)
 
-    def boundary_points(self, m: int = 1024):
-        """Sample points and outward unit normals along the boundary."""
-        psi = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+    def boundary_points(self):
+        """``BOUNDARY_POINTS`` points and outward unit normals along the boundary."""
+        psi = np.linspace(0.0, 2.0 * math.pi, BOUNDARY_POINTS, endpoint=False)
         nrm = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
         return np.asarray(self.center) + self.radius * nrm, nrm
 
-    def points_with_normal(self, e, tol: float = 1e-9):
+    def points_with_normal(self, e):
         """Boundary points whose outward normal is parallel to ``+-e``."""
         e = _unit(e)
         c = np.asarray(self.center)
@@ -166,8 +173,8 @@ class Ellipse:
         t1 = np.where(hit, tm + half, -1.0)
         return t0, t1
 
-    def boundary_points(self, m: int = 1024):
-        psi = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+    def boundary_points(self):
+        psi = np.linspace(0.0, 2.0 * math.pi, BOUNDARY_POINTS, endpoint=False)
         R = _rot(self.angle)
         loc = np.stack([self.a * np.cos(psi), self.b * np.sin(psi)], axis=-1)
         pts = np.asarray(self.center) + loc @ R.T
@@ -175,7 +182,7 @@ class Ellipse:
         nl = nl / np.linalg.norm(nl, axis=-1, keepdims=True)
         return pts, nl @ R.T
 
-    def points_with_normal(self, e, tol: float = 1e-9):
+    def points_with_normal(self, e):
         e = _unit(e)
         R = _rot(self.angle)
         m = R.T @ e                      # requested normal in the ellipse frame
@@ -256,7 +263,7 @@ class ClippedDisk:
                 t0 = np.maximum(t0, tb)
         return t0, t1
 
-    def boundary_points(self, m: int = 1024):
+    def boundary_points(self):
         c = np.asarray(self.center)
         n = np.asarray(self.clip_normal)
         alpha = math.atan2(n[1], n[0])
@@ -265,8 +272,8 @@ class ClippedDisk:
         arc_len = (2.0 * math.pi - 2.0 * beta) * self.radius
         chord_half = math.sqrt(self.radius**2 - self.clip_offset**2)
         seg_len = 2.0 * chord_half
-        m_arc = max(int(round(m * arc_len / (arc_len + seg_len))), 8)
-        m_seg = max(m - m_arc, 8)
+        m_arc = max(int(round(BOUNDARY_POINTS * arc_len / (arc_len + seg_len))), 8)
+        m_seg = max(BOUNDARY_POINTS - m_arc, 8)
         psi = alpha + np.linspace(beta, 2.0 * math.pi - beta, m_arc)
         nrm_arc = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
         pts_arc = c + self.radius * nrm_arc
@@ -276,7 +283,7 @@ class ClippedDisk:
         nrm_seg = np.tile(n, (m_seg, 1))
         return np.concatenate([pts_arc, pts_seg]), np.concatenate([nrm_arc, nrm_seg])
 
-    def points_with_normal(self, e, tol: float = 1e-9):
+    def points_with_normal(self, e):
         e = _unit(e)
         c = np.asarray(self.center)
         n = np.asarray(self.clip_normal)
@@ -286,7 +293,7 @@ class ClippedDisk:
             if float(n @ (p - c)) <= self.clip_offset:
                 out.append((p, sign * e, 1.0 / self.radius))
         # straight segment contributes when its fixed normal matches
-        if abs(abs(float(n @ e)) - 1.0) <= tol:
+        if abs(abs(float(n @ e)) - 1.0) <= NORMAL_TOL:
             out.append((c + self.clip_offset * n, n.copy(), 0.0))
         return out
 
@@ -339,14 +346,14 @@ class Phantom:
                 return False
         return True
 
-    def boundary_cloud(self, points_per_shape: int = 2048):
-        """Concatenated boundary samples of all shapes.
+    def boundary_cloud(self):
+        """Concatenated boundary samples of all shapes, ``BOUNDARY_POINTS`` each.
 
         Returns ``(points, normals, shape_index)``.
         """
         pts, nrm, idx = [], [], []
         for i, sh in enumerate(self.shapes):
-            p, n = sh.boundary_points(points_per_shape)
+            p, n = sh.boundary_points()
             pts.append(p)
             nrm.append(n)
             idx.append(np.full(len(p), i))
@@ -389,7 +396,7 @@ def analytic_sinogram_row(phantom: Phantom, mu, phi: float, s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if not phantom.shapes:
         return np.zeros(s.shape)
-    nodes, weights = _RULE_CONSTANT if getattr(mu, "kind", None) == "constant" else _RULE_SMOOTH
+    nodes, weights = _RULE_CONSTANT if mu.kind == "constant" else _RULE_SMOOTH
     frame = (theta(phi), theta_perp(phi))
     chords = np.array([sh.chord_interval(phi, s, frame) for sh in phantom.shapes])
     t0, t1 = chords[:, 0], chords[:, 1]            # (n_shapes, *s.shape)
@@ -407,20 +414,17 @@ def analytic_sinogram_row(phantom: Phantom, mu, phi: float, s) -> np.ndarray:
     return (density * chord_integrals).sum(axis=0)
 
 
-def edge_singularities(phantom: Phantom, window: AngularWindow,
-                       tol: float = 1e-9) -> list[EdgeSingularity]:
+def edge_singularities(phantom: Phantom, window: AngularWindow) -> list[EdgeSingularity]:
     """Boundary points whose outward normal is parallel to ``+-e1`` or ``+-e2``.
 
     Each returned singularity is tagged with the matching window boundary
     index ``j`` and carries the boundary curvature at that point (1/r for
     circular arcs, 0 for straight clip segments).
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
     out: list[EdgeSingularity] = []
     for j in (1, 2):
         e = window.boundary_direction(j)
         for sh in phantom.shapes:
-            for point, normal, curv in sh.points_with_normal(e, tol):
+            for point, normal, curv in sh.points_with_normal(e):
                 out.append(EdgeSingularity(point, normal, curv, j))
     return out

@@ -30,7 +30,12 @@ def _stage(stage: str, fn, *args, **kwargs):
         raise PipelineError(stage, str(exc)) from exc
 
 
-def run_pipeline(cfg: RunConfig, log=None) -> int:
+def _log(msg: str) -> None:
+    """One progress line on stderr, for the pipeline and the CLI."""
+    print(msg, file=sys.stderr)
+
+
+def run_pipeline(cfg: RunConfig) -> int:
     """Run the configured pipeline and write all outputs.
 
     Outputs land in ``cfg.out_dir``: the normalized config echo, the
@@ -40,26 +45,24 @@ def run_pipeline(cfg: RunConfig, log=None) -> int:
     payload is checked before the directory is made, so a
     ``[write]`` error on non-finite data leaves no file behind; the
     phantom and the sinogram are checked as soon as each exists, so such
-    a run stops before the stages that follow.
+    a run stops before the stages that follow.  Each stage writes one
+    progress line to stderr.
     """
-    if log is None:
-        log = lambda msg: print(msg, file=sys.stderr)
-
     raster = _stage("phantom", rasterize, cfg.phantom, cfg.igrid)
     _stage("write", _float32_payload, raster.values, "raster")
-    log(f"phantom: rasterized {cfg.igrid.n}x{cfg.igrid.n}")
+    _log(f"phantom: rasterized {cfg.igrid.n}x{cfg.igrid.n}")
 
     sino = _stage("forward", forward, cfg.phantom, cfg.mu, cfg.sgrid)
     _stage("write", _float32_payload, sino.values, "sinogram")
-    log(f"forward: sinogram {cfg.sgrid.n_phi}x{cfg.sgrid.n_s}")
+    _log(f"forward: sinogram {cfg.sgrid.n_phi}x{cfg.sgrid.n_s}")
 
     recon = _stage("reconstruct", reconstruct, sino, cfg.recon_config(), cfg.igrid)
-    log(f"reconstruct: operator {cfg.operator}, "
+    _log(f"reconstruct: operator {cfg.operator}, "
         f"window {'full' if cfg.window is None else cfg.window.kind}")
 
     report = _stage("analyze", artifact_report, recon, cfg.phantom, cfg.window,
                     4.0 * cfg.igrid.h, metadata={"config_sha256": cfg.sha256()})
-    log(f"analyze: {len(report.lines)} predicted line(s)")
+    _log(f"analyze: {len(report.lines)} predicted line(s)")
 
     def write_all():
         _float32_payload(recon.values, "raster")
@@ -74,5 +77,5 @@ def run_pipeline(cfg: RunConfig, log=None) -> int:
         write_report_json(report, out / "report.json")
 
     _stage("write", write_all)
-    log(f"write: outputs in {cfg.out_dir}")
+    _log(f"write: outputs in {cfg.out_dir}")
     return 0

@@ -81,16 +81,14 @@ def _write_arrays(arrays: dict[str, np.ndarray], directory: Path) -> None:
         arr.astype("<f4").tofile(directory / f"{name}.f32")
 
 
-def run_selftest(out_dir, log=None) -> int:
-    if log is None:
-        log = lambda msg: print(msg)
+def run_selftest(out_dir) -> int:
     out = Path(out_dir)
     failures = 0
 
     def check(name: str, ok: bool, detail: str):
         nonlocal failures
         status = "PASS" if ok else "FAIL"
-        log(f"[{status}] {name}: {detail}")
+        print(f"[{status}] {name}: {detail}")
         if not ok:
             failures += 1
 

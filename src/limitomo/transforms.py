@@ -51,8 +51,8 @@ class WeightFunction:
 
     @classmethod
     def constant(cls, c: float) -> "WeightFunction":
-        if not (c > 0):
-            raise ValueError("constant weight must be positive")
+        if not (0 < c < math.inf):
+            raise ValueError("constant weight must be positive and finite")
         c = float(c)
 
         def fn(x, phi):
@@ -191,9 +191,10 @@ def backproject(g: Sinogram, nu: WeightFunction,
     ``sum_phi w_phi kappa(phi) nu(x, phi) g(phi, x . theta(phi))`` with
     linear interpolation in ``s``; ``window=None`` means ``kappa == 1``
     over the sinogram's angular range.  The image is bit-identical for
-    every thread count.  With ``window=None`` on a full circle the
-    angles ``phi`` and ``phi + pi`` may be folded first;
-    :func:`backproject_windows` says when, and gives the 1e-13 tolerance.
+    every thread count.  With ``window=None`` on a full circle and a
+    constant weight the angles ``phi`` and ``phi + pi`` may be folded
+    first; :func:`backproject_windows` says when, and gives the 1e-13
+    tolerance.
     """
     return backproject_windows(g, nu, [window], igrid)[0]
 
@@ -214,15 +215,14 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
 
     Opposite-angle fold: angle ``phi_i + pi`` reads the line of
     ``phi_i`` at offset ``-s``.  On a full circle with ``n_phi = 2 m``,
-    when every window is ``None`` and ``nu`` returns a scalar equal at
-    ``phi_i`` and ``phi_{i+m}`` for every ``i < m``, row ``i + m``
-    reversed in ``s`` is added to row ``i`` and the same kernel runs over
-    the ``m`` folded rows: half the interpolations.  The result is within
-    1e-13 of the image maximum of the unfolded sum, not bitwise, because
-    ``s_values()`` is ``linspace`` and not bitwise symmetric.  Every other
-    call (a cutoff, a half range, an odd ``n_phi``, an array-valued or
-    unequal weight) is unfolded, so a ``None`` window batched with cutoff
-    windows gets the unfolded bits.
+    when every window is ``None`` and ``nu`` is a constant weight
+    (``nu.kind == "constant"``), row ``i + m`` reversed in ``s`` is added
+    to row ``i`` and the same kernel runs over the ``m`` folded rows: half
+    the interpolations.  The result is within 1e-13 of the image maximum
+    of the unfolded sum, not bitwise, because ``s_values()`` is
+    ``linspace`` and not bitwise symmetric.  Every other call (a cutoff, a
+    half range, an odd ``n_phi``, any other weight kind) is unfolded, so
+    a ``None`` window batched with cutoff windows gets the unfolded bits.
     """
     if not np.all(np.isfinite(g.values)):
         raise ValueError("sinogram contains non-finite values")
@@ -235,15 +235,11 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     rows = g.values
     s = g.grid.s_values()
     ax = igrid.axis()
-    # Opposite-angle fold (see the docstring).  A scalar weight does not
-    # depend on x, so one pixel centre tells.  The periodic weights are
+    # Opposite-angle fold (see the docstring).  The periodic weights are
     # uniform, so the folded row i keeps w_i.
-    p0 = np.array([[ax[0], ax[0]]])
     m = phis.size // 2
     if (g.grid.periodic and phis.size % 2 == 0 and all(w is None for w in windows)
-            and all(np.ndim(nu(p0, phis[i])) == 0
-                    and np.array_equal(nu(p0, phis[i]), nu(p0, phis[i + m]))
-                    for i in range(m))):
+            and nu.kind == "constant"):
         rows = np.add(rows[:m], rows[m:, ::-1], out=np.empty((m, s.size)))
         phis, wphi = phis[:m], wphi[:m]
     coef = np.array([(1.0 if w is None else w.kappa(phis)) * wphi for w in windows])

@@ -205,6 +205,16 @@ def test_forward_and_reconstruct_subcommands(tmp_path):
     assert abs(rec.values[32, 32] - 1.0) < 0.15
 
 
+@pytest.mark.parametrize("command, flag", [("reconstruct", "--sinogram"),
+                                           ("forward", "--from-raster")])
+def test_subcommand_error_is_stage_tagged(tmp_path, capsys, command, flag):
+    # The input file is missing: an OSError, tagged with the subcommand.
+    cfg, _ = _write_cfg(tmp_path, DEFAULTS_CONFIG)
+    assert main([command, flag, str(tmp_path / "missing"), "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error [{command}] ")
+
+
 def test_analyze_pipeline_outputs(tmp_path):
     cfg, out = _write_cfg(tmp_path, SMALL_CONFIG)
     assert main(["analyze", "--config", str(cfg)]) == 0

@@ -70,6 +70,21 @@ def test_config_rejects_infinite_smax():
         loads_config(text)
 
 
+@pytest.mark.parametrize("text, error", [
+    (MINIMAL.replace("disk 0 0 1 1", "ellipse 0 0 0.5 0.3 inf 1"),
+     r"^\[phantom\] shape1: non-finite shape parameter"),
+    (MINIMAL.replace("disk 0 0 1 1", "disk nan 0 0.5 1"), r"^\[phantom\] shape1: non-finite"),
+    (MINIMAL + "\n[image]\nn = " + "9" * 400, r"^\[image\]: the .* takes 7\.451e\+791 GiB"),
+    (MINIMAL + "\n[sinogram]\nn_phi = " + "9" * 400, r"^\[sinogram\]: the .* GiB"),
+    (MINIMAL + "\n[sinogram]\ns_max = 1e308", r"^\[sinogram\]: .*2 s_max finite"),
+], ids=["inf-angle", "nan-center", "image-digits", "sinogram-digits", "s_max-span"])
+def test_config_rejects_values_beyond_floats(text, error):
+    # Each once escaped loads_config as an error other than ConfigError,
+    # or (s_max) loaded with an infinite offset spacing.
+    with pytest.raises(ConfigError, match=error):
+        loads_config(text)
+
+
 def test_config_rejects_infinite_extent():
     text = MINIMAL + "\n[image]\nextent = inf\n"
     with pytest.raises(ConfigError, match=r"^\[image\]: .*finite"):
@@ -276,6 +291,22 @@ def test_raster_header_magic(tmp_path):
     path.write_bytes(struct.pack("<4sIf4x", b"XXXX", 8, 1.0) + b"\0" * 256)
     with pytest.raises(ValueError, match="magic"):
         read_raster(path)
+
+
+@pytest.mark.parametrize("kind", ["raster", "sinogram"])
+def test_readers_reject_bytes_after_the_payload(tmp_path, kind):
+    # A header that claims fewer samples than the file holds is a lie too.
+    path = tmp_path / "f"
+    if kind == "raster":
+        write_raster(Raster(ImageGrid(8, 1.0), np.zeros((8, 8))), path)
+        read = read_raster
+    else:
+        write_sinogram(Sinogram(SinogramGrid(n_phi=4, n_s=5, s_max=1.0),
+                                np.zeros((4, 5))), path)
+        read = read_sinogram
+    path.write_bytes(path.read_bytes() + bytes(4))
+    with pytest.raises(ValueError, match="4 bytes after the payload"):
+        read(path)
 
 
 def test_sinogram_truncated(tmp_path):

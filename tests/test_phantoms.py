@@ -198,7 +198,7 @@ def test_rasterize_rejects_oversized_phantom():
 def test_edge_singularities_unit_disk():
     win = AngularWindow(math.pi / 4.0, 3.0 * math.pi / 4.0, "finite-order", 1)
     ph = Phantom((Disk((0.0, 0.0), 1.0, 1.0),))
-    edges = edge_singularities(ph, win, 1e-9)
+    edges = edge_singularities(ph, win)
     assert len(edges) == 4
     c = math.sqrt(2.0) / 2.0
     expected = {(1, c, c), (1, -c, -c), (2, -c, c), (2, c, -c)}
@@ -215,7 +215,7 @@ def test_edge_singularities_ellipse():
     win = AngularWindow(math.pi / 3.0, 2.0 * math.pi / 3.0, "finite-order", 2)
     el = Ellipse((0.1, -0.2), 0.6, 0.3, 0.5, 1.0)
     ph = Phantom((el,))
-    edges = edge_singularities(ph, win, 1e-9)
+    edges = edge_singularities(ph, win)
     assert len(edges) == 4  # the ellipse normal map covers every direction
     for e in edges:
         ej = win.boundary_direction(e.j)
@@ -254,7 +254,7 @@ def test_edge_singularities_clipped_disk_segment():
     win = AngularWindow(math.pi / 4.0, 3.0 * math.pi / 4.0)
     e1 = win.e1
     sh = ClippedDisk((0.0, 0.0), 0.8, tuple(e1), 0.2, 1.0)
-    edges = edge_singularities(Phantom((sh,)), win, 1e-9)
+    edges = edge_singularities(Phantom((sh,)), win)
     flat = [e for e in edges if e.boundary_curvature == 0.0]
     assert len(flat) == 1
     np.testing.assert_allclose(flat[0].point, 0.2 * e1, atol=1e-12)

@@ -1,6 +1,10 @@
-"""Property tests (hypothesis): batched windowed back-projection, io round-trips and chords."""
+"""Property tests (hypothesis): batched windowed back-projection, io round-trips,
+chords, and hostile configs and file headers."""
 
+import contextlib
+import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from limitomo import (  # noqa: E402
     AngularWindow,
     ClippedDisk,
+    ConfigError,
     Disk,
     Ellipse,
     ImageGrid,
@@ -21,15 +26,19 @@ from limitomo import (  # noqa: E402
     WeightFunction,
     backproject,
     backproject_windows,
+    loads_config,
     read_raster,
     read_sinogram,
     write_raster,
     write_sinogram,
 )
+from limitomo.cli import main  # noqa: E402
 from limitomo.geometry import theta, theta_perp  # noqa: E402
 
 GRID = ImageGrid(12, 1.2)
 SGRID = SinogramGrid(n_phi=17, n_s=21, s_max=1.8, phi0=0.0, phi1=math.pi)
+GRID16 = ImageGrid(16, 1.2)
+SGRID16 = SinogramGrid(n_phi=8, n_s=33, s_max=1.7)
 
 
 @st.composite
@@ -144,3 +153,115 @@ def test_chord_interval_agrees_with_contains(shape, phi, s):
     inside = shape.contains(s * theta(phi) + t[:, None] * theta_perp(phi))
     assert np.all(inside[(t > t0 + 1e-9) & (t < t1 - 1e-9)])
     assert not np.any(inside[(t < t0 - 1e-9) | (t > t1 + 1e-9)])
+
+
+# Every key set, so that any one value can be swapped.
+FULL_CONFIG = """
+[image]
+n = 16
+extent = 1.2
+
+[phantom]
+shape1 = disk 0 0 0.5 1
+shape2 = ellipse 0.3 0 0.4 0.2 30 0.5
+shape3 = clipped-disk 0 0 0.8 1 0 0.2 1
+
+[sinogram]
+n_phi = 8
+phi0_deg = 0
+phi1_deg = 180
+n_s = 33
+s_max = 1.7
+
+[window]
+kind = finite-order
+phi1_deg = 45
+phi2_deg = 135
+k = 1
+
+[weights]
+mu = exponential 0.5 perp
+nu = constant 1.0
+
+[reconstruction]
+operator = B
+filter_impl = spectral
+
+[output]
+dir = {out}
+"""
+
+HOSTILE = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e400",
+                     "4.9e-324", "0", "-1", "9" * 400, "9" * 5000]),
+    st.text(max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), value=HOSTILE)
+def test_hostile_config_value_is_config_error_or_config(data, value):
+    # One value, or one token of a multi-token value, is swapped; the
+    # loader either accepts the text or raises ConfigError.
+    lines = FULL_CONFIG.format(out="out").splitlines()
+    keyed = [i for i, line in enumerate(lines) if " = " in line]
+    i = data.draw(st.sampled_from(keyed))
+    key, old = lines[i].split(" = ")
+    tokens = old.split()
+    j = data.draw(st.integers(-1, len(tokens) - 1))
+    if j < 0:
+        tokens = [value]
+    else:
+        tokens[j] = value
+    lines[i] = f"{key} = {' '.join(tokens)}"
+    try:
+        loads_config("\n".join(lines))
+    except ConfigError:
+        pass
+
+
+MAGIC = st.binary(min_size=4, max_size=4)
+COUNT = st.integers(0, 2**32 - 1)
+F64_HOSTILE = [math.nan, math.inf, -math.inf, -1.0, 1e308]
+# Per file kind, its header layout and a strategy for each field, in
+# order; a draw equal to the field's own value is skipped.
+HEADERS = {
+    "raster": ("<4sIf4x", [MAGIC, COUNT, st.sampled_from(
+        [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e30])]),
+    "sinogram": ("<4sIddId", [MAGIC, COUNT, st.sampled_from(F64_HOSTILE + [7.0]),
+                              st.sampled_from(F64_HOSTILE + [0.0]), COUNT,
+                              st.sampled_from(F64_HOSTILE + [0.0])]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(HEADERS)))
+def test_hostile_file_header_exits_1_with_stage_tag(tmp_path_factory, data, kind):
+    # One header field of a valid file for the 16x16 config is made
+    # hostile; the subcommand reading the file exits 1 with a stage-tagged
+    # error on its last stderr line and no traceback.
+    tmp = tmp_path_factory.mktemp("hostile")
+    cfg = tmp / "run.ini"
+    cfg.write_text(FULL_CONFIG.format(out=tmp / "out").replace(
+        "kind = finite-order", "kind = full"), encoding="utf-8")
+    src = tmp / "file"
+    if kind == "raster":
+        write_raster(Raster(GRID16, np.ones((16, 16))), src)
+        argv = ["forward", "--from-raster", str(src)]
+    else:
+        write_sinogram(Sinogram(SGRID16, np.ones((8, 33))), src)
+        argv = ["reconstruct", "--sinogram", str(src)]
+    fmt, fields = HEADERS[kind]
+    header = struct.Struct(fmt)
+    raw = src.read_bytes()
+    values = list(header.unpack(raw[:header.size]))
+    k = data.draw(st.integers(0, len(fields) - 1))
+    new = data.draw(fields[k])
+    assume(new != values[k])
+    values[k] = new
+    src.write_bytes(header.pack(*values) + raw[header.size:])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv + ["--config", str(cfg), "--out", str(tmp / "out.bin")])
+    assert rc == 1
+    assert err.getvalue().splitlines()[-1].startswith("error [")
+    assert "Traceback" not in err.getvalue()

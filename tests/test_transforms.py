@@ -31,8 +31,9 @@ def test_weight_constant():
     w = WeightFunction.constant(2.5)
     x = np.array([[0.1, 0.2], [0.3, -0.1]])
     np.testing.assert_allclose(w(x, 0.7), [2.5, 2.5])
-    with pytest.raises(ValueError):
-        WeightFunction.constant(0.0)
+    for c in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            WeightFunction.constant(c)
 
 
 def test_weight_exponential():
@@ -140,8 +141,8 @@ def test_scalar_constant_weight_matches_array_weight_bitwise():
     # WeightFunction.constant returns a bare scalar; a custom weight that
     # returns a full array of the same value must give the same bits on
     # both projectors, so neither needs a constant-weight fork.  The one
-    # place the weight's shape matters is the opposite-angle fold, which
-    # only a scalar weight takes; a batch with a cutoff window never folds.
+    # place the two differ is the opposite-angle fold, which only a weight
+    # of kind "constant" takes; a batch with a cutoff window never folds.
     c = 1.7
     scalar = WeightFunction.constant(c)
     array = WeightFunction(lambda x, phi: np.full(
@@ -236,9 +237,9 @@ def _fold_sinogram(sg=FOLD_SG):
 
 @pytest.mark.parametrize("nu", [ONE, RADIAL], ids=["constant", "radial"])
 def test_folded_backproject_matches_reference(nu):
-    # Full circle, even n_phi, no window, a scalar nu(phi + pi) == nu(phi):
-    # rows phi and phi + pi are summed before one interpolation.  An
-    # array-valued weight is not folded, even one equal at every pair.
+    # Full circle, even n_phi, no window, a constant nu: rows phi and
+    # phi + pi are summed before one interpolation.  A weight of any other
+    # kind is not folded, even one equal at every pair.
     g = _fold_sinogram()
     img = backproject(g, nu, None, FOLD_GRID).values
     ref = _reference_backproject(g, nu, None, FOLD_GRID)
@@ -248,6 +249,15 @@ def test_folded_backproject_matches_reference(nu):
     np.testing.assert_allclose(img, ref, rtol=1e-12, atol=1e-13 * np.abs(ref).max())
     # s_values() is not bitwise symmetric, so the folded sum is not bitwise.
     assert not np.array_equal(img, ref)
+
+
+def test_custom_scalar_weight_does_not_fold():
+    # The fold reads the weight's declared kind, not its values: a custom
+    # weight returning the scalar 1.0 keeps the unfolded bits.
+    nu = WeightFunction(lambda x, phi: 1.0)
+    g = _fold_sinogram()
+    np.testing.assert_array_equal(backproject(g, nu, None, FOLD_GRID).values,
+                                  _reference_backproject(g, nu, None, FOLD_GRID))
 
 
 def test_weight_even_only_up_to_rounding_does_not_fold():
