@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import tempfile
 
@@ -45,9 +46,21 @@ def _cmd_forward(args) -> int:
     return 0
 
 
+def _check_header_grid(have, want) -> None:
+    """Raise unless a sinogram file's grid is the config's, each field to a relative 1e-12."""
+    # A relative 1e-12 is equality for the uint32 counts.
+    bad = [f"{f} = {getattr(have, f):.17g} (config {getattr(want, f):.17g})"
+           for f in ("n_phi", "n_s", "phi0", "dphi", "s_max")
+           if not math.isclose(getattr(have, f), getattr(want, f), rel_tol=1e-12)]
+    if bad:
+        raise ValueError("the sinogram header does not match the config's [sinogram]: "
+                         + ", ".join(bad))
+
+
 def _cmd_reconstruct(args) -> int:
     cfg = load_config(args.config)
     sino = read_sinogram(args.sinogram)
+    _check_header_grid(sino.grid, cfg.sgrid)
     recon = reconstruct(sino, cfg.recon_config(), cfg.igrid)
     write_raster(recon, args.out)
     if args.pgm:

@@ -23,6 +23,11 @@ TWO_PI = 2.0 * math.pi
 
 CUTOFF_KINDS = ("indicator", "finite-order", "infinite-order")
 
+# Largest finite cutoff order: sin(pi/4)**k = 2**(-k/2) stays a normal
+# float64 (>= 2**-1022), so the cutoff is nonzero over the middle half of
+# the window.
+MAX_ORDER = 2044
+
 
 def theta(phi):
     """Unit direction vector(s) for angle(s) ``phi``, shape ``(..., 2)``."""
@@ -199,8 +204,8 @@ class AngularWindow:
         if not (0.0 < self.phi1 and self.phi2 < math.pi):
             raise ValueError("window endpoints must lie strictly inside (0, pi)")
         if self.kind == "finite-order":
-            if int(self.k) != self.k or self.k < 1:
-                raise ValueError("finite-order cutoff requires integer k >= 1")
+            if int(self.k) != self.k or not 1 <= self.k <= MAX_ORDER:
+                raise ValueError(f"finite-order cutoff requires integer 1 <= k <= {MAX_ORDER}")
         object.__setattr__(self, "phi1", float(self.phi1))
         object.__setattr__(self, "phi2", float(self.phi2))
         object.__setattr__(self, "k", int(self.k))

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import map_coordinates
-from scipy.spatial import cKDTree
 
 from .filters import ReconstructionConfig, reconstruct
 from .geometry import AngularWindow, ImageGrid, Raster, SinogramGrid
@@ -156,7 +154,7 @@ def wavefront_probe(img: Raster, probe: WavefrontProbe) -> float:
     sc = np.asarray(probe.scales)
     mx = sc * probe.direction[0]
     my = sc * probe.direction[1]
-    samples = map_coordinates(mag, [my + n // 2, mx + n // 2], order=1)
+    samples = _bilinear(mag, my + n // 2, mx + n // 2)
     if np.all(samples < 1e-12):
         return NO_SIGNAL
     logs = np.log(np.maximum(samples, 1e-300))
@@ -183,11 +181,25 @@ class ArtifactReport:
         return max(self.edge_strengths, default=0.0)
 
 
+def _bilinear(values: np.ndarray, rows, cols) -> np.ndarray:
+    """Bilinear interpolation at fractional indices, 0 outside ``[0, n - 1]``; the
+    bits of ``scipy.ndimage.map_coordinates(order=1, mode="constant")``."""
+    n0, n1 = values.shape
+    inside = (rows >= 0) & (rows <= n0 - 1) & (cols >= 0) & (cols <= n1 - 1)
+    r, c = np.where(inside, rows, 0.0), np.where(inside, cols, 0.0)
+    # The last row or column interpolates from the cell before it, with weight 1.
+    i, j = np.minimum(r.astype(np.intp), n0 - 2), np.minimum(c.astype(np.intp), n1 - 2)
+    ty, tx = r - i, c - j
+    out = (values[i, j] * (1 - ty) * (1 - tx) + values[i, j + 1] * (1 - ty) * tx
+           + values[i + 1, j] * ty * (1 - tx) + values[i + 1, j + 1] * ty * tx)
+    return np.where(inside, out, 0.0)
+
+
 def _sample_raster(raster: Raster, pts: np.ndarray) -> np.ndarray:
     grid = raster.grid
     cols = (pts[..., 0] + grid.extent) / grid.h - 0.5
     rows = (pts[..., 1] + grid.extent) / grid.h - 0.5
-    return map_coordinates(raster.values, [rows, cols], order=1, mode="constant")
+    return _bilinear(raster.values, rows, cols)
 
 
 def artifact_report(recon: Raster, phantom: Phantom,
@@ -195,13 +207,14 @@ def artifact_report(recon: Raster, phantom: Phantom,
                     metadata: dict | None = None) -> ArtifactReport:
     """Measure streak and edge strengths of a reconstruction.
 
-    Each predicted artifact line is sampled at pixel resolution; points
-    within ``exclusion_radius`` of the phantom boundary or of the line's
-    generator are dropped and the peak absolute value of the rest is the
-    line strength.  Edge strengths are peak absolute values in a tube
-    (half-width ``tube_radius``, 3 pixels) around the boundary
-    arcs whose normals lie in the window; with ``window=None`` the whole
-    boundary counts as visible.
+    Each predicted artifact line is sampled every pixel, symmetrically about
+    its generator; points within ``exclusion_radius`` of the generator, or of
+    the phantom boundary by each shape's exact distance
+    (``Phantom.boundary_distance``), are dropped and the peak absolute value
+    of the rest is the line strength.  Edge strengths are peak absolute
+    values in a tube (half-width ``tube_radius``, 3 pixels) around the
+    boundary arcs whose normals lie in the window; with ``window=None`` the
+    whole boundary counts as visible.
     """
     grid = recon.grid
     h, L = grid.h, grid.extent
@@ -209,24 +222,23 @@ def artifact_report(recon: Raster, phantom: Phantom,
         raise ValueError("exclusion radius must be at least 2 pixels")
     tube_radius = 3.0 * h
 
-    bpts, bnrm, bidx = phantom.boundary_cloud()
-    tree = cKDTree(bpts) if len(bpts) else None
-
     lines = predicted_artifact_lines(phantom, window) if window is not None else []
-    t = np.arange(-math.sqrt(2.0) * L, math.sqrt(2.0) * L + h, h)
+    # Offsets symmetric about the generator: the mirror image of a line in
+    # a mirror-symmetric phantom runs the other way and samples the same points.
+    m = math.ceil(math.sqrt(2.0) * L / h)
+    t = h * np.arange(-m, m + 1)
+    along = np.array([ln.point + t[:, None] * ln.direction for ln in lines]).reshape(-1, t.size, 2)
+    # One distance call for all lines: the ellipse's Newton loop costs per call.
+    far = phantom.boundary_distance(along) >= exclusion_radius
     strengths = []
-    for line in lines:
-        pts = line.point + t[:, None] * line.direction
-        inside = (np.abs(pts[:, 0]) <= L - h) & (np.abs(pts[:, 1]) <= L - h)
-        pts = pts[inside]
-        keep = np.hypot(pts[:, 0] - line.point[0], pts[:, 1] - line.point[1]) >= exclusion_radius
-        if tree is not None:
-            dist, _ = tree.query(pts)
-            keep &= dist >= exclusion_radius
+    for line, pts, keep in zip(lines, along, far):
+        keep &= (np.abs(pts[:, 0]) <= L - h) & (np.abs(pts[:, 1]) <= L - h)
+        keep &= np.hypot(pts[:, 0] - line.point[0], pts[:, 1] - line.point[1]) >= exclusion_radius
         vals = np.abs(_sample_raster(recon, pts[keep]))
         strengths.append(float(vals.max()) if vals.size else 0.0)
 
     # per-shape peak |recon| along the visible part of the boundary
+    bpts, bnrm, bidx = phantom.boundary_cloud()
     edge_strengths = []
     if len(bpts):
         psi = np.arctan2(bnrm[:, 1], bnrm[:, 0])
@@ -291,9 +303,9 @@ def strength_vs_order_study(phantom: Phantom, base_cfg: ReconstructionConfig,
     if exclusion_radius is None:
         exclusion_radius = 4.0 * igrid.h
 
-    sino = forward(phantom, base_cfg.mu, sgrid)
     wins = [AngularWindow(base_cfg.window.phi1, base_cfg.window.phi2,
                           "finite-order", k) for k in ks]
+    sino = forward(phantom, base_cfg.mu, sgrid)
     recons = reconstruct(sino, base_cfg, igrid, windows=wins)
     rows: list[StudyRow] = []
     reports: list[ArtifactReport] = []

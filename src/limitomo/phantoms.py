@@ -58,6 +58,44 @@ def _disk_chord(center, radius: float, th, tp, s):
     return np.where(hit, tm - half, 1.0), np.where(hit, tm + half, -1.0)
 
 
+def _offsets(x, center):
+    """Components of ``x - center`` for point(s) ``x`` of shape ``(..., 2)``."""
+    x = np.asarray(x, dtype=float)
+    return x[..., 0] - center[0], x[..., 1] - center[1]
+
+
+def _ellipse_distance(e0: float, e1: float, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    """Distance from points ``(y0, y1) >= 0`` (1-D) to the ellipse with semi-axes ``e0 >= e1``.
+
+    Off the major axis the nearest point is ``(r0 y0 / (t + c), y1 / t)``, where
+    ``r0 = (e0 / e1)^2``, ``c = r0 - 1`` and ``t`` is the root of
+    ``f(t) = (r0 z0 / (t + c))^2 + (z1 / t)^2 - 1`` with ``z = y / e`` (Eberly,
+    "Distance from a Point to an Ellipse, an Ellipsoid, or a Hyperellipsoid").
+    """
+    z0, z1, r0 = y0 / e0, y1 / e1, (e0 / e1) ** 2
+    n0, c = r0 * z0, r0 - 1.0
+    # f is convex and decreasing, and f >= 0 at max(z1, n0 - c), where one
+    # term is 1.  Newton's method from there rises monotonically to the root
+    # and cannot overshoot, near the axes and inside too (Newton on the
+    # angle of the nearest point can); it stops when a step no longer rises.
+    # t is Eberly's s + 1, which keeps its precision near the centre.
+    t = np.where(y1 > 0, np.maximum(z1, n0 - c), 1.0)
+    idx = np.flatnonzero(y1 > 0)
+    while idx.size:
+        ti = t[idx]
+        a, b = n0[idx] / (ti + c), z1[idx] / ti
+        t_next = ti + (a * a + b * b - 1.0) / (2.0 * (a * a / (ti + c) + b * b / ti))
+        rises = t_next > ti
+        idx = idx[rises]
+        t[idx] = t_next[rises]
+    off_axis = np.hypot(r0 * y0 / (t + c) - y0, y1 / t - y1)
+    # On the major axis the nearest point is (e0 q, e1 sqrt(1 - q^2)) with
+    # q = e0 y0 / (e0^2 - e1^2) while that is below 1, else the vertex.
+    d = e0 * e0 - e1 * e1
+    q = np.divide(e0 * y0, d, out=np.ones(y0.shape), where=e0 * y0 < d)
+    return np.where(y1 > 0, off_axis, np.hypot(e0 * q - y0, e1 * np.sqrt(1.0 - q * q)))
+
+
 @dataclass(frozen=True, eq=False)
 class Disk:
     """Disk of given center and radius."""
@@ -72,9 +110,7 @@ class Disk:
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
 
     def contains(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        dx = x[..., 0] - self.center[0]
-        dy = x[..., 1] - self.center[1]
+        dx, dy = _offsets(x, self.center)
         return dx * dx + dy * dy <= self.radius * self.radius
 
     def bbox_halfwidths(self) -> tuple[float, float]:
@@ -85,6 +121,10 @@ class Disk:
 
     def area(self) -> float:
         return math.pi * self.radius * self.radius
+
+    def boundary_distance(self, x) -> np.ndarray:
+        """Distance from point(s) ``x`` of shape ``(..., 2)`` to the boundary."""
+        return np.abs(np.hypot(*_offsets(x, self.center)) - self.radius)
 
     def chord_interval(self, phi: float, s, frame=None):
         """Intersection interval(s) of the line ``(phi, s)`` with the shape.
@@ -127,9 +167,7 @@ class Ellipse:
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
 
     def contains(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        dx = x[..., 0] - self.center[0]
-        dy = x[..., 1] - self.center[1]
+        dx, dy = _offsets(x, self.center)
         ca, sa = math.cos(self.angle), math.sin(self.angle)
         u = (ca * dx + sa * dy) / self.a
         v = (-sa * dx + ca * dy) / self.b
@@ -146,6 +184,13 @@ class Ellipse:
 
     def area(self) -> float:
         return math.pi * self.a * self.b
+
+    def boundary_distance(self, x) -> np.ndarray:
+        dx, dy = _offsets(x, self.center)
+        ca, sa = math.cos(self.angle), math.sin(self.angle)
+        u, v = np.abs(ca * dx + sa * dy).ravel(), np.abs(ca * dy - sa * dx).ravel()
+        args = (self.a, self.b, u, v) if self.a >= self.b else (self.b, self.a, v, u)
+        return _ellipse_distance(*args).reshape(dx.shape)
 
     def chord_interval(self, phi: float, s, frame=None):
         # Along x(t) = s theta + t theta_perp the membership form is a
@@ -222,9 +267,7 @@ class ClippedDisk:
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
 
     def contains(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        dx = x[..., 0] - self.center[0]
-        dy = x[..., 1] - self.center[1]
+        dx, dy = _offsets(x, self.center)
         nx, ny = self.clip_normal
         in_disk = dx * dx + dy * dy <= self.radius * self.radius
         in_half = nx * dx + ny * dy <= self.clip_offset
@@ -241,6 +284,19 @@ class ClippedDisk:
         r, d = self.radius, self.clip_offset
         seg = r * r * math.acos(d / r) - d * math.sqrt(r * r - d * d)
         return math.pi * r * r - seg
+
+    def boundary_distance(self, x) -> np.ndarray:
+        """The nearer of the kept arc and the chord segment."""
+        dx, dy = _offsets(x, self.center)
+        nx, ny = self.clip_normal
+        r, d = self.radius, self.clip_offset
+        u, v = nx * dx + ny * dy, np.abs(nx * dy - ny * dx)   # along the normal, the chord
+        rho = np.hypot(dx, dy)
+        chord = np.hypot(u - d, np.maximum(v - math.sqrt(r * r - d * d), 0.0))
+        # Where the ray from the centre through x meets the kept arc, the
+        # arc's nearest point is the circle's; elsewhere it is a corner of
+        # the chord, never nearer than the chord itself.
+        return np.where(u * r <= d * rho, np.minimum(np.abs(rho - r), chord), chord)
 
     def chord_interval(self, phi: float, s, frame=None):
         s = np.asarray(s, dtype=float)
@@ -345,6 +401,11 @@ class Phantom:
             if abs(cx) + wx >= L or abs(cy) + wy >= L:
                 return False
         return True
+
+    def boundary_distance(self, x) -> np.ndarray:
+        """Exact distance from point(s) ``x`` to the nearest shape boundary; inf without shapes."""
+        return np.min([np.full(np.shape(x)[:-1], np.inf)]
+                      + [sh.boundary_distance(x) for sh in self.shapes], axis=0)
 
     def boundary_cloud(self):
         """Concatenated boundary samples of all shapes, ``BOUNDARY_POINTS`` each.

@@ -1,9 +1,15 @@
 import json
+import os
 import shutil
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import limitomo
 from limitomo import _util, read_raster, read_sinogram, transforms
 from limitomo.cli import main
 
@@ -353,3 +359,59 @@ def test_analyze_ambiguous_sinogram_range_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error [config] [sinogram]: the sinogram header would read")
     assert not out.exists()
+
+
+def test_analyze_and_study_never_import_scipy(tmp_path):
+    # The package needs numpy only: importing the CLI and running the
+    # subcommands that measure streaks must not load scipy.
+    text = STUDY_CONFIG.replace("n = 64", "n = 32").replace(
+        "shape1 = disk 0 0 1 1",
+        "shape1 = disk 0 0 1 1\nshape2 = ellipse 0.3 0.2 0.3 0.15 30 0.5\n"
+        "shape3 = clipped-disk -0.3 -0.2 0.3 1 0 0.1 0.5")
+    cfg, _ = _write_cfg(tmp_path, text)
+    script = (
+        "import sys\n"
+        "from limitomo import cli\n"
+        f"assert cli.main(['analyze', '--config', {str(cfg)!r}, '--out-dir', 'a']) == 0\n"
+        f"assert cli.main(['study', '--config', {str(cfg)!r}, '--k-list', '1,2',"
+        " '--out-dir', 's']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(limitomo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "a" / "report.json").exists()
+    assert (tmp_path / "s" / "report_k2.csv").exists()
+
+
+def test_study_rejects_order_beyond_normal_floats(tmp_path, capsys):
+    cfg, out = _write_cfg(tmp_path, STUDY_CONFIG)
+    rc = main(["study", "--config", str(cfg), "--k-list", "1,2045", "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error [study] finite-order cutoff requires")
+    assert not out.exists()
+
+
+def test_reconstruct_rejects_header_grid_unlike_config(tmp_path, capsys):
+    # A valid file for the 16x16 config whose header says s_max = 1e300.
+    cfg, _ = _write_cfg(tmp_path, DEFAULTS_CONFIG)
+    sino = tmp_path / "g.lts"
+    assert main(["forward", "--config", str(cfg), "--out", str(sino)]) == 0
+    header = struct.Struct("<4sIddId")
+    raw = sino.read_bytes()
+    fields = list(header.unpack(raw[:header.size]))
+    assert fields[1:5:3] == [8, 33]
+    fields[5] = 1e300
+    sino.write_bytes(header.pack(*fields) + raw[header.size:])
+    capsys.readouterr()
+    rec = tmp_path / "r.ltr"
+    assert main(["reconstruct", "--config", str(cfg), "--sinogram", str(sino),
+                 "--out", str(rec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [reconstruct] the sinogram header does not match")
+    assert "s_max = 1.0000000000000001e+300" in err
+    assert not rec.exists()

@@ -58,6 +58,15 @@ def test_config_rejects_reversed_window():
         loads_config(text)
 
 
+def test_config_rejects_order_beyond_normal_floats():
+    text = MINIMAL.replace("kind = full", "kind = finite-order\nk = 2045")
+    with pytest.raises(ConfigError, match=r"^\[window\]: .*k <= 2044"):
+        loads_config(text)
+    text = MINIMAL.replace("kind = full", "kind = finite-order\nk = 99999999999999999999")
+    with pytest.raises(ConfigError, match=r"^\[window\]: "):
+        loads_config(text)
+
+
 def test_config_rejects_small_smax():
     text = MINIMAL + "\n[sinogram]\ns_max = 1.0\n"
     with pytest.raises(ConfigError, match="s_max"):

@@ -30,6 +30,16 @@ def test_window_rejects_bad_order_and_kind():
         AngularWindow(PHI1, PHI2, "sine", 1)
 
 
+def test_window_order_bound_keeps_middle_half_normal():
+    # sin(pi/4)**k = 2**(-k/2) is a normal float64 up to k = 2044, so the
+    # largest order is still nonzero over the middle half of the window.
+    with pytest.raises(ValueError, match="1 <= k <= 2044"):
+        AngularWindow(PHI1, PHI2, "finite-order", 2045)
+    win = AngularWindow(PHI1, PHI2, "finite-order", 2044)
+    quarter = PHI1 + 0.25 * (PHI2 - PHI1)
+    assert win.kappa(quarter) == pytest.approx(2.0**-1022, rel=1e-12)
+
+
 def test_kappa_midpoint_is_one():
     for kind, k in (("finite-order", 2), ("infinite-order", 0), ("indicator", 0)):
         win = AngularWindow(PHI1, PHI2, kind, max(k, 1) if kind == "finite-order" else 0)

@@ -227,6 +227,27 @@ def test_artifact_report_limited_angle_positive_strengths():
     assert rep.k == 1
 
 
+def test_artifact_report_mirror_lines_have_equal_strengths():
+    # A phantom and window symmetric under x -> -x: each line and its mirror
+    # image sample mirror-image points, so their strengths agree.
+    from limitomo import Ellipse
+
+    phantom = Phantom((Disk((0.0, 0.05), 0.8, 1.0), Ellipse((0.4, 0.3), 0.25, 0.12, 0.5, 0.5),
+                       Ellipse((-0.4, 0.3), 0.25, 0.12, math.pi - 0.5, 0.5)))
+    grid = ImageGrid(128, 1.2)
+    s_max = math.sqrt(2.0) * grid.extent
+    sg = SinogramGrid(91, 2 * 128 + 1, s_max, PHI1, PHI2)
+    win = AngularWindow(PHI1, PHI2, "finite-order", 1)
+    cfg = ReconstructionConfig("Lambda", ONE, ONE, window=win, filter_impl="finite-difference")
+    rep = artifact_report(reconstruct(forward(phantom, ONE, sg), cfg, grid), phantom, win,
+                          4.0 * grid.h)
+    by_line = {(round(ln.point[0], 9), round(ln.point[1], 9), ln.j): s
+               for ln, s in zip(rep.lines, rep.per_line_strength)}
+    assert len(by_line) == len(rep.lines) == 12
+    for (x, y, j), s in by_line.items():
+        assert s == pytest.approx(by_line[(round(-x, 9), y, 3 - j)], rel=1e-9)
+
+
 def test_artifact_report_full_data_control():
     # full-data reconstruction measured against the window's predicted
     # lines: no limited-angle streaks
@@ -368,3 +389,36 @@ def test_visibility_contrast_with_infinite_order_cutoff():
     visible = wavefront_probe(rec, WavefrontProbe((0.0, 1.0), (0.0, 1.0), 0.2, scales))
     invisible = wavefront_probe(rec, WavefrontProbe((1.0, 0.0), (1.0, 0.0), 0.2, scales))
     assert invisible <= visible - 1.0
+
+
+def _sampler_points(case, shape, rng):
+    n0, n1 = shape
+    if case == "interior":
+        return rng.uniform(0, n0 - 1, 50000), rng.uniform(0, n1 - 1, 50000)
+    if case == "grid-edges":
+        # every integer coordinate, with 0 and n - 1 in both axes
+        r, c = np.meshgrid(np.arange(n0, dtype=float),
+                           np.concatenate([np.arange(n1, dtype=float),
+                                           rng.uniform(0, n1 - 1, 7)]), indexing="ij")
+        return r.ravel(), c.ravel()
+    # just outside each edge, the other coordinate inside
+    out = np.array([-1e-12, -1e-6, -0.5, -1.0])
+    r = np.concatenate([out, n0 - 1 - out, np.full(8, 0.37 * (n0 - 1))])
+    c = np.concatenate([np.full(8, 0.61 * (n1 - 1)), out, n1 - 1 - out])
+    return r, c
+
+
+@pytest.mark.parametrize("case", ["interior", "grid-edges", "outside"])
+def test_bilinear_sampler_matches_map_coordinates_bitwise(case):
+    from scipy.ndimage import map_coordinates
+
+    from limitomo.microlocal import _bilinear
+
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(37, 53))
+    rows, cols = _sampler_points(case, values.shape, rng)
+    got = _bilinear(values, rows, cols)
+    want = map_coordinates(values, [rows, cols], order=1, mode="constant")
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    if case == "outside":
+        assert np.all(got == 0.0)

@@ -271,3 +271,81 @@ def test_shape_validation():
         Ellipse((0.0, 0.0), 0.5, -0.2)
     with pytest.raises(ValueError):
         ClippedDisk((0.0, 0.0), 0.5, (1.0, 0.0), 0.7)
+
+
+# Exact boundary distances against dense sampling.  ECCENTRIC has a/b = 5.
+ECCENTRIC = Ellipse((-0.1, 0.05), 0.2, 1.0, 0.4)
+DISTANCE_SHAPES = (DISK, ELLIPSE, ECCENTRIC, CLIPPED,
+                   ClippedDisk((0.0, 0.1), 0.6, (1.0, 0.0), -0.25))
+
+
+def _dense_boundary(shape, m=2**16):
+    """``m`` points on each boundary curve (the arc and the chord of a clipped disk)."""
+    c = np.asarray(shape.center)
+    if isinstance(shape, ClippedDisk):
+        n = np.asarray(shape.clip_normal)
+        beta = math.acos(shape.clip_offset / shape.radius)
+        psi = math.atan2(n[1], n[0]) + np.linspace(beta, 2 * math.pi - beta, m)
+        half = math.sqrt(shape.radius**2 - shape.clip_offset**2)
+        chord = np.linspace(-half, half, m)[:, None] * np.array([-n[1], n[0]])
+        return [c + shape.radius * np.stack([np.cos(psi), np.sin(psi)], -1),
+                c + shape.clip_offset * n + chord]
+    psi = np.linspace(0.0, 2 * math.pi, m + 1)
+    a, b = (shape.radius, shape.radius) if isinstance(shape, Disk) else (shape.a, shape.b)
+    angle = getattr(shape, "angle", 0.0)
+    loc = np.stack([a * np.cos(psi), b * np.sin(psi)], -1)
+    return [c + loc @ np.array([[math.cos(angle), -math.sin(angle)],
+                                [math.sin(angle), math.cos(angle)]]).T]
+
+
+def _distance_probes(shape, rng):
+    c = np.asarray(shape.center)
+    pts = [rng.uniform(-1.3, 1.3, (200, 2)), c + rng.normal(0, 0.02, (20, 2)),
+           c[None], c + [[1e-9, 0.0], [0.0, 1e-9]]]
+    if isinstance(shape, Ellipse):
+        # both axes, inside and outside, in the ellipse's own frame
+        u = np.linspace(-1.5, 1.5, 41)[:, None]
+        ax = np.array([math.cos(shape.angle), math.sin(shape.angle)])
+        pts += [c + u * ax, c + u * np.array([-ax[1], ax[0]])]
+    if isinstance(shape, ClippedDisk):
+        n = np.asarray(shape.clip_normal)
+        half = math.sqrt(shape.radius**2 - shape.clip_offset**2)
+        for sign in (1.0, -1.0):
+            corner = c + shape.clip_offset * n + sign * half * np.array([-n[1], n[0]])
+            pts.append(corner + rng.normal(0, 0.01, (30, 2)))
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("shape", DISTANCE_SHAPES, ids=lambda s: type(s).__name__)
+def test_boundary_distance_matches_dense_sampling(shape):
+    x = _distance_probes(shape, np.random.default_rng(5))
+    exact = shape.boundary_distance(x)
+    curves = _dense_boundary(shape)
+    brute = np.full(len(x), np.inf)
+    for b in curves:
+        for i in range(0, len(x), 32):
+            d = np.hypot(x[i:i + 32, None, 0] - b[:, 0], x[i:i + 32, None, 1] - b[:, 1])
+            brute[i:i + 32] = np.minimum(brute[i:i + 32], d.min(axis=1))
+    # Sampling only overestimates, by at most half the largest gap between samples.
+    gap = max(np.hypot(*np.diff(b, axis=0).T).max() for b in curves)
+    assert np.all(brute >= exact - 1e-14)
+    assert np.all(brute <= exact + 0.5 * gap * (1 + 1e-6))
+
+
+def test_boundary_distance_of_mirrored_phantom_is_mirrored():
+    def mirror(sh):
+        c = (-sh.center[0], sh.center[1])
+        if isinstance(sh, Disk):
+            return Disk(c, sh.radius)
+        if isinstance(sh, Ellipse):
+            return Ellipse(c, sh.a, sh.b, math.pi - sh.angle)
+        n = sh.clip_normal
+        return ClippedDisk(c, sh.radius, (-n[0], n[1]), sh.clip_offset)
+
+    phantom = Phantom(DISTANCE_SHAPES)
+    mirrored = Phantom(tuple(mirror(sh) for sh in DISTANCE_SHAPES))
+    x = np.random.default_rng(6).uniform(-1.3, 1.3, (5000, 2))
+    d = phantom.boundary_distance(x)
+    d_m = mirrored.boundary_distance(x * [-1.0, 1.0])
+    assert np.max(np.abs(d - d_m)) <= 1e-12
+    assert np.all(Phantom(()).boundary_distance(x) == np.inf)
