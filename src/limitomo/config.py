@@ -55,13 +55,17 @@ from decimal import Decimal
 
 from .filters import ReconstructionConfig
 from .geometry import AngularWindow, ImageGrid, SinogramGrid
-from .io import check_sinogram_grid
 from .phantoms import ClippedDisk, Disk, Ellipse, Phantom
 from .transforms import WeightFunction
 
 
 class ConfigError(ValueError):
     """Raised for unparsable or invalid run configurations."""
+
+
+def _num(x: float) -> str:
+    """``repr(x)`` without a trailing ``.0``: text that reads back as the same float64."""
+    return repr(float(x)).removesuffix(".0")
 
 
 _KNOWN_KEYS = {
@@ -99,10 +103,11 @@ class RunConfig:
         )
 
     def dumps(self) -> str:
-        """Normalized dump of the configuration with all defaults filled."""
+        """Normalized dump with all defaults filled; it reloads every value kept as
+        given to the same float64, and the angles (kept in radians) to 15 digits."""
         lines = ["[image]",
                  f"n = {self.igrid.n}",
-                 f"extent = {self.igrid.extent:.12g}",
+                 f"extent = {_num(self.igrid.extent)}",
                  "",
                  "[phantom]"]
         for i, spec in enumerate(self.phantom_spec, start=1):
@@ -111,10 +116,10 @@ class RunConfig:
         lines += ["",
                   "[sinogram]",
                   f"n_phi = {g.n_phi}",
-                  f"phi0_deg = {math.degrees(g.phi0):.12g}",
-                  f"phi1_deg = {math.degrees(g.phi1):.12g}",
+                  f"phi0_deg = {math.degrees(g.phi0):.15g}",
+                  f"phi1_deg = {math.degrees(g.phi1):.15g}",
                   f"n_s = {g.n_s}",
-                  f"s_max = {g.s_max:.12g}",
+                  f"s_max = {_num(g.s_max)}",
                   "",
                   "[window]"]
         if self.window is None:
@@ -122,8 +127,8 @@ class RunConfig:
         else:
             w = self.window
             lines += [f"kind = {w.kind}",
-                      f"phi1_deg = {math.degrees(w.phi1):.12g}",
-                      f"phi2_deg = {math.degrees(w.phi2):.12g}"]
+                      f"phi1_deg = {math.degrees(w.phi1):.15g}",
+                      f"phi2_deg = {math.degrees(w.phi2):.15g}"]
             if w.kind == "finite-order":
                 lines.append(f"k = {w.k}")
         lines += ["",
@@ -160,26 +165,23 @@ def _parse_shape(key: str, raw: str):
             if len(vals) != 4:
                 raise ConfigError(f"[phantom] {key}: disk needs cx cy r density")
             shape = Disk((vals[0], vals[1]), vals[2], vals[3])
-            norm = f"disk {vals[0]:.12g} {vals[1]:.12g} {vals[2]:.12g} {vals[3]:.12g}"
         elif kind == "ellipse":
             if len(vals) != 6:
                 raise ConfigError(f"[phantom] {key}: ellipse needs cx cy a b angle_deg density")
             shape = Ellipse((vals[0], vals[1]), vals[2], vals[3],
                             math.radians(vals[4]), vals[5])
-            norm = ("ellipse " + " ".join(f"{v:.12g}" for v in vals))
         elif kind == "clipped-disk":
             if len(vals) != 7:
                 raise ConfigError(f"[phantom] {key}: clipped-disk needs cx cy r nx ny offset density")
             shape = ClippedDisk((vals[0], vals[1]), vals[2],
                                 (vals[3], vals[4]), vals[5], vals[6])
-            norm = ("clipped-disk " + " ".join(f"{v:.12g}" for v in vals))
         else:
             raise ConfigError(f"[phantom] {key}: unknown shape type {kind!r}")
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"[phantom] {key}: {exc}") from exc
-    return shape, norm
+    return shape, " ".join([kind] + [_num(v) for v in vals])
 
 
 # exp(x) overflows float64 for x above this.
@@ -203,7 +205,7 @@ def _parse_weight(raw: str, where: str, radius: float) -> tuple[WeightFunction, 
     try:
         if parts and parts[0] == "constant" and len(parts) == 2:
             c = float(parts[1])
-            return WeightFunction.constant(c), f"constant {c:.12g}"
+            return WeightFunction.constant(c), f"constant {_num(c)}"
         if parts and parts[0] == "exponential" and len(parts) in (2, 3):
             lam = float(parts[1])
             mode = parts[2] if len(parts) == 3 else "perp"
@@ -214,7 +216,7 @@ def _parse_weight(raw: str, where: str, radius: float) -> tuple[WeightFunction, 
                     f"{abs(lam) * radius:.6g} > {_EXP_ARG_MAX:.6g}, "
                     f"R = max(s_max, sqrt(2) * extent) = {radius:.6g}"
                 )
-            return weight, f"exponential {lam:.12g} {mode}"
+            return weight, f"exponential {_num(lam)} {mode}"
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(
@@ -283,7 +285,8 @@ def loads_config(text: str) -> RunConfig:
         # float64 sinogram, so it bounds both.
         _check_buffer(f"{n_phi}x{2 * n_s} complex128 padded row spectrum",
                       16 * n_phi * 2 * n_s)
-        check_sinogram_grid(sgrid)
+        if not sgrid.dphi > 0.0:
+            raise ValueError(f"the angle step over {phi1 - phi0:.6g} rad underflows to 0")
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     if s_max < math.sqrt(2.0) * igrid.extent - 1e-12:

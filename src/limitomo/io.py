@@ -6,10 +6,12 @@ followed by ``n*n`` row-major little-endian float32 samples.  Sinogram
 files use magic ``LTS1`` and the header fields
 ``(n_phi: uint32, phi0: float64, dphi: float64, n_s: uint32,
 s_max: float64)`` followed by ``n_phi*n_s`` row-major little-endian
-float32 samples.  The readers reject a payload shorter or longer than
-the header states.  16-bit PGM output is for visual inspection only:
-min-max normalized, big-endian samples, top row at largest ``y``; a
-constant raster maps to all zeros.
+float32 samples.  A header is a check, not the geometry: the readers take
+the grid the caller expects (a run's config), reject a payload shorter or
+longer than the header states, then reject a header that does not
+describe that grid, and return the samples on it.  16-bit PGM output is
+for visual inspection only: min-max normalized, big-endian samples, top
+row at largest ``y``; a constant raster maps to all zeros.
 """
 
 from __future__ import annotations
@@ -81,8 +83,19 @@ def write_raster(raster: Raster, path, fmt: str = "raw-f32") -> None:
     raise ValueError(f"unknown raster format {fmt!r}; expected one of {RASTER_FORMATS}")
 
 
-def read_raster(path) -> Raster:
-    """Read a raw-f32 raster file."""
+def _check_header(what: str, section: str, fields: dict, rel_tol: float) -> None:
+    """Raise unless each ``name: (header value, config value)`` agrees to a relative ``rel_tol``."""
+    # A relative 1e-12 is equality for the uint32 counts.
+    bad = [f"{name} = {have:.17g} (config {want:.17g})"
+           for name, (have, want) in fields.items()
+           if not math.isclose(have, want, rel_tol=rel_tol)]
+    if bad:
+        raise ValueError(f"the {what} header does not match the config's [{section}]: "
+                         + ", ".join(bad))
+
+
+def read_raster(path, grid: ImageGrid) -> Raster:
+    """Read a raw-f32 raster file onto ``grid``; its header must hold ``grid`` as written."""
     with open(path, "rb") as fh:
         header = fh.read(_RASTER_HEADER.size)
         if len(header) != _RASTER_HEADER.size:
@@ -91,38 +104,16 @@ def read_raster(path) -> Raster:
         if magic != RASTER_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {RASTER_MAGIC!r}")
         _check_payload(fh, n * n, f"{path}: raster n = {n}")
+        with np.errstate(over="ignore"):
+            stored = float(np.float32(grid.extent))
+        _check_header("raster", "image", {"n": (n, grid.n), "extent": (extent, stored)}, 0.0)
         data = np.fromfile(fh, dtype="<f4", count=n * n)
-    grid = ImageGrid(n, float(extent))
     return Raster(grid, data.reshape(n, n).astype(float))
 
 
-def _header_grid(n_phi, phi0, dphi, n_s, s_max) -> SinogramGrid:
-    """The full circle when ``n_phi * dphi == 2 pi`` (to float32-scale
-    tolerance), else the inclusive range ``[phi0, phi0 + (n_phi - 1) dphi]``."""
-    full = abs(n_phi * dphi - 2.0 * math.pi) < 1e-6
-    return SinogramGrid(n_phi, n_s, s_max, phi0,
-                        phi0 + (2.0 * math.pi if full else (n_phi - 1) * dphi))
-
-
-def check_sinogram_grid(g: SinogramGrid) -> None:
-    """Raise ValueError unless the header written for ``g`` reads back as ``g``.
-
-    A sub-range spanning ``2 pi (n_phi - 1) / n_phi`` has the header of
-    the full circle, and a span whose ``dphi`` underflows cannot be read.
-    """
-    try:
-        periodic = _header_grid(g.n_phi, g.phi0, g.dphi, g.n_s, g.s_max).periodic
-    except ValueError as exc:
-        raise ValueError(f"the sinogram header cannot be read back: {exc}") from exc
-    if periodic != g.periodic:
-        raise ValueError("the sinogram header would read this angular range back as "
-                         + ("the full circle" if periodic else "a sub-range"))
-
-
 def write_sinogram(sino: Sinogram, path) -> None:
-    """Write a sinogram with its geometry header, after :func:`check_sinogram_grid`."""
+    """Write a sinogram with its geometry header."""
     g = sino.grid
-    check_sinogram_grid(g)
     header = _SINO_HEADER.pack(SINO_MAGIC, g.n_phi, g.phi0, g.dphi,
                                g.n_s, g.s_max)
     data = _float32_payload(sino.values, "sinogram")
@@ -131,8 +122,8 @@ def write_sinogram(sino: Sinogram, path) -> None:
         fh.write(data)
 
 
-def read_sinogram(path) -> Sinogram:
-    """Read a sinogram file, its grid from the header by :func:`_header_grid`."""
+def read_sinogram(path, grid: SinogramGrid) -> Sinogram:
+    """Read a sinogram file onto ``grid``; its header fields must be ``grid``'s to 1e-12."""
     with open(path, "rb") as fh:
         header = fh.read(_SINO_HEADER.size)
         if len(header) != _SINO_HEADER.size:
@@ -141,6 +132,8 @@ def read_sinogram(path) -> Sinogram:
         if magic != SINO_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {SINO_MAGIC!r}")
         _check_payload(fh, n_phi * n_s, f"{path}: sinogram {n_phi}x{n_s}")
+        _check_header("sinogram", "sinogram", {
+            "n_phi": (n_phi, grid.n_phi), "n_s": (n_s, grid.n_s), "phi0": (phi0, grid.phi0),
+            "dphi": (dphi, grid.dphi), "s_max": (s_max, grid.s_max)}, 1e-12)
         data = np.fromfile(fh, dtype="<f4", count=n_phi * n_s)
-    return Sinogram(_header_grid(n_phi, phi0, dphi, n_s, s_max),
-                    data.reshape(n_phi, n_s).astype(float))
+    return Sinogram(grid, data.reshape(n_phi, n_s).astype(float))

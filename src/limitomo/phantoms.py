@@ -79,8 +79,12 @@ def _ellipse_distance(e0: float, e1: float, y0: np.ndarray, y1: np.ndarray) -> n
     # and cannot overshoot, near the axes and inside too (Newton on the
     # angle of the nearest point can); it stops when a step no longer rises.
     # t is Eberly's s + 1, which keeps its precision near the centre.
-    t = np.where(y1 > 0, np.maximum(z1, n0 - c), 1.0)
-    idx = np.flatnonzero(y1 > 0)
+    # Since t >= z1, a <= 1 and b <= 1, the step's denominator is at most
+    # 4 / z1: finite unless z1 is below twice the smallest normal float.
+    # Such a point, z1 < 4.5e-308, takes the major axis's closed form below.
+    off = z1 >= 2.0 * np.finfo(float).tiny
+    t = np.where(off, np.maximum(z1, n0 - c), 1.0)
+    idx = np.flatnonzero(off)
     while idx.size:
         ti = t[idx]
         a, b = n0[idx] / (ti + c), z1[idx] / ti
@@ -93,7 +97,7 @@ def _ellipse_distance(e0: float, e1: float, y0: np.ndarray, y1: np.ndarray) -> n
     # q = e0 y0 / (e0^2 - e1^2) while that is below 1, else the vertex.
     d = e0 * e0 - e1 * e1
     q = np.divide(e0 * y0, d, out=np.ones(y0.shape), where=e0 * y0 < d)
-    return np.where(y1 > 0, off_axis, np.hypot(e0 * q - y0, e1 * np.sqrt(1.0 - q * q)))
+    return np.where(off, off_axis, np.hypot(e0 * q - y0, e1 * np.sqrt(1.0 - q * q)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -102,8 +102,7 @@ def _forward_raster(raster: Raster, mu: WeightFunction, sgrid: SinogramGrid) -> 
         raise ValueError("raster contains non-finite values")
     grid = raster.grid
     n, L, h = grid.n, grid.extent, grid.h
-    # Raster files store the extent as float32: allow for its rounding.
-    if sgrid.s_max < math.sqrt(2.0) * L * (1.0 - np.finfo(np.float32).eps):
+    if sgrid.s_max < math.sqrt(2.0) * L - 1e-12:
         raise ValueError("s_max too small: raster support requires s_max >= sqrt(2) * extent")
     ax = grid.axis()
     s = sgrid.s_values()

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import limitomo
-from limitomo import _util, read_raster, read_sinogram, transforms
+from limitomo import (ImageGrid, Raster, _util, load_config, read_raster, read_sinogram,
+                      transforms, write_raster)
 from limitomo.cli import main
 
 SMALL_CONFIG = """
@@ -92,22 +93,22 @@ def test_phantom_subcommand(tmp_path):
     pgm = tmp_path / "phantom.pgm"
     assert main(["phantom", "--config", str(cfg), "--out", str(out),
                  "--pgm", str(pgm)]) == 0
-    raster = read_raster(out)
-    assert raster.grid.n == 64
+    raster = read_raster(out, load_config(cfg).igrid)
     assert raster.values.max() == 1.0
     assert pgm.exists()
 
 
 def test_forward_from_raster_with_default_geometry(tmp_path):
-    # The raster header stores the extent as float32 (1.2 -> 1.2000000477),
-    # which must not make the default s_max look too small.
+    # The raster header stores the extent as float32 (1.2 -> 1.2000000477);
+    # the raster is projected on the config's extent 1.2, so the default
+    # s_max = sqrt(2) * 1.2 covers it.
     cfg, _ = _write_cfg(tmp_path, DEFAULTS_CONFIG)
     raster = tmp_path / "phantom.ltr"
     sino_path = tmp_path / "g.lts"
     assert main(["phantom", "--config", str(cfg), "--out", str(raster)]) == 0
     assert main(["forward", "--config", str(cfg), "--from-raster", str(raster),
                  "--out", str(sino_path)]) == 0
-    sino = read_sinogram(sino_path)
+    sino = read_sinogram(sino_path, load_config(cfg).sgrid)
     assert sino.values.shape == (8, 33)
     assert sino.values.max() > 0.0
 
@@ -134,6 +135,22 @@ def test_forward_from_nonfinite_raster_exits_1(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 1
     assert "raster contains non-finite values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_forward_from_raster_of_other_extent_exits_1(tmp_path, capsys):
+    # A valid 16x16 raster whose header says extent 0.6 where the config
+    # says 1.2: it is not projected on either grid.
+    cfg, _ = _write_cfg(tmp_path, DEFAULTS_CONFIG)
+    raster = tmp_path / "half.ltr"
+    write_raster(Raster(ImageGrid(16, 0.6), np.ones((16, 16))), raster)
+    out = tmp_path / "g.lts"
+    rc = main(["forward", "--config", str(cfg), "--from-raster", str(raster),
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [forward] the raster header does not match the config's "
+                          "[image]: extent = 0.60000002384185791 (config 1.2000000476837158)")
     assert not out.exists()
 
 
@@ -196,8 +213,7 @@ def test_forward_and_reconstruct_subcommands(tmp_path):
     cfg, _ = _write_cfg(tmp_path, SMALL_CONFIG)
     sino_path = tmp_path / "g.lts"
     assert main(["forward", "--config", str(cfg), "--out", str(sino_path)]) == 0
-    sino = read_sinogram(sino_path)
-    assert sino.grid.n_phi == 90
+    sino = read_sinogram(sino_path, load_config(cfg).sgrid)
     # center sample of the unit disk sinogram is the chord length 2
     mid = sino.grid.n_s // 2
     assert sino.values[0, mid] == pytest.approx(2.0, abs=1e-6)
@@ -205,8 +221,7 @@ def test_forward_and_reconstruct_subcommands(tmp_path):
     rec_path = tmp_path / "rec.ltr"
     assert main(["reconstruct", "--sinogram", str(sino_path), "--config", str(cfg),
                  "--out", str(rec_path)]) == 0
-    rec = read_raster(rec_path)
-    assert rec.grid.n == 64
+    rec = read_raster(rec_path, load_config(cfg).igrid)
     # coarse grid, but the reconstruction must resemble the disk
     assert abs(rec.values[32, 32] - 1.0) < 0.15
 
@@ -351,14 +366,65 @@ def test_outputs_byte_identical_for_every_thread_count(tmp_path, monkeypatch, te
     assert runs[0] == runs[1]
 
 
-def test_analyze_ambiguous_sinogram_range_exits_1(tmp_path, capsys):
-    # Two angles over [0, pi] have the file header of the full circle.
+def _assert_same_recon(path, reference, grid):
+    # reconstruct reads the sinogram as stored, in float32; analyze
+    # reconstructs from its float64 sinogram.
+    got, want = read_raster(path, grid).values, read_raster(reference, grid).values
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
+
+
+def test_two_angles_over_half_circle_read_back_with_their_config(tmp_path):
+    # Two angles over [0, pi] have n_phi * dphi = 2 pi, the header of the
+    # full circle too; the config, not the header, says which it is.
     text = DEFAULTS_CONFIG.replace("n_phi = 8", "n_phi = 2\nphi0_deg = 0\nphi1_deg = 180")
     cfg, out = _write_cfg(tmp_path, text)
-    assert main(["analyze", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error [config] [sinogram]: the sinogram header would read")
-    assert not out.exists()
+    assert main(["analyze", "--config", str(cfg)]) == 0
+    rec = tmp_path / "r.ltr"
+    assert main(["reconstruct", "--config", str(cfg), "--sinogram",
+                 str(out / "sinogram.lts"), "--out", str(rec)]) == 0
+    _assert_same_recon(rec, out / "recon.ltr", load_config(cfg).igrid)
+
+
+# Values that a dump to 12 significant digits would not give back.
+ODD_CONFIG = """
+[image]
+n = 16
+extent = 1.2345678901234567
+
+[phantom]
+shape1 = disk 0.01234567890123456 0 0.98765432109876543 1.1111111111111112
+shape2 = ellipse 0.1 0.2 0.3333333333333333 0.2 37.123456789012345 0.5
+
+[sinogram]
+n_phi = 9
+phi0_deg = 12.345678901234567
+phi1_deg = 191.23456789012345
+n_s = 33
+
+[window]
+kind = finite-order
+phi1_deg = 23.456789012345678
+phi2_deg = 156.78901234567891
+k = 2
+
+[weights]
+mu = exponential 0.12345678901234567 parallel
+nu = constant 1.0000000000000002
+
+[output]
+dir = {out}
+"""
+
+
+def test_reconstruct_reads_analyze_output_with_its_config_echo(tmp_path):
+    # The default s_max = sqrt(2) * extent must survive the echo: to 12
+    # digits it moves by more than the header check's relative 1e-12.
+    cfg, out = _write_cfg(tmp_path, ODD_CONFIG)
+    assert main(["analyze", "--config", str(cfg)]) == 0
+    rec = tmp_path / "r.ltr"
+    assert main(["reconstruct", "--config", str(out / "config.normalized.ini"),
+                 "--sinogram", str(out / "sinogram.lts"), "--out", str(rec)]) == 0
+    _assert_same_recon(rec, out / "recon.ltr", load_config(cfg).igrid)
 
 
 def test_analyze_and_study_never_import_scipy(tmp_path):

@@ -51,6 +51,55 @@ def test_config_dump_roundtrip():
     assert cfg2.sha256() == cfg.sha256()
 
 
+ODD = """
+[image]
+n = 16
+extent = 1.2345678901234567
+
+[phantom]
+shape1 = disk 0.01234567890123456 0 0.98765432109876543 1.1111111111111112
+shape2 = ellipse 0.1 0.2 0.3333333333333333 0.2 37.123456789012345 0.5
+shape3 = clipped-disk 0 0 0.7 0.6 0.8 0.1111111111111111 1e-7
+
+[sinogram]
+n_phi = 9
+phi0_deg = 12.345678901234567
+phi1_deg = 191.23456789012345
+n_s = 33
+
+[window]
+kind = finite-order
+phi1_deg = 30
+phi2_deg = 150
+
+[weights]
+mu = exponential 0.12345678901234567 parallel
+nu = constant 1.0000000000000002
+"""
+
+
+def _stored_values(cfg):
+    return (cfg.igrid, cfg.sgrid.n_phi, cfg.sgrid.n_s, cfg.sgrid.s_max,
+            [vars(shape) for shape in cfg.phantom.shapes],
+            cfg.mu.kind, cfg.mu.params, cfg.nu.kind, cfg.nu.params)
+
+
+def test_config_dump_reloads_the_same_floats():
+    # The default s_max = sqrt(2) * extent and every value kept as given
+    # come back as the same float64; round degrees stay round.
+    cfg = loads_config(ODD)
+    text = cfg.dumps()
+    back = loads_config(text)
+    assert _stored_values(back) == _stored_values(cfg)
+    assert back.sgrid.s_max == math.sqrt(2.0) * 1.2345678901234567
+    assert "phi1_deg = 30\n" in text and "phi2_deg = 150\n" in text
+    assert "nu = constant 1.0000000000000002\n" in text
+    assert "shape3 = clipped-disk 0 0 0.7 0.6 0.8 0.1111111111111111 1e-07\n" in text
+    assert back.sgrid.phi0 == pytest.approx(cfg.sgrid.phi0, rel=1e-14)
+    assert back.sgrid.dphi == pytest.approx(cfg.sgrid.dphi, rel=1e-14)
+    assert back.dumps() == text
+
+
 def test_config_rejects_reversed_window():
     text = MINIMAL.replace("kind = full",
                            "kind = finite-order\nphi1_deg = 100\nphi2_deg = 80\nk = 1")
@@ -213,8 +262,7 @@ def test_raster_file_size_and_roundtrip(tmp_path):
     raster2 = Raster(grid, rng.normal(size=(8, 8)))
     path2 = tmp_path / "rand.ltr"
     write_raster(raster2, path2)
-    back = read_raster(path2)
-    assert back.grid.n == 8
+    back = read_raster(path2, grid)
     np.testing.assert_array_equal(back.values.astype("<f4"),
                                   raster2.values.astype("<f4"))
     # second write of the read-back values is byte-identical
@@ -275,10 +323,7 @@ def test_sinogram_roundtrip_full_range(tmp_path):
     sino = Sinogram(sg, rng.normal(size=(90, 65)))
     path = tmp_path / "g.lts"
     write_sinogram(sino, path)
-    back = read_sinogram(path)
-    assert back.grid.periodic
-    assert back.grid.n_phi == 90
-    assert back.grid.s_max == pytest.approx(1.75)
+    back = read_sinogram(path, sg)
     np.testing.assert_array_equal(back.values.astype("<f4"),
                                   sino.values.astype("<f4"))
 
@@ -289,17 +334,15 @@ def test_sinogram_roundtrip_window_range(tmp_path):
     sino = Sinogram(sg, np.ones((91, 33)))
     path = tmp_path / "gw.lts"
     write_sinogram(sino, path)
-    back = read_sinogram(path)
-    assert not back.grid.periodic
-    assert back.grid.phi0 == pytest.approx(math.pi / 4.0)
-    assert back.grid.phi1 == pytest.approx(3.0 * math.pi / 4.0)
+    back = read_sinogram(path, sg)
+    np.testing.assert_array_equal(back.values, 1.0)
 
 
 def test_raster_header_magic(tmp_path):
     path = tmp_path / "bad.ltr"
     path.write_bytes(struct.pack("<4sIf4x", b"XXXX", 8, 1.0) + b"\0" * 256)
     with pytest.raises(ValueError, match="magic"):
-        read_raster(path)
+        read_raster(path, ImageGrid(8, 1.0))
 
 
 @pytest.mark.parametrize("kind", ["raster", "sinogram"])
@@ -307,15 +350,16 @@ def test_readers_reject_bytes_after_the_payload(tmp_path, kind):
     # A header that claims fewer samples than the file holds is a lie too.
     path = tmp_path / "f"
     if kind == "raster":
-        write_raster(Raster(ImageGrid(8, 1.0), np.zeros((8, 8))), path)
+        grid = ImageGrid(8, 1.0)
+        write_raster(Raster(grid, np.zeros((8, 8))), path)
         read = read_raster
     else:
-        write_sinogram(Sinogram(SinogramGrid(n_phi=4, n_s=5, s_max=1.0),
-                                np.zeros((4, 5))), path)
+        grid = SinogramGrid(n_phi=4, n_s=5, s_max=1.0)
+        write_sinogram(Sinogram(grid, np.zeros((4, 5))), path)
         read = read_sinogram
     path.write_bytes(path.read_bytes() + bytes(4))
     with pytest.raises(ValueError, match="4 bytes after the payload"):
-        read(path)
+        read(path, grid)
 
 
 def test_sinogram_truncated(tmp_path):
@@ -326,7 +370,7 @@ def test_sinogram_truncated(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-40])
     with pytest.raises(ValueError, match="truncated"):
-        read_sinogram(path)
+        read_sinogram(path, sg)
 
 
 def test_raster_header_claiming_more_than_the_file(tmp_path):
@@ -334,7 +378,7 @@ def test_raster_header_claiming_more_than_the_file(tmp_path):
     path = tmp_path / "lying.ltr"
     path.write_bytes(struct.pack("<4sIf4x", b"LTR1", 0xFFFFFFFF, 1.0) + b"\0" * 8)
     with pytest.raises(ValueError, match="truncated"):
-        read_raster(path)
+        read_raster(path, ImageGrid(8, 1.0))
 
 
 def test_sinogram_header_claiming_more_than_the_file(tmp_path):
@@ -343,4 +387,23 @@ def test_sinogram_header_claiming_more_than_the_file(tmp_path):
                          0xFFFFFFFF, 1.0)
     path.write_bytes(header + b"\0" * 8)
     with pytest.raises(ValueError, match="truncated"):
-        read_sinogram(path)
+        read_sinogram(path, SinogramGrid(n_phi=8, n_s=8, s_max=1.0))
+
+
+@pytest.mark.parametrize("grid, error", [
+    (ImageGrid(9, 1.0), r"\[image\]: n = 8 \(config 9\)$"),
+    (ImageGrid(8, 1.0 + 1e-7), r"\[image\]: extent = 1 \(config 1.0000001192092896\)$"),
+])
+def test_raster_read_on_another_grid_raises(tmp_path, grid, error):
+    # The header must hold the grid exactly, as the writer stores it.
+    path = tmp_path / "r.ltr"
+    write_raster(Raster(ImageGrid(8, 1.0), np.zeros((8, 8))), path)
+    assert read_raster(path, ImageGrid(8, 1.0 + 1e-9)).grid.extent == 1.0 + 1e-9
+    with pytest.raises(ValueError, match="^the raster header does not match the config's " + error):
+        read_raster(path, grid)
+
+
+def test_config_rejects_angle_step_that_underflows():
+    text = MINIMAL + "\n[sinogram]\nn_phi = 1000\nphi1_deg = 1e-321\n"
+    with pytest.raises(ConfigError, match=r"^\[sinogram\]: the angle step .* underflows to 0"):
+        loads_config(text)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -349,3 +350,17 @@ def test_boundary_distance_of_mirrored_phantom_is_mirrored():
     d_m = mirrored.boundary_distance(x * [-1.0, 1.0])
     assert np.max(np.abs(d - d_m)) <= 1e-12
     assert np.all(Phantom(()).boundary_distance(x) == np.inf)
+
+
+@pytest.mark.parametrize("offset", [1e-300, 1e-306, 1e-308, 1e-310, 1e-312])
+def test_ellipse_distance_near_major_axis_is_finite_and_quiet(offset):
+    # At a subnormal offset from the major axis Newton's denominator would
+    # overflow: such points take the axis's closed form, without a warning.
+    ellipse = Ellipse((0.0, 0.0), 1.0, 0.5)
+    x = np.array([[0.0, offset], [0.3, offset], [0.6, -offset], [1.2, offset]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = ellipse.boundary_distance(x)
+        on_axis = ellipse.boundary_distance(x * [1.0, 0.0])
+    assert abs(d[0] - 0.5) <= 4e-13
+    np.testing.assert_allclose(d, on_axis, rtol=1e-13, atol=0)
