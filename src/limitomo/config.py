@@ -5,7 +5,7 @@ defaulted)::
 
     [image]
     n = 512                 # pixels per axis
-    extent = 1.2            # half-width L of [-L, L]^2
+    extent = 1.2            # half-width L of [-L, L]^2, finite as float32
 
     [phantom]               # one shapeN key per shape, additive densities
     shape1 = disk 0 0 1 1                   # cx cy r density
@@ -49,6 +49,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+import struct
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -254,6 +255,10 @@ def loads_config(text: str) -> RunConfig:
         n = int(get("image", "n", "512"))
         extent = float(get("image", "extent", "1.2"))
         igrid = ImageGrid(n, extent)
+        try:
+            struct.pack("<f", extent)  # the raster header stores the extent as float32
+        except OverflowError:
+            raise ValueError(f"extent = {extent:.6g} overflows the raster header's float32")
         _check_buffer(f"{n}x{n} float64 image", 8 * n * n)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc

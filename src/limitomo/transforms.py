@@ -8,6 +8,8 @@ projector (Joseph, IEEE TMI 1(3):192-196, 1982): one step per pixel line
 across the dominant direction of the line, with linear interpolation
 within that pixel line.  The back-projection is trapezoid (or
 uniform-periodic) in ``phi`` with linear interpolation in ``s``.
+The exponential weight is ``exp(p0 x) exp(p1 y)`` everywhere, so both
+projectors evaluate it per angle as two short ``exp`` vectors.
 """
 
 from __future__ import annotations
@@ -27,14 +29,20 @@ from .phantoms import Phantom, analytic_sinogram_row
 BLOCK_PIXELS = 32768
 
 
+def _exp_rates(lam: float, mode: str, phi):
+    """``(p0, p1) = lam theta_perp`` (``perp``) or ``lam theta``: weight ``exp(p0 x + p1 y)``."""
+    c, s = np.cos(phi), np.sin(phi)
+    return (-lam * s, lam * c) if mode == "perp" else (lam * c, lam * s)
+
+
 class WeightFunction:
     """Strictly positive smooth weight ``w(x, phi)`` on image x direction.
 
     Instances are callable: ``w(x, phi)`` with ``x`` of shape ``(..., 2)``
     and ``phi`` a scalar or array broadcastable against ``x[..., 0]``.
     The result broadcasts against ``x[..., 0]`` and ``phi`` but need not
-    have their full shape: a constant weight returns the scalar ``c``, so
-    every caller multiplies by the weight on one path whatever its kind.
+    have their full shape: a constant weight returns the scalar ``c``.
+    The projectors evaluate it by ``kind`` (see :meth:`on_grid` and :func:`forward`).
     """
 
     def __init__(self, fn, kind: str = "custom", params: tuple = ()):
@@ -48,6 +56,19 @@ class WeightFunction:
     def __repr__(self):
         args = " ".join(repr(p) for p in self.params)
         return f"WeightFunction({self.kind}{' ' + args if args else ''})"
+
+    def on_grid(self, x, y):
+        """``phi -> w`` at the points ``(x[j], y[i])``, bit for bit, broadcastable
+        to ``(y.size, x.size)``: the scalar, an outer product, or a call on points."""
+        if self.kind == "constant":
+            return lambda phi: self.params[0]
+        if self.kind == "exponential":
+            def at(phi):
+                p0, p1 = _exp_rates(*self.params, phi)
+                return np.exp(p1 * y)[:, None] * np.exp(p0 * x)
+            return at
+        pts = np.stack(np.meshgrid(x, y, copy=False), axis=-1)
+        return lambda phi: self(pts, phi)
 
     @classmethod
     def constant(cls, c: float) -> "WeightFunction":
@@ -70,12 +91,8 @@ class WeightFunction:
             raise ValueError("exponential weight rate must be finite")
 
         def fn(x, phi):
-            c, s = np.cos(phi), np.sin(phi)
-            if mode == "perp":
-                proj = -x[..., 0] * s + x[..., 1] * c
-            else:
-                proj = x[..., 0] * c + x[..., 1] * s
-            return np.exp(lam * proj)
+            p0, p1 = _exp_rates(lam, mode, phi)
+            return np.exp(p0 * x[..., 0]) * np.exp(p1 * x[..., 1])
 
         return cls(fn, "exponential", (lam, mode))
 
@@ -117,20 +134,16 @@ def _forward_raster(raster: Raster, mu: WeightFunction, sgrid: SinogramGrid) -> 
     out = np.empty((sgrid.n_phi, sgrid.n_s))
 
     def worker(sl: slice) -> None:
-        # Crossing points as an (n_s, n, 2) view of two contiguous planes.
-        xy = np.empty((2, sgrid.n_s, n))
-        pts = np.moveaxis(xy, 0, -1)
         for i in range(sl.start, sl.stop):
             c, sn = math.cos(phis[i]), math.sin(phis[i])
             # One step per pixel line along the line's dominant axis: the
             # rows (y = a_j) when |cos| >= |sin|, the columns (x = a_j) otherwise.
             k = 0 if abs(c) >= abs(sn) else 1
             a, b = (c, sn) if k == 0 else (sn, c)
-            u, v = xy[k], xy[1 - k]
-            np.subtract(s[:, None], ax * b, out=u)
-            u /= a
-            v[...] = ax
-            q = np.clip((u + L) / h + 0.5, 0.0, n + 1.0)
+            # Line s crosses pixel line a_j at u = (s - a_j b) / a along it;
+            # q = (u + L) / h + 0.5 is that crossing in padded pixels.
+            q = np.add.outer(s * (1.0 / (a * h)) + (L / h + 0.5), ax * (-b / (a * h)))
+            np.clip(q, 0.0, n + 1.0, out=q)
             # f0 + frac * (f1 - f0) in place: q becomes frac and idx steps
             # to the right neighbour, so each worker holds fewer planes.
             idx = q.astype(np.intp)
@@ -143,7 +156,19 @@ def _forward_raster(raster: Raster, mu: WeightFunction, sgrid: SinogramGrid) -> 
             f *= q
             f += f0
             del q, idx, f0
-            f *= mu(pts, phis[i])
+            if mu.kind == "exponential":
+                # At the crossing p . x = (p_k / a) s + (p_{1-k} - p_k b / a) a_j:
+                # weight each pixel line before the sum and each line's sum
+                # after it, so no factor exceeds exp(|lam| max(s_max, sqrt(2) L)).
+                p = _exp_rates(*mu.params, phis[i])
+                f *= np.exp(ax * (p[1 - k] - p[k] * (b / a)))
+                out[i] = f.sum(axis=1) * np.exp(s * (p[k] / a)) * (h / abs(a))
+                continue
+            if mu.kind == "constant":
+                f *= mu.params[0]
+            else:  # the weight at each crossing point (u, a_j), in (x, y) order
+                xy = (np.subtract.outer(s, ax * b) / a, np.broadcast_to(ax, f.shape))
+                f *= mu(np.stack(xy if k == 0 else xy[::-1], axis=-1), phis[i])
             out[i] = f.sum(axis=1) * (h / abs(a))
 
     for_each_chunk(worker, sgrid.n_phi)
@@ -163,6 +188,9 @@ def forward(source: Phantom | Raster, mu: WeightFunction,
     (each pixel column otherwise), the raster is interpolated linearly
     within that row or column at the crossing, multiplied by the weight
     there, and the sum is scaled by ``h / max(|cos phi|, |sin phi|)``.
+    The crossing index is one outer sum for every weight kind; an
+    exponential weight factors into a pixel-line factor, applied before
+    the sum, and an ``s`` factor that scales it.
     Beyond the outermost pixel centre a row or column ramps linearly to
     zero over one pixel spacing (half a pixel outside the image edge) and
     is zero further out; this only matters for rasters that are non-zero
@@ -206,7 +234,9 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     ``nu`` once, then adds the row, times ``w_phi kappa(phi) nu``, to the
     image of every window that uses it.  The image is cut into blocks of
     whole rows, about ``BLOCK_PIXELS`` pixels each, so the accumulators
-    stay in cache; each block builds its own pixel points.  One worker per
+    stay in cache; ``nu`` is evaluated on each block by
+    :meth:`WeightFunction.on_grid`, with the bits of ``nu`` itself on the
+    block's pixel points.  One worker per
     usable CPU, and never more workers than blocks, takes a contiguous run
     of whole blocks; the angles are never split.  Each pixel gets the same
     operations in the same order, so each image is bit-identical to a
@@ -243,7 +273,7 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
         phis, wphi = phis[:m], wphi[:m]
     coef = np.array([(1.0 if w is None else w.kappa(phis)) * wphi for w in windows])
     n = igrid.n
-    out = np.zeros((len(windows), n * n))
+    out = np.zeros((len(windows), n, n))
     active = np.nonzero(coef.any(axis=0))[0]
     step = max(1, BLOCK_PIXELS // n)
 
@@ -251,17 +281,17 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
         # Whole blocks of image rows, each a contiguous run of pixels; the
         # slices stop the last block at the image's last row.
         for r0 in range(blocks.start * step, blocks.stop * step, step):
-            px = slice(r0 * n, (r0 + step) * n)
-            y = ax[r0:r0 + step]
-            pts = np.stack(np.meshgrid(ax, y, copy=False), axis=-1).reshape(-1, 2)
+            rs = slice(r0, r0 + step)
+            y = ax[rs]
+            nu_at = nu.on_grid(ax, y)
             for i in active:
                 c, sn = math.cos(phis[i]), math.sin(phis[i])
-                gi = np.interp(ax * c + y[:, None] * sn, s, rows[i]).ravel()
-                nu_i = nu(pts, phis[i])
+                gi = np.interp(ax * c + y[:, None] * sn, s, rows[i])
+                nu_i = nu_at(phis[i])
                 for k in np.nonzero(coef[:, i])[0]:
-                    out[k, px] += (coef[k, i] * nu_i) * gi
+                    out[k, rs] += (coef[k, i] * nu_i) * gi
                 # Free this angle's planes before the next one allocates its own.
                 del gi, nu_i
 
     for_each_chunk(worker, math.ceil(n / step))
-    return [Raster(igrid, img.reshape(n, n)) for img in out]
+    return [Raster(igrid, img) for img in out]

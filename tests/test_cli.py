@@ -209,6 +209,19 @@ def test_analyze_removed_key_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["phantom", "analyze"])
+def test_extent_beyond_float32_exits_1_at_config(tmp_path, capsys, command):
+    # The raster header stores the extent as float32: 1e39 fits float64 only.
+    cfg, out = _write_cfg(tmp_path, DEFAULTS_CONFIG.replace("n = 16", "n = 16\nextent = 1e39"))
+    raster = tmp_path / "phantom.ltr"
+    argv = [command, "--config", str(cfg)]
+    assert main(argv + (["--out", str(raster)] if command == "phantom" else [])) == 1
+    err = capsys.readouterr().err
+    assert err == "error [config] [image]: extent = 1e+39 overflows the raster header's float32\n"
+    assert not raster.exists()
+    assert not out.exists()
+
+
 def test_forward_and_reconstruct_subcommands(tmp_path):
     cfg, _ = _write_cfg(tmp_path, SMALL_CONFIG)
     sino_path = tmp_path / "g.lts"

@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -201,9 +202,85 @@ def _reference_backproject(g, nu, window, grid):
     return acc.reshape(grid.n, grid.n)
 
 
+def _reference_forward_raster(raster, mu, sg):
+    # Joseph's projector one angle at a time, the weight called on every
+    # crossing point: u = (s - a_j b) / a along the pixel line a_j.
+    grid = raster.grid
+    n, L, h = grid.n, grid.extent, grid.h
+    ax, s = grid.axis(), sg.s_values()
+    img = raster.values
+    out = np.empty((sg.n_phi, sg.n_s))
+    for i, phi in enumerate(sg.phis()):
+        c, sn = math.cos(phi), math.sin(phi)
+        k = 0 if abs(c) >= abs(sn) else 1
+        a, b = (c, sn) if k == 0 else (sn, c)
+        lines = np.pad(img if k == 0 else img.T, ((0, 0), (1, 2)))
+        u = (s[:, None] - ax * b) / a
+        q = np.clip((u + L) / h + 0.5, 0.0, n + 1.0)
+        idx = q.astype(np.intp)
+        rows = np.arange(n)
+        f = lines[rows, idx] + (q - idx) * (lines[rows, idx + 1] - lines[rows, idx])
+        v = np.broadcast_to(ax, u.shape)
+        pts = np.stack([u, v] if k == 0 else [v, u], axis=-1)
+        out[i] = (f * mu(pts, phi)).sum(axis=1) * (h / abs(a))
+    return out
+
+
+PARALLEL = WeightFunction.exponential(0.4, "parallel")
+RADIAL = WeightFunction(lambda x, phi: 1.0 + (x * x).sum(axis=-1))
+WEIGHTS = [ONE, WeightFunction.exponential(0.4), PARALLEL, RADIAL]
+WEIGHT_IDS = ["constant", "exponential", "parallel", "radial"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+@pytest.mark.parametrize("mu", WEIGHTS, ids=WEIGHT_IDS)
+def test_forward_raster_matches_reference(cpus, mu, usable_cpus):
+    # The kernel computes the crossing index as one outer sum and applies
+    # an exponential weight as two 1-D factors, so it matches the
+    # per-sample projector to rounding only: 1e-13 of each row's maximum.
+    usable_cpus(cpus)
+    grid = ImageGrid(40, 1.2)
+    values = np.random.default_rng(9).normal(size=(40, 40))
+    sg = SinogramGrid(n_phi=37, n_s=71, s_max=1.8)
+    got = forward(Raster(grid, values), mu, sg).values
+    ref = _reference_forward_raster(Raster(grid, values), mu, sg)
+    tol = 1e-13 * np.abs(ref).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got - ref) <= tol)
+
+
+@pytest.mark.parametrize("mode", ["perp", "parallel"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_forward_raster_finite_at_rate_bound(mode, sign):
+    # |lam| R = 709.7 with R = s_max = sqrt(2) L, inside the config's guard.
+    # Crossings off the image reach |x . theta_perp| = 2R, where one exp of
+    # the weight overflows; its two factors stay below exp(|lam| R).
+    L = 1.2
+    s_max = math.sqrt(2.0) * L
+    mu = WeightFunction.exponential(sign * 709.7 / s_max, mode)
+    grid = ImageGrid(32, L)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = forward(Raster(grid, np.ones((32, 32))), mu, SinogramGrid(64, 65, s_max)).values
+    assert np.all(np.isfinite(g))
+    assert g.max() > 0.0
+
+
+@pytest.mark.parametrize("w", WEIGHTS, ids=WEIGHT_IDS)
+def test_weight_on_grid_equals_call_bitwise(w):
+    # The back-projection's per-block evaluation is the weight itself on
+    # the block's pixel points, bit for bit, for every kind.
+    x = ImageGrid(24, 1.2).axis()
+    y = x[5:12]
+    pts = np.stack(np.meshgrid(x, y), axis=-1)
+    at = w.on_grid(x, y)
+    for phi in np.linspace(0.0, 2.0 * math.pi, 13):
+        np.testing.assert_array_equal(np.broadcast_to(at(phi), (y.size, x.size)),
+                                      np.broadcast_to(w(pts, phi), (y.size, x.size)))
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("nu", [ONE, WeightFunction.exponential(0.4)],
-                         ids=["constant", "exponential"])
+@pytest.mark.parametrize("nu", [ONE, WeightFunction.exponential(0.4), PARALLEL],
+                         ids=["constant", "exponential", "parallel"])
 def test_backproject_windows_bitwise_equal_single(cpus, nu, monkeypatch, usable_cpus):
     # One pass over the angles for many windows gives each window the
     # bits of its own single-window call and of the plain per-angle sum,
@@ -228,7 +305,6 @@ def test_backproject_windows_bitwise_equal_single(cpus, nu, monkeypatch, usable_
 
 FOLD_SG = SinogramGrid(n_phi=48, n_s=49, s_max=1.8)
 FOLD_GRID = ImageGrid(24, 1.2)
-RADIAL = WeightFunction(lambda x, phi: 1.0 + (x * x).sum(axis=-1))
 
 
 def _fold_sinogram(sg=FOLD_SG):
@@ -438,8 +514,8 @@ BLOCK_GRID = ImageGrid(37, 1.2)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 8])
-@pytest.mark.parametrize("nu", [ONE, WeightFunction.exponential(0.4)],
-                         ids=["constant", "exponential"])
+@pytest.mark.parametrize("nu", [ONE, WeightFunction.exponential(0.4), PARALLEL],
+                         ids=["constant", "exponential", "parallel"])
 def test_backproject_blocks_match_reference(cpus, nu, monkeypatch, usable_cpus):
     # Blocks of 5 rows on a 37-row image do not line up with its last row,
     # and 1, 2 or 8 threads take runs of 8, 4 or 1 of the 8 blocks: a block
@@ -461,10 +537,10 @@ def test_backproject_blocks_match_reference(cpus, nu, monkeypatch, usable_cpus):
 
 
 def test_backproject_temporaries_are_block_sized(usable_cpus):
-    # Beyond the (4, n^2) output, one worker holds about four block planes
-    # at n = 256: its block's pixel points (two), x . theta and the
-    # interpolated row, or that row and the weighted row.  Image-wide
-    # points would add four more.  Two workers hold twice that.
+    # Beyond the (4, n^2) output, one worker holds about two block planes
+    # at n = 256 with a constant weight: x . theta and the interpolated
+    # row, or that row and the weighted row.  Image-wide temporaries would
+    # add four more.  Two workers hold twice that.
     n = 256
     grid = ImageGrid(n, 1.2)
     sg = SinogramGrid(n_phi=91, n_s=2 * n + 1, s_max=1.8, phi0=0.0, phi1=math.pi)
