@@ -10,6 +10,9 @@ within that pixel line.  The back-projection is trapezoid (or
 uniform-periodic) in ``phi`` with linear interpolation in ``s``.
 The exponential weight is ``exp(p0 x) exp(p1 y)`` everywhere, so both
 projectors evaluate it per angle as two short ``exp`` vectors.
+Both forward paths compute only the lines that can meet the source and
+leave every other line at +0.0, so a sparse source costs less and each
+computed sample keeps the bits of a full-range evaluation.
 """
 
 from __future__ import annotations
@@ -124,25 +127,38 @@ def _forward_raster(raster: Raster, mu: WeightFunction, sgrid: SinogramGrid) -> 
     ax = grid.axis()
     s = sgrid.s_values()
     phis = sgrid.phis()
+    img = raster.values
+    out = np.zeros((sgrid.n_phi, sgrid.n_s))
+    # The first and last non-zero pixel centre of each image row: the
+    # support's extreme projections in every direction lie among them.
+    nz = img != 0.0
+    rows = np.nonzero(nz.any(axis=1))[0]
+    if rows.size == 0:
+        return out
+    px = ax[np.concatenate([nz[rows].argmax(axis=1), n - 1 - nz[rows, ::-1].argmax(axis=1)])]
+    py = np.tile(ax[rows], 2)
     # flat[0] holds the image rows and flat[1] its columns, each zero-padded
     # with one zero on the left and two on the right, so an index clipped
     # to [0, n + 1] and its right neighbour read 0 off the image.
-    img = raster.values
     flat = np.pad(np.stack([img, img.T]), ((0, 0), (0, 0), (1, 2))).reshape(2, -1)
     base = (np.arange(n) * (n + 3))[None, :]
-
-    out = np.empty((sgrid.n_phi, sgrid.n_s))
 
     def worker(sl: slice) -> None:
         for i in range(sl.start, sl.stop):
             c, sn = math.cos(phis[i]), math.sin(phis[i])
+            # A sample is non-zero only within |a| h <= h in s of a non-zero
+            # pixel centre; the second h absorbs rounding.  The lines outside
+            # [lo, hi) meet no non-zero pixel and keep the zeros of out.
+            proj = px * c + py * sn
+            lo, hi = np.searchsorted(s, (proj.min() - 2.0 * h, proj.max() + 2.0 * h))
+            si = s[lo:hi]
             # One step per pixel line along the line's dominant axis: the
             # rows (y = a_j) when |cos| >= |sin|, the columns (x = a_j) otherwise.
             k = 0 if abs(c) >= abs(sn) else 1
             a, b = (c, sn) if k == 0 else (sn, c)
             # Line s crosses pixel line a_j at u = (s - a_j b) / a along it;
             # q = (u + L) / h + 0.5 is that crossing in padded pixels.
-            q = np.add.outer(s * (1.0 / (a * h)) + (L / h + 0.5), ax * (-b / (a * h)))
+            q = np.add.outer(si * (1.0 / (a * h)) + (L / h + 0.5), ax * (-b / (a * h)))
             np.clip(q, 0.0, n + 1.0, out=q)
             # f0 + frac * (f1 - f0) in place: q becomes frac and idx steps
             # to the right neighbour, so each worker holds fewer planes.
@@ -162,14 +178,14 @@ def _forward_raster(raster: Raster, mu: WeightFunction, sgrid: SinogramGrid) -> 
                 # after it, so no factor exceeds exp(|lam| max(s_max, sqrt(2) L)).
                 p = _exp_rates(*mu.params, phis[i])
                 f *= np.exp(ax * (p[1 - k] - p[k] * (b / a)))
-                out[i] = f.sum(axis=1) * np.exp(s * (p[k] / a)) * (h / abs(a))
+                out[i, lo:hi] = f.sum(axis=1) * np.exp(si * (p[k] / a)) * (h / abs(a))
                 continue
             if mu.kind == "constant":
                 f *= mu.params[0]
             else:  # the weight at each crossing point (u, a_j), in (x, y) order
-                xy = (np.subtract.outer(s, ax * b) / a, np.broadcast_to(ax, f.shape))
+                xy = (np.subtract.outer(si, ax * b) / a, np.broadcast_to(ax, f.shape))
                 f *= mu(np.stack(xy if k == 0 else xy[::-1], axis=-1), phis[i])
-            out[i] = f.sum(axis=1) * (h / abs(a))
+            out[i, lo:hi] = f.sum(axis=1) * (h / abs(a))
 
     for_each_chunk(worker, sgrid.n_phi)
     return out
@@ -191,19 +207,29 @@ def forward(source: Phantom | Raster, mu: WeightFunction,
     The crossing index is one outer sum for every weight kind; an
     exponential weight factors into a pixel-line factor, applied before
     the sum, and an ``s`` factor that scales it.
+    Only lines that can meet the source are computed; the rest are +0.0.
+    The analytic path takes ``|s|`` up to the support radius, with one
+    node of margin on each side.  The raster path takes, per angle, the
+    ``s`` within ``2h`` of the projections of the first and last non-zero
+    pixel centre of each image row: a Joseph sample is non-zero only
+    within ``h`` of a non-zero pixel centre, and the second ``h`` absorbs
+    rounding.  Each computed sample has the bits of a full-range call.
     Beyond the outermost pixel centre a row or column ramps linearly to
     zero over one pixel spacing (half a pixel outside the image edge) and
     is zero further out; this only matters for rasters that are non-zero
     on their border.
     """
     if isinstance(source, Phantom):
-        if sgrid.s_max < source.support_radius() - 1e-12:
+        r = source.support_radius()
+        if sgrid.s_max < r - 1e-12:
             raise ValueError("s_max too small: sinogram does not cover the phantom support")
         s = sgrid.s_values()
-        phis = sgrid.phis()
+        # Lines with |s| beyond the support radius miss every shape and keep
+        # the +0.0 of values; one node of margin on each side.
+        hit = slice(max(np.searchsorted(s, -r) - 1, 0), np.searchsorted(s, r, side="right") + 1)
         values = np.zeros((sgrid.n_phi, sgrid.n_s))
-        for i, phi in enumerate(phis):
-            values[i] = analytic_sinogram_row(source, mu, float(phi), s)
+        for i, phi in enumerate(sgrid.phis()):
+            values[i, hit] = analytic_sinogram_row(source, mu, float(phi), s[hit])
         return Sinogram(sgrid, values)
     if isinstance(source, Raster):
         return Sinogram(sgrid, _forward_raster(source, mu, sgrid))

@@ -9,6 +9,7 @@ import pytest
 
 from limitomo import (
     AngularWindow,
+    ClippedDisk,
     Disk,
     Ellipse,
     ImageGrid,
@@ -23,6 +24,7 @@ from limitomo import (
     rasterize,
 )
 from limitomo import transforms
+from limitomo.phantoms import analytic_sinogram_row
 
 ONE = WeightFunction.constant(1.0)
 UNIT_DISK = Phantom((Disk((0.0, 0.0), 1.0, 1.0),))
@@ -66,10 +68,14 @@ def test_forward_disk_center_sample():
 
 
 def test_forward_zero_raster():
+    # Every weight kind gives +0.0 everywhere, without a warning.
     grid = ImageGrid(64, 1.2)
     sg = SinogramGrid(n_phi=16, n_s=65, s_max=1.8)
-    g = forward(Raster(grid, np.zeros((64, 64))), ONE, sg)
-    assert np.all(g.values == 0.0)
+    for mu in WEIGHTS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = forward(Raster(grid, np.zeros((64, 64))), mu, sg).values
+        assert np.all(g == 0.0) and not np.signbit(g).any()
 
 
 def test_forward_raster_matches_phantom_path():
@@ -232,6 +238,17 @@ WEIGHTS = [ONE, WeightFunction.exponential(0.4), PARALLEL, RADIAL]
 WEIGHT_IDS = ["constant", "exponential", "parallel", "radial"]
 
 
+def _assert_matches_reference(raster, mu, sg):
+    # 1e-13 of each row's maximum, and exact +0.0 wherever the reference
+    # reads exactly 0: the lines that meet no non-zero pixel.
+    got = forward(raster, mu, sg).values
+    ref = _reference_forward_raster(raster, mu, sg)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=1, keepdims=True))
+    zero = ref == 0.0
+    assert np.all(got[zero] == 0.0) and not np.signbit(got[zero]).any()
+    return zero
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 @pytest.mark.parametrize("mu", WEIGHTS, ids=WEIGHT_IDS)
 def test_forward_raster_matches_reference(cpus, mu, usable_cpus):
@@ -239,13 +256,75 @@ def test_forward_raster_matches_reference(cpus, mu, usable_cpus):
     # an exponential weight as two 1-D factors, so it matches the
     # per-sample projector to rounding only: 1e-13 of each row's maximum.
     usable_cpus(cpus)
-    grid = ImageGrid(40, 1.2)
     values = np.random.default_rng(9).normal(size=(40, 40))
-    sg = SinogramGrid(n_phi=37, n_s=71, s_max=1.8)
-    got = forward(Raster(grid, values), mu, sg).values
-    ref = _reference_forward_raster(Raster(grid, values), mu, sg)
-    tol = 1e-13 * np.abs(ref).max(axis=1, keepdims=True)
-    assert np.all(np.abs(got - ref) <= tol)
+    _assert_matches_reference(Raster(ImageGrid(40, 1.2), values), mu,
+                              SinogramGrid(n_phi=37, n_s=71, s_max=1.8))
+
+
+def _sparse_raster(pixels, values=1.0):
+    img = np.zeros((40, 40))
+    img[pixels] = values
+    return img
+
+
+SPARSE_RASTERS = {
+    **{name: _sparse_raster(ij) for name, ij in [
+        ("corner00", (0, 0)), ("corner0n", (0, 39)), ("cornern0", (39, 0)),
+        ("cornernn", (39, 39)), ("edge", (0, 20)), ("centre", (20, 20))]},
+    # non-zero pixels in one image row: a support of zero height
+    "row": _sparse_raster((13, slice(5, 31)), np.random.default_rng(2).normal(size=26)),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+@pytest.mark.parametrize("mu", WEIGHTS, ids=WEIGHT_IDS)
+@pytest.mark.parametrize("values", SPARSE_RASTERS.values(), ids=SPARSE_RASTERS.keys())
+def test_forward_raster_sparse_support_margin(values, mu, cpus, usable_cpus):
+    # A lone pixel is the tightest support: its lines lie within h of its
+    # centre in s, and the projector computes only those, so a margin
+    # below h drops non-zero samples.  n_s = 301 puts about 5 samples per
+    # pixel width, some within h/2 of the margin's edge.
+    usable_cpus(cpus)
+    sg = SinogramGrid(n_phi=37, n_s=301, s_max=1.8)
+    zero = _assert_matches_reference(Raster(ImageGrid(40, 1.2), values), mu, sg)
+    assert 0 < (~zero).sum(axis=1).min()
+
+
+def test_forward_raster_temporaries_scale_with_support(usable_cpus):
+    # A disk of radius 0.3 meets about a fifth of the lines at s_max = 1.8.
+    # Beyond the output, one worker holds 2.1 (n_s, n) planes projecting
+    # only those lines, and 6.1 projecting every line: the bound of 4
+    # planes fails if the full s range comes back.
+    n, n_s = 128, 257
+    f = rasterize(Phantom((Disk((0.2, -0.1), 0.3, 1.0),)), ImageGrid(n, 1.2))
+    sg = SinogramGrid(n_phi=64, n_s=n_s, s_max=1.8)
+    usable_cpus(1)
+    tracemalloc.start()
+    try:
+        forward(f, ONE, sg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 64 * n_s * 8 < 4 * n_s * n * 8
+
+
+@pytest.mark.parametrize("mu", [ONE, WeightFunction.exponential(0.6)],
+                         ids=["constant", "exponential"])
+def test_forward_phantom_rows_equal_analytic_rows_bitwise(mu):
+    # Only lines within the support radius are computed; the rest must
+    # read the +0.0 that analytic_sinogram_row gives for a missed line,
+    # negative densities included.
+    ph = Phantom((ClippedDisk((0.3, -0.2), 0.4, (0.6, 0.8), 0.1, 1.0),
+                  Ellipse((-0.2, 0.25), 0.35, 0.15, 0.5, -0.7),
+                  Disk((0.35, 0.3), 0.12, -0.4)))
+    sg = SinogramGrid(n_phi=29, n_s=129, s_max=1.8)
+    got = forward(ph, mu, sg).values
+    s = sg.s_values()
+    for phi, row in zip(sg.phis(), got):
+        assert row.tobytes() == analytic_sinogram_row(ph, mu, float(phi), s).tobytes()
+    missed = got == 0.0
+    assert missed.sum() > 29 * 40 and not np.signbit(got[missed]).any()
+    assert (got < 0.0).any()
 
 
 @pytest.mark.parametrize("mode", ["perp", "parallel"])
