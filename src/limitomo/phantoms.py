@@ -3,12 +3,14 @@
 Phantoms are additive superpositions of convex shapes (disks, ellipses and
 half-plane-clipped disks).  Because every supported shape is convex with an
 analytically known boundary, chord lengths, boundary normals, curvatures
-and areas are all available in closed form.  The analytic sinogram row
-below (:func:`analytic_sinogram_row`) serves as the oracle for the
-discrete forward transform: it integrates the weight over each
+and areas are all available in closed form.  The analytic sinogram rows
+below (:func:`analytic_sinogram_row`) serve as the oracle for the
+discrete forward transform: they integrate the weight over each
 closed-form chord with a fixed Gauss-Legendre rule, exact for a constant
 weight and accurate to rounding for a weight that is smooth along the
-chord.
+chord.  Chords take angles of shape ``(A, 1)`` against the offsets, and
+write each projection out as ``cx * cos + cy * sin`` (a 2-vector dot
+rounds by how it is batched), so a row has the same bits in any block.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AngularWindow, ImageGrid, Raster, theta, theta_perp
+from .geometry import AngularWindow, ImageGrid, Raster
 
 # Boundary samples per shape in :meth:`Phantom.boundary_cloud`.
 BOUNDARY_POINTS = 2048
@@ -41,20 +43,16 @@ def _rot(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _frame(phi: float, frame):
-    """``(theta(phi), theta_perp(phi))``, or ``frame`` when the caller has it."""
-    return (theta(phi), theta_perp(phi)) if frame is None else frame
-
-
-def _disk_chord(center, radius: float, th, tp, s):
+def _disk_chord(center, radius: float, phi, s):
     """Chord ``(t0, t1)`` of the circle ``|x - center| <= radius``; ``t0 > t1`` if missed."""
     s = np.asarray(s, dtype=float)
-    c = np.asarray(center)
-    d = c @ th - s                  # line misses if |d| > r
+    c, sn = np.cos(phi), np.sin(phi)
+    cx, cy = center
+    d = cx * c + cy * sn - s        # line misses if |d| > r
     disc = radius * radius - d * d
     hit = disc >= 0.0
     half = np.sqrt(np.maximum(disc, 0.0))
-    tm = float(c @ tp)
+    tm = cy * c - cx * sn
     return np.where(hit, tm - half, 1.0), np.where(hit, tm + half, -1.0)
 
 
@@ -130,14 +128,13 @@ class Disk:
         """Distance from point(s) ``x`` of shape ``(..., 2)`` to the boundary."""
         return np.abs(np.hypot(*_offsets(x, self.center)) - self.radius)
 
-    def chord_interval(self, phi: float, s, frame=None):
-        """Intersection interval(s) of the line ``(phi, s)`` with the shape.
+    def chord_interval(self, phi, s):
+        """Intersection interval(s) of the lines ``(phi, s)`` with the shape.
 
-        Returns ``(t0, t1)`` arrays over the broadcast shape of ``s``;
-        ``t0 > t1`` encodes an empty intersection.  ``frame`` is
-        ``(theta(phi), theta_perp(phi))`` when the caller has computed it.
+        Returns ``(t0, t1)`` arrays over the broadcast shape of ``phi`` and
+        ``s``; ``t0 > t1`` encodes an empty intersection.
         """
-        return _disk_chord(self.center, self.radius, *_frame(phi, frame), s)
+        return _disk_chord(self.center, self.radius, phi, s)
 
     def boundary_points(self):
         """``BOUNDARY_POINTS`` points and outward unit normals along the boundary."""
@@ -196,28 +193,27 @@ class Ellipse:
         args = (self.a, self.b, u, v) if self.a >= self.b else (self.b, self.a, v, u)
         return _ellipse_distance(*args).reshape(dx.shape)
 
-    def chord_interval(self, phi: float, s, frame=None):
+    def chord_interval(self, phi, s):
         # Along x(t) = s theta + t theta_perp the membership form is a
         # quadratic in t; in the rotated frame the standard chord formula
         # 2ab sqrt(q^2 - s'^2)/q^2 applies with q^2 = a^2 cos^2 + b^2 sin^2.
         s = np.asarray(s, dtype=float)
-        c = np.asarray(self.center)
+        cx, cy = self.center
+        c, sn = np.cos(phi), np.sin(phi)
         beta = phi - self.angle
-        q2 = (self.a * math.cos(beta)) ** 2 + (self.b * math.sin(beta)) ** 2
-        th, tp = _frame(phi, frame)
-        se = s - c @ th
+        q2 = (self.a * np.cos(beta)) ** 2 + (self.b * np.sin(beta)) ** 2
+        se = s - (cx * c + cy * sn)
         disc = q2 - se * se
         hit = disc >= 0.0
         half = self.a * self.b * np.sqrt(np.maximum(disc, 0.0)) / q2
-        # chord midpoint along t: stationary point of the membership quadratic
+        # chord midpoint along t: stationary point of the membership quadratic;
+        # in the ellipse frame (rotated by -angle) theta is (u, v), theta_perp (-v, u)
         ca, sa = math.cos(self.angle), math.sin(self.angle)
-        R = np.array([[ca, sa], [-sa, ca]])      # world -> ellipse frame
-        thl = R @ th
-        tpl = R @ tp
-        A = (tpl[0] / self.a) ** 2 + (tpl[1] / self.b) ** 2
-        Bh = thl[0] * tpl[0] / self.a**2 + thl[1] * tpl[1] / self.b**2
+        u, v = ca * c + sa * sn, ca * sn - sa * c
+        A = (v / self.a) ** 2 + (u / self.b) ** 2
+        Bh = u * v / self.b**2 - u * v / self.a**2
         # local line offset: x_local = (s - c.th) th_l + (t - c.tp) tp_l
-        tm = float(c @ tp) - (Bh / A) * se
+        tm = (cy * c - cx * sn) - (Bh / A) * se
         t0 = np.where(hit, tm - half, 1.0)
         t1 = np.where(hit, tm + half, -1.0)
         return t0, t1
@@ -302,26 +298,21 @@ class ClippedDisk:
         # the chord, never nearer than the chord itself.
         return np.where(u * r <= d * rho, np.minimum(np.abs(rho - r), chord), chord)
 
-    def chord_interval(self, phi: float, s, frame=None):
-        s = np.asarray(s, dtype=float)
-        c = np.asarray(self.center)
-        th, tp = _frame(phi, frame)
-        t0, t1 = _disk_chord(self.center, self.radius, th, tp, s)
+    def chord_interval(self, phi, s):
+        t0, t1 = _disk_chord(self.center, self.radius, phi, s)
         # intersect with n . (x(t) - c) = off + t g <= clip_offset, linear in t
-        n = np.asarray(self.clip_normal)
-        g = float(n @ tp)
-        off = (n @ th) * s - float(n @ c)
-        if abs(g) < 1e-15:
-            keep = off <= self.clip_offset
-            t0 = np.where(keep, t0, 1.0)
-            t1 = np.where(keep, t1, -1.0)
-        else:
-            tb = (self.clip_offset - off) / g
-            if g > 0:
-                t1 = np.minimum(t1, tb)
-            else:
-                t0 = np.maximum(t0, tb)
-        return t0, t1
+        (cx, cy), (nx, ny) = self.center, self.clip_normal
+        c, sn = np.cos(phi), np.sin(phi)
+        g = ny * c - nx * sn
+        off = (nx * c + ny * sn) * s - (nx * cx + ny * cy)
+        # A line parallel to the clip line (|g| < 1e-15) is kept whole or
+        # dropped; any other is cut at tb, dividing only where it is.
+        par = np.abs(g) < 1e-15
+        tb = np.divide(self.clip_offset - off, g, out=np.zeros(off.shape), where=~par)
+        t0 = np.where(~par & (g < 0.0), np.maximum(t0, tb), t0)
+        t1 = np.where(~par & (g > 0.0), np.minimum(t1, tb), t1)
+        drop = par & (off > self.clip_offset)
+        return np.where(drop, 1.0, t0), np.where(drop, -1.0, t1)
 
     def boundary_points(self):
         c = np.asarray(self.center)
@@ -445,38 +436,44 @@ def rasterize(phantom: Phantom, grid: ImageGrid) -> Raster:
 # chord to rounding: exponential weights with |lam| <= 3 on chords up to
 # 1.8 long agree with their closed form to about 1e-15.
 _RULE_CONSTANT = np.polynomial.legendre.leggauss(1)
-_RULE_SMOOTH = np.polynomial.legendre.leggauss(16)
+SMOOTH_NODES = 16
+_RULE_SMOOTH = np.polynomial.legendre.leggauss(SMOOTH_NODES)
 
 
-def analytic_sinogram_row(phantom: Phantom, mu, phi: float, s) -> np.ndarray:
+def analytic_sinogram_row(phantom: Phantom, mu, phi, s) -> np.ndarray:
     """Weighted line integrals of the phantom along the lines ``(phi, s)``.
 
-    Every shape's chord ``[t0, t1]`` is closed form; the weight
+    ``phi`` is one angle or an array of them: the result has shape
+    ``phi.shape + s.shape``, and each row the bits of a call for its angle
+    alone.  Every shape's chord ``[t0, t1]`` is closed form; the weight
     ``mu(x(t), phi)`` is integrated over it with a fixed Gauss-Legendre
-    rule, vectorized over ``s`` and the shapes: one node for a constant
-    weight (exact), 16 nodes otherwise.  The rule assumes a weight that is
-    smooth along each chord.  Lines missing (or tangent to) every shape
-    yield 0.
+    rule: one node for a constant weight (exact, no points built), 16
+    nodes otherwise, which assumes a weight smooth along each chord.
+    Lines missing (or tangent to) every shape yield 0.
     """
-    s = np.asarray(s, dtype=float)
+    s, phi = np.asarray(s, dtype=float), np.asarray(phi, dtype=float)
     if not phantom.shapes:
-        return np.zeros(s.shape)
-    nodes, weights = _RULE_CONSTANT if mu.kind == "constant" else _RULE_SMOOTH
-    frame = (theta(phi), theta_perp(phi))
-    chords = np.array([sh.chord_interval(phi, s, frame) for sh in phantom.shapes])
-    t0, t1 = chords[:, 0], chords[:, 1]            # (n_shapes, *s.shape)
+        return np.zeros(phi.shape + s.shape)
+    phi = phi.reshape(phi.shape + (1,) * s.ndim)
+    chords = np.array([sh.chord_interval(phi, s) for sh in phantom.shapes])
+    t0, t1 = chords[:, 0], chords[:, 1]            # (n_shapes, *phi.shape, *s.shape)
     # An empty chord becomes [0, 0]: its ends can lie far out on the line
     # (a clip line nearly parallel to it), where the weight may overflow.
     hit = t1 > t0
     t0, t1 = np.where(hit, t0, 0.0), np.where(hit, t1, 0.0)
     half = 0.5 * (t1 - t0)
-    t = (0.5 * (t0 + t1))[..., None] + half[..., None] * nodes
-    # x(t) = s theta + t theta_perp, shape (n_shapes, *s.shape, nodes, 2)
-    c, sn = math.cos(phi), math.sin(phi)
-    pts = np.stack([s[..., None] * c - t * sn, s[..., None] * sn + t * c], axis=-1)
-    chord_integrals = half * (mu(pts, phi) * weights).sum(axis=-1)
-    density = np.array([sh.density for sh in phantom.shapes]).reshape((-1,) + (1,) * s.ndim)
-    return (density * chord_integrals).sum(axis=0)
+    if mu.kind == "constant":
+        # the one-node sum of the rule, without its point planes
+        chord_integrals = half * (mu.params[0] * _RULE_CONSTANT[1][0])
+    else:
+        nodes, weights = _RULE_SMOOTH
+        t = (0.5 * (t0 + t1))[..., None] + half[..., None] * nodes
+        # x(t) = s theta + t theta_perp, shape (n_shapes, *t0.shape[1:], nodes, 2)
+        c, sn = np.cos(phi)[..., None], np.sin(phi)[..., None]
+        pts = np.stack([s[..., None] * c - t * sn, s[..., None] * sn + t * c], axis=-1)
+        chord_integrals = half * (mu(pts, phi[..., None]) * weights).sum(axis=-1)
+    density = np.array([sh.density for sh in phantom.shapes])
+    return (density.reshape((-1,) + (1,) * (chords.ndim - 2)) * chord_integrals).sum(axis=0)
 
 
 def edge_singularities(phantom: Phantom, window: AngularWindow) -> list[EdgeSingularity]:

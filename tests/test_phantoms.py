@@ -140,6 +140,56 @@ def test_line_integral_is_one_sample_row(mu):
     assert row[0] == 0.0 and row[-1] == 0.0
 
 
+# Exact binary values: at phi = 0 (and, to |sin| < 1e-15, at phi = pi) the
+# lines x = s run parallel to PARALLEL_CLIP's clip line x = 0.375, which is
+# itself a sampled line; s = -0.25 and s = 0.75 are tangent to its circle.
+PARALLEL_CLIP = ClippedDisk((0.25, -0.125), 0.5, (1.0, 0.0), 0.125, 0.75)
+BLOCK_S = np.linspace(-1.0, 1.0, 33)
+BLOCK_PHIS = np.concatenate([[0.0, math.pi, math.atan2(0.8, 0.6)],
+                             np.random.default_rng(8).uniform(-1.0, 7.0, 10)])
+
+
+def test_parallel_clip_block_takes_both_branches():
+    # In one block, the rows parallel to the clip line drop the lines beyond
+    # it and keep the others whole, and the other rows divide without a
+    # warning about the parallel ones.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t0, t1 = PARALLEL_CLIP.chord_interval(BLOCK_PHIS[:, None], BLOCK_S)
+    for row in (0, 1):
+        c = math.cos(BLOCK_PHIS[row])                 # 1 and -1
+        in_half = c * BLOCK_S - 0.25 <= 0.125
+        np.testing.assert_array_equal(t1[row] >= t0[row],
+                                      (np.abs(0.25 * c - BLOCK_S) <= 0.5) & in_half)
+    assert t0[0, 12] == t1[0, 12]                     # s = -0.25: tangent
+    assert t1[0, 22] > t0[0, 22] and t1[0, 23] < t0[0, 23]   # s = 0.375 kept, next dropped
+
+
+@pytest.mark.parametrize("mu", [ONE, WeightFunction.exponential(0.4),
+                                WeightFunction.exponential(-0.7, "parallel"), SMOOTH],
+                         ids=["constant", "perp", "parallel", "custom"])
+def test_block_rows_equal_per_angle_rows_bitwise(mu):
+    # Every shape kind, in one phantom and alone; a row has the bits of a
+    # call for its angle alone, whatever block it comes in.
+    shapes = (DISK, ELLIPSE, CLIPPED, PARALLEL_CLIP)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ph in [Phantom(shapes)] + [Phantom((sh,)) for sh in shapes]:
+            block = analytic_sinogram_row(ph, mu, BLOCK_PHIS, BLOCK_S)
+            assert block.shape == (BLOCK_PHIS.size, BLOCK_S.size)
+            np.testing.assert_array_equal(
+                np.concatenate([analytic_sinogram_row(ph, mu, BLOCK_PHIS[a:a + 4], BLOCK_S)
+                                for a in range(0, BLOCK_PHIS.size, 4)]), block)
+            for phi, row in zip(BLOCK_PHIS, block):
+                assert row.tobytes() == analytic_sinogram_row(ph, mu, float(phi),
+                                                              BLOCK_S).tobytes()
+    for sh in shapes:
+        t0, t1 = sh.chord_interval(BLOCK_PHIS[:, None], BLOCK_S)
+        for phi, r0, r1 in zip(BLOCK_PHIS, t0, t1):
+            one = sh.chord_interval(float(phi), BLOCK_S)
+            assert r0.tobytes() == one[0].tobytes() and r1.tobytes() == one[1].tobytes()
+
+
 def test_line_integral_linear_in_densities():
     d1 = Phantom((Disk((0.1, 0.0), 0.8, 1.0),))
     d2 = Phantom((Disk((0.1, 0.0), 0.8, 2.5),))

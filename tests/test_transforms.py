@@ -327,6 +327,49 @@ def test_forward_phantom_rows_equal_analytic_rows_bitwise(mu):
     assert (got < 0.0).any()
 
 
+BLOCK_PHANTOM = Phantom((Disk((0.0, 0.0), 0.6, 1.0),
+                         Ellipse((0.1, 0.2), 0.3, 0.2, 0.4, 0.5),
+                         ClippedDisk((-0.1, 0.0), 0.4, (0.6, 0.8), 0.1, 1.0)))
+
+
+@pytest.mark.parametrize("mu", [ONE, WeightFunction.exponential(0.4)],
+                         ids=["constant", "exponential"])
+def test_forward_phantom_temporaries_are_block_sized(mu, usable_cpus):
+    # Beyond the output, the analytic forward holds about 6 (exponential)
+    # to 8 (constant) planes of BLOCK_PIXELS values: a block's chords,
+    # points and weights over shapes x angles x s x nodes.  The 16-node
+    # point plane of all 360 angles alone is 31 planes, and blocks not
+    # divided by the 3 shapes hold 19 to 21: the bound of 12 fails for
+    # either.
+    sg = SinogramGrid(n_phi=360, n_s=257, s_max=1.8)
+    usable_cpus(1)
+    tracemalloc.start()
+    try:
+        forward(BLOCK_PHANTOM, mu, sg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 360 * 257 * 8 < 12 * transforms.BLOCK_PIXELS * 8
+
+
+@pytest.mark.parametrize("block", [None, 2 * 87 * 16 * 3 + 1])
+@pytest.mark.parametrize("mu", [ONE, WeightFunction.exponential(0.4)],
+                         ids=["constant", "exponential"])
+def test_forward_phantom_bitwise_equal_across_threads(mu, block, monkeypatch, usable_cpus):
+    # The blocks run serially, so one and two usable CPUs give the same
+    # bits.  So do smaller blocks: 87 of the s meet the support, so they
+    # hold 2 angles (exponential) or 32 (constant) against the default 7
+    # or all 61.
+    sg = SinogramGrid(n_phi=61, n_s=257, s_max=1.8)
+    usable_cpus(1)
+    one = forward(BLOCK_PHANTOM, mu, sg).values
+    usable_cpus(2)
+    if block is not None:
+        monkeypatch.setattr(transforms, "BLOCK_PIXELS", block)
+    np.testing.assert_array_equal(forward(BLOCK_PHANTOM, mu, sg).values, one)
+    assert not np.signbit(one[one == 0.0]).any()
+
+
 @pytest.mark.parametrize("mode", ["perp", "parallel"])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_forward_raster_finite_at_rate_bound(mode, sign):
