@@ -65,8 +65,6 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_study(args) -> int:
     cfg = load_config(args.config)
-    if cfg.window is None:
-        raise ConfigError("study requires a windowed configuration (kind != full)")
     k_list = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
     out_dir = args.out_dir or cfg.out_dir
     rows = strength_vs_order_study(cfg.phantom, cfg.recon_config(), k_list,

@@ -211,10 +211,11 @@ def artifact_report(recon: Raster, phantom: Phantom,
     its generator; points within ``exclusion_radius`` of the generator, or of
     the phantom boundary by each shape's exact distance
     (``Phantom.boundary_distance``), are dropped and the peak absolute value
-    of the rest is the line strength.  Edge strengths are peak absolute
-    values in a tube (half-width ``tube_radius``, 3 pixels) around the
-    boundary arcs whose normals lie in the window; with ``window=None`` the
-    whole boundary counts as visible.
+    of the rest is the line strength.  A shape's edge strength is the peak
+    absolute value at the pixel centres within ``tube_radius`` (3 pixels) of
+    its boundary whose nearest boundary point has a normal in the window;
+    with ``window=None`` the whole tube counts as visible.  Only samples and
+    pixels at most ``L - h`` from the image centre in each coordinate count.
     """
     grid = recon.grid
     h, L = grid.h, grid.extent
@@ -237,24 +238,21 @@ def artifact_report(recon: Raster, phantom: Phantom,
         vals = np.abs(_sample_raster(recon, pts[keep]))
         strengths.append(float(vals.max()) if vals.size else 0.0)
 
-    # per-shape peak |recon| along the visible part of the boundary
-    bpts, bnrm, bidx = phantom.boundary_cloud()
+    # Per-shape peak |recon| over the visible tube pixels of its bounding
+    # box; normals only on the tube, the distance alone on the box.
+    ax = grid.axis()
+    inner = np.abs(ax) <= L - h
     edge_strengths = []
-    if len(bpts):
-        psi = np.arctan2(bnrm[:, 1], bnrm[:, 0])
-        visible = np.ones(len(bpts), dtype=bool) if window is None \
-            else window.contains_direction(psi)
-        offsets = np.arange(-tube_radius, tube_radius + 0.25 * h, 0.5 * h)
-        for i in range(len(phantom.shapes)):
-            sel = visible & (bidx == i)
-            if not np.any(sel):
-                edge_strengths.append(0.0)
-                continue
-            pts = bpts[sel][:, None, :] + offsets[None, :, None] * bnrm[sel][:, None, :]
-            inb = (np.abs(pts[..., 0]) <= L - h) & (np.abs(pts[..., 1]) <= L - h)
-            vals = np.abs(_sample_raster(recon, pts))
-            vals[~inb] = 0.0
-            edge_strengths.append(float(vals.max()))
+    for sh in phantom.shapes:
+        ix, iy = (np.flatnonzero(inner & (np.abs(ax - c) <= w + tube_radius))
+                  for c, w in zip(sh.center, sh.bbox_halfwidths()))
+        pts = np.stack(np.meshgrid(ax[ix], ax[iy]), axis=-1)
+        tube = sh.boundary_distance(pts) <= tube_radius
+        if window is not None:
+            _, nrm = sh.boundary_distance(pts[tube], normal=True)
+            tube[tube] = window.contains_direction(np.arctan2(nrm[:, 1], nrm[:, 0]))
+        vals = np.abs(recon.values[np.ix_(iy, ix)][tube])
+        edge_strengths.append(float(vals.max()) if vals.size else 0.0)
 
     k = window.k if window is not None and window.kind == "finite-order" else None
     meta = {

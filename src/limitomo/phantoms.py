@@ -11,6 +11,8 @@ weight and accurate to rounding for a weight that is smooth along the
 chord.  Chords take angles of shape ``(A, 1)`` against the offsets, and
 write each projection out as ``cx * cos + cy * sin`` (a 2-vector dot
 rounds by how it is batched), so a row has the same bits in any block.
+Each shape's ``boundary_distance`` is exact and, with ``normal=True``, also
+gives the outward unit normal at the nearest boundary point.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import AngularWindow, ImageGrid, Raster
-
-# Boundary samples per shape in :meth:`Phantom.boundary_cloud`.
-BOUNDARY_POINTS = 2048
 
 # How far ``|n . e|`` of a clip edge may be from 1 for its normal to count
 # as parallel to ``e`` in :func:`edge_singularities`.
@@ -36,11 +35,6 @@ def _unit(v) -> np.ndarray:
     if n == 0.0:
         raise ValueError("zero vector cannot be normalized")
     return v / n
-
-
-def _rot(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
 
 
 def _disk_chord(center, radius: float, phi, s):
@@ -62,8 +56,17 @@ def _offsets(x, center):
     return x[..., 0] - center[0], x[..., 1] - center[1]
 
 
-def _ellipse_distance(e0: float, e1: float, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
-    """Distance from points ``(y0, y1) >= 0`` (1-D) to the ellipse with semi-axes ``e0 >= e1``.
+def _radial(dx, dy, rho):
+    """Unit vectors ``(dx, dy) / rho``; ``(1, 0)`` at ``rho = 0``, where every
+    point of a circle about the origin is nearest."""
+    centre = rho == 0.0
+    r = np.where(centre, 1.0, rho)
+    return np.stack([np.where(centre, 1.0, dx) / r, dy / r], axis=-1)
+
+
+def _ellipse_nearest(e0: float, e1: float, y0: np.ndarray, y1: np.ndarray):
+    """Distance from points ``(y0, y1) >= 0`` (1-D) to the ellipse with semi-axes
+    ``e0 >= e1``, and the nearest point ``(p0, p1) >= 0``.
 
     Off the major axis the nearest point is ``(r0 y0 / (t + c), y1 / t)``, where
     ``r0 = (e0 / e1)^2``, ``c = r0 - 1`` and ``t`` is the root of
@@ -90,12 +93,13 @@ def _ellipse_distance(e0: float, e1: float, y0: np.ndarray, y1: np.ndarray) -> n
         rises = t_next > ti
         idx = idx[rises]
         t[idx] = t_next[rises]
-    off_axis = np.hypot(r0 * y0 / (t + c) - y0, y1 / t - y1)
     # On the major axis the nearest point is (e0 q, e1 sqrt(1 - q^2)) with
     # q = e0 y0 / (e0^2 - e1^2) while that is below 1, else the vertex.
     d = e0 * e0 - e1 * e1
     q = np.divide(e0 * y0, d, out=np.ones(y0.shape), where=e0 * y0 < d)
-    return np.where(off, off_axis, np.hypot(e0 * q - y0, e1 * np.sqrt(1.0 - q * q)))
+    p0 = np.where(off, r0 * y0 / (t + c), e0 * q)
+    p1 = np.where(off, y1 / t, e1 * np.sqrt(1.0 - q * q))
+    return np.hypot(p0 - y0, np.where(off, p1 - y1, p1)), p0, p1
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +128,13 @@ class Disk:
     def area(self) -> float:
         return math.pi * self.radius * self.radius
 
-    def boundary_distance(self, x) -> np.ndarray:
-        """Distance from point(s) ``x`` of shape ``(..., 2)`` to the boundary."""
-        return np.abs(np.hypot(*_offsets(x, self.center)) - self.radius)
+    def boundary_distance(self, x, normal: bool = False):
+        """Distance from point(s) ``x`` of shape ``(..., 2)`` to the boundary; with
+        ``normal=True``, ``(distance, outward unit normal at the nearest point)``."""
+        dx, dy = _offsets(x, self.center)
+        rho = np.hypot(dx, dy)
+        dist = np.abs(rho - self.radius)
+        return (dist, _radial(dx, dy, rho)) if normal else dist
 
     def chord_interval(self, phi, s):
         """Intersection interval(s) of the lines ``(phi, s)`` with the shape.
@@ -135,12 +143,6 @@ class Disk:
         ``s``; ``t0 > t1`` encodes an empty intersection.
         """
         return _disk_chord(self.center, self.radius, phi, s)
-
-    def boundary_points(self):
-        """``BOUNDARY_POINTS`` points and outward unit normals along the boundary."""
-        psi = np.linspace(0.0, 2.0 * math.pi, BOUNDARY_POINTS, endpoint=False)
-        nrm = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
-        return np.asarray(self.center) + self.radius * nrm, nrm
 
     def points_with_normal(self, e):
         """Boundary points whose outward normal is parallel to ``+-e``."""
@@ -186,12 +188,21 @@ class Ellipse:
     def area(self) -> float:
         return math.pi * self.a * self.b
 
-    def boundary_distance(self, x) -> np.ndarray:
+    def boundary_distance(self, x, normal: bool = False):
         dx, dy = _offsets(x, self.center)
         ca, sa = math.cos(self.angle), math.sin(self.angle)
-        u, v = np.abs(ca * dx + sa * dy).ravel(), np.abs(ca * dy - sa * dx).ravel()
-        args = (self.a, self.b, u, v) if self.a >= self.b else (self.b, self.a, v, u)
-        return _ellipse_distance(*args).reshape(dx.shape)
+        k = 1 if self.a >= self.b else -1           # orders (major, minor)
+        (e0, e1), (y0, y1) = (self.a, self.b)[::k], (ca * dx + sa * dy, ca * dy - sa * dx)[::k]
+        dist, p0, p1 = _ellipse_nearest(e0, e1, np.abs(y0).ravel(), np.abs(y1).ravel())
+        dist = dist.reshape(dx.shape)
+        if not normal:
+            return dist
+        # The form's gradient (p0 / e0^2, p1 / e1^2) at the nearest point,
+        # scaled by e1^2, with the signs of the point's own quadrant.
+        gu, gv = (np.copysign(p0.reshape(dx.shape) * (e1 / e0) ** 2, y0),
+                  np.copysign(p1.reshape(dx.shape), y1))[::k]
+        g = np.hypot(gu, gv)
+        return dist, np.stack([(ca * gu - sa * gv) / g, (sa * gu + ca * gv) / g], axis=-1)
 
     def chord_interval(self, phi, s):
         # Along x(t) = s theta + t theta_perp the membership form is a
@@ -218,18 +229,10 @@ class Ellipse:
         t1 = np.where(hit, tm + half, -1.0)
         return t0, t1
 
-    def boundary_points(self):
-        psi = np.linspace(0.0, 2.0 * math.pi, BOUNDARY_POINTS, endpoint=False)
-        R = _rot(self.angle)
-        loc = np.stack([self.a * np.cos(psi), self.b * np.sin(psi)], axis=-1)
-        pts = np.asarray(self.center) + loc @ R.T
-        nl = np.stack([np.cos(psi) / self.a, np.sin(psi) / self.b], axis=-1)
-        nl = nl / np.linalg.norm(nl, axis=-1, keepdims=True)
-        return pts, nl @ R.T
-
     def points_with_normal(self, e):
         e = _unit(e)
-        R = _rot(self.angle)
+        ca, sa = math.cos(self.angle), math.sin(self.angle)
+        R = np.array([[ca, -sa], [sa, ca]])
         m = R.T @ e                      # requested normal in the ellipse frame
         denom = math.hypot(self.a * m[0], self.b * m[1])
         loc = np.array([self.a**2 * m[0], self.b**2 * m[1]]) / denom
@@ -285,18 +288,31 @@ class ClippedDisk:
         seg = r * r * math.acos(d / r) - d * math.sqrt(r * r - d * d)
         return math.pi * r * r - seg
 
-    def boundary_distance(self, x) -> np.ndarray:
+    def boundary_distance(self, x, normal: bool = False):
         """The nearer of the kept arc and the chord segment."""
         dx, dy = _offsets(x, self.center)
         nx, ny = self.clip_normal
         r, d = self.radius, self.clip_offset
-        u, v = nx * dx + ny * dy, np.abs(nx * dy - ny * dx)   # along the normal, the chord
+        half = math.sqrt(r * r - d * d)
+        u, w = nx * dx + ny * dy, nx * dy - ny * dx     # along the normal, the chord
+        v = np.abs(w)
         rho = np.hypot(dx, dy)
-        chord = np.hypot(u - d, np.maximum(v - math.sqrt(r * r - d * d), 0.0))
+        chord = np.hypot(u - d, np.maximum(v - half, 0.0))
+        arc = np.abs(rho - r)
         # Where the ray from the centre through x meets the kept arc, the
         # arc's nearest point is the circle's; elsewhere it is a corner of
         # the chord, never nearer than the chord itself.
-        return np.where(u * r <= d * rho, np.minimum(np.abs(rho - r), chord), chord)
+        on_arc = (u * r <= d * rho) & (arc < chord)
+        dist = np.where(on_arc, arc, chord)
+        if not normal:
+            return dist
+        # On the chord the normal is the clip normal; beyond a chord end, the
+        # unit vector from that corner to x (there chord >= v - half > 0).
+        beyond = v > half
+        nu = np.divide(u - d, chord, out=np.ones(dist.shape), where=beyond)
+        nw = np.divide(np.copysign(v - half, w), chord, out=np.zeros(dist.shape), where=beyond)
+        flat = np.stack([nu * nx - nw * ny, nu * ny + nw * nx], axis=-1)
+        return dist, np.where(on_arc[..., None], _radial(dx, dy, rho), flat)
 
     def chord_interval(self, phi, s):
         t0, t1 = _disk_chord(self.center, self.radius, phi, s)
@@ -313,26 +329,6 @@ class ClippedDisk:
         t1 = np.where(~par & (g > 0.0), np.minimum(t1, tb), t1)
         drop = par & (off > self.clip_offset)
         return np.where(drop, 1.0, t0), np.where(drop, -1.0, t1)
-
-    def boundary_points(self):
-        c = np.asarray(self.center)
-        n = np.asarray(self.clip_normal)
-        alpha = math.atan2(n[1], n[0])
-        beta = math.acos(self.clip_offset / self.radius)
-        # kept arc: angles (relative to the clip normal) in [beta, 2 pi - beta]
-        arc_len = (2.0 * math.pi - 2.0 * beta) * self.radius
-        chord_half = math.sqrt(self.radius**2 - self.clip_offset**2)
-        seg_len = 2.0 * chord_half
-        m_arc = max(int(round(BOUNDARY_POINTS * arc_len / (arc_len + seg_len))), 8)
-        m_seg = max(BOUNDARY_POINTS - m_arc, 8)
-        psi = alpha + np.linspace(beta, 2.0 * math.pi - beta, m_arc)
-        nrm_arc = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
-        pts_arc = c + self.radius * nrm_arc
-        tvec = np.array([-n[1], n[0]])
-        tpar = np.linspace(-chord_half, chord_half, m_seg)
-        pts_seg = c + self.clip_offset * n + tpar[:, None] * tvec
-        nrm_seg = np.tile(n, (m_seg, 1))
-        return np.concatenate([pts_arc, pts_seg]), np.concatenate([nrm_arc, nrm_seg])
 
     def points_with_normal(self, e):
         e = _unit(e)
@@ -401,22 +397,6 @@ class Phantom:
         """Exact distance from point(s) ``x`` to the nearest shape boundary; inf without shapes."""
         return np.min([np.full(np.shape(x)[:-1], np.inf)]
                       + [sh.boundary_distance(x) for sh in self.shapes], axis=0)
-
-    def boundary_cloud(self):
-        """Concatenated boundary samples of all shapes, ``BOUNDARY_POINTS`` each.
-
-        Returns ``(points, normals, shape_index)``.
-        """
-        pts, nrm, idx = [], [], []
-        for i, sh in enumerate(self.shapes):
-            p, n = sh.boundary_points()
-            pts.append(p)
-            nrm.append(n)
-            idx.append(np.full(len(p), i))
-        if not pts:
-            z = np.zeros((0, 2))
-            return z, z, np.zeros(0, dtype=int)
-        return np.concatenate(pts), np.concatenate(nrm), np.concatenate(idx).astype(int)
 
 
 def rasterize(phantom: Phantom, grid: ImageGrid) -> Raster:

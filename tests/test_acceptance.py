@@ -163,6 +163,17 @@ def test_criterion_5_artifact_geometry():
     contained = energy[outside & (line_dist <= 3.0 * h)].sum() / energy[outside].sum()
     _report(f"criterion 5: achieved containment {contained:.1%} "
             f"(3-pixel tubes, n={n}, n_phi={n_phi})")
+    dist, normal = UNIT_DISK.shapes[0].boundary_distance(np.stack([X, Y], axis=-1), normal=True)
+    visible = win.contains_direction(np.arctan2(normal[..., 1], normal[..., 0]))
+    near = dist <= 12.0 * h
+
+    def share(sel):
+        return energy[outside & sel].sum() / energy[outside].sum()
+
+    _report(f"criterion 5: counted energy by boundary distance: 3-6 px "
+            f"{share(dist <= 6.0 * h):.1%}, 6-12 px {share((dist > 6.0 * h) & near):.1%}, "
+            f">12 px {share(~near):.1%}; within 12 px of visible arcs "
+            f"{share(near & visible):.1%}, of invisible arcs {share(near & ~visible):.1%}")
     # The smooth part of the limited-angle normal operator (interior halo
     # and edge skirt) dominates the raw pixel energy at every feasible
     # resolution, so the stated 90% is not reachable with plain energy in

@@ -283,11 +283,13 @@ def test_study_subcommand(tmp_path):
     assert len(summary["rows"]) == 2
 
 
-def test_study_rejects_full_window(tmp_path):
+def test_study_rejects_full_window(tmp_path, capsys):
     cfg, out = _write_cfg(tmp_path, SMALL_CONFIG)
     rc = main(["study", "--config", str(cfg), "--k-list", "1,2",
                "--out-dir", str(out)])
-    assert rc != 0
+    assert rc == 1
+    assert "error [study]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_reruns_bit_identical(tmp_path):

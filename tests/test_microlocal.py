@@ -210,6 +210,27 @@ def test_artifact_report_zero_recon():
     assert all(s == 0.0 for s in rep.edge_strengths)
 
 
+def test_edge_strength_is_the_peak_over_visible_tube_pixels():
+    # Spikes on a zero image: at a tube pixel whose nearest normal the window
+    # sees, at a tube pixel whose normal it does not see, and 4 rows off the
+    # first.  Only the first is on a visible edge, and it is read whole.
+    grid = ImageGrid(64, 1.5)
+    h, ax = grid.h, grid.axis()
+    disk = UNIT_DISK.shapes[0]
+    win = AngularWindow(PHI1, PHI2, "finite-order", 1)
+    top, right = np.abs(ax - 1.0).argmin(), np.abs(ax - 0.0).argmin()
+    spikes = {(top, right): -2.5, (right, top): 10.0, (top + 4, right): 20.0}
+    values = np.zeros((64, 64))
+    for (i, j), v in spikes.items():
+        values[i, j] = v
+    d = disk.boundary_distance(np.array([[ax[j], ax[i]] for i, j in spikes]))
+    assert d[0] <= 3.0 * h and d[1] <= 3.0 * h and d[2] > 4.0 * h
+    rep = artifact_report(Raster(grid, values), UNIT_DISK, win, 4.0 * grid.h)
+    assert rep.edge_strengths == (2.5,)
+    full = artifact_report(Raster(grid, values), UNIT_DISK, None, 4.0 * grid.h)
+    assert full.edge_strengths == (10.0,)
+
+
 def test_artifact_report_rejects_small_exclusion():
     grid = ImageGrid(128, 1.2)
     win = AngularWindow(PHI1, PHI2, "finite-order", 1)

@@ -402,6 +402,80 @@ def test_boundary_distance_of_mirrored_phantom_is_mirrored():
     assert np.all(Phantom(()).boundary_distance(x) == np.inf)
 
 
+def _nearest_samples(x, curves):
+    """Brute-force nearest boundary sample of each point: its distance, the
+    sample, the unit tangent there, and whether it ends its curve."""
+    best = np.full(len(x), np.inf)
+    foot, tangent, end = np.zeros((len(x), 2)), np.zeros((len(x), 2)), np.zeros(len(x), bool)
+    for b in curves:
+        t = np.gradient(b, axis=0)
+        t /= np.hypot(t[:, 0], t[:, 1])[:, None]
+        for i in range(0, len(x), 32):
+            d = np.hypot(x[i:i + 32, None, 0] - b[:, 0], x[i:i + 32, None, 1] - b[:, 1])
+            k = d.argmin(axis=1)
+            dk = d[np.arange(len(k)), k]
+            better = dk < best[i:i + 32]
+            sel, k = np.arange(i, i + len(k))[better], k[better]
+            best[sel], foot[sel], tangent[sel] = dk[better], b[k], t[k]
+            end[sel] = (k == 0) | (k == len(b) - 1)
+    return best, foot, tangent, end
+
+
+def _has_far_rival(x, curves, best, foot, slack, far=0.05):
+    """Whether a sample more than ``far`` from the nearest one is within ``slack``
+    as near: the point has no unique nearest boundary point, to sampling accuracy."""
+    rival = np.zeros(len(x), bool)
+    for b in curves:
+        for i in range(0, len(x), 32):
+            d = np.hypot(x[i:i + 32, None, 0] - b[:, 0], x[i:i + 32, None, 1] - b[:, 1])
+            away = np.hypot(foot[i:i + 32, None, 0] - b[:, 0],
+                            foot[i:i + 32, None, 1] - b[:, 1]) > far
+            rival[i:i + 32] |= np.any(away & (d <= best[i:i + 32, None] + slack), axis=1)
+    return rival
+
+
+@pytest.mark.parametrize("shape", DISTANCE_SHAPES, ids=lambda s: type(s).__name__)
+def test_boundary_normal_matches_dense_sampling(shape):
+    x = _distance_probes(shape, np.random.default_rng(7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist, nrm = shape.boundary_distance(x, normal=True)
+    np.testing.assert_array_equal(dist, shape.boundary_distance(x))
+    np.testing.assert_allclose(np.hypot(nrm[:, 0], nrm[:, 1]), 1.0, rtol=0, atol=1e-15)
+
+    c = np.asarray(shape.center)
+    if isinstance(shape, Ellipse):
+        curvature = max(shape.a, shape.b) / min(shape.a, shape.b) ** 2
+    else:
+        curvature = 1.0 / shape.radius
+    corner = isinstance(shape, ClippedDisk)
+    inner = c  # a point strictly inside the shape
+    if corner:
+        cn = np.asarray(shape.clip_normal)
+        inner = c + 0.5 * (shape.clip_offset - shape.radius) * cn
+    curves = _dense_boundary(shape, m=2**15)
+    gap = max(np.hypot(*np.diff(b, axis=0).T).max() for b in curves)
+    best, foot, tangent, end = _nearest_samples(x, curves)
+    # The centre of a disk, or a point of an ellipse's medial segment, has
+    # more than one nearest point; its normal is any of theirs.
+    unique = ~_has_far_rival(x, curves, best, foot, gap)
+    assert unique.mean() >= 0.85
+    at_corner = end & corner
+    smooth = unique & ~at_corner
+    # The nearest sample is within about half a gap of the nearest point, and
+    # the tangent turns by the curvature times the arc length between them.
+    assert np.all(np.abs(np.sum(nrm * tangent, axis=1))[smooth] <= curvature * gap + 1e-12)
+    assert np.all(np.sum(nrm * (foot - inner), axis=1)[unique] > 0.0)
+    if corner:
+        # Nearest to a chord end: the normal lies in the corner's normal cone,
+        # spanned by the clip normal and the radius through the corner.
+        assert at_corner.sum() >= 10
+        for xi, p, n in zip(x[at_corner], foot[at_corner], nrm[at_corner]):
+            radial = (p - c) / shape.radius
+            alpha, beta = np.linalg.solve(np.stack([cn, radial], axis=-1), n)
+            assert min(alpha, beta) >= -curvature * gap, (xi, alpha, beta)
+
+
 @pytest.mark.parametrize("offset", [1e-300, 1e-306, 1e-308, 1e-310, 1e-312])
 def test_ellipse_distance_near_major_axis_is_finite_and_quiet(offset):
     # At a subnormal offset from the major axis Newton's denominator would
@@ -412,5 +486,12 @@ def test_ellipse_distance_near_major_axis_is_finite_and_quiet(offset):
         warnings.simplefilter("error")
         d = ellipse.boundary_distance(x)
         on_axis = ellipse.boundary_distance(x * [1.0, 0.0])
+        d_n, nrm = ellipse.boundary_distance(x, normal=True)
+        _, nrm_axis = ellipse.boundary_distance(x * [1.0, 0.0], normal=True)
     assert abs(d[0] - 0.5) <= 4e-13
     np.testing.assert_allclose(d, on_axis, rtol=1e-13, atol=0)
+    # The normal is the axis point's, mirrored to the offset's side.
+    np.testing.assert_array_equal(d_n, d)
+    np.testing.assert_allclose(nrm, np.copysign(nrm_axis, np.stack([np.ones(4), x[:, 1]], -1)),
+                               rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(nrm[[0, 3]], [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
