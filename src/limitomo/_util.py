@@ -1,4 +1,5 @@
-"""Thread count and the one chunked parallel loop both projectors use.
+"""The block size of every blocked stage, the thread count and the one
+chunked parallel loop both projectors use.
 
 The projectors run one worker per CPU this process may run on; its
 affinity mask (``taskset``) is the only limit.  Each worker writes its
@@ -10,6 +11,14 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+
+# Values per block of every stage that walks an array in pieces: one
+# float64 plane of it is 256 KiB, so the back-projection's four k-study
+# accumulators and a block's temporaries stay in cache while every active
+# angle is added to them.  The analytic forward sizes its blocks of angles
+# to as many chord nodes; the row filter and the rasterizer take whole rows
+# of about as many values.  Callers read it at call time.
+BLOCK_PIXELS = 32768
 
 
 def thread_count() -> int:

@@ -12,12 +12,14 @@ frequency ``sigma`` the symbols are
   ``(i sigma)(-i sign sigma) = |sigma|``.
 
 Padding suppresses circular wrap-around of the nonlocal Hilbert kernel;
-the operators are meant on the line, not the circle.  :func:`d_ds` and
-:func:`neg_d2_ds2` are finite-difference stencils, the ``filter_impl =
-finite-difference`` derivatives, because spectral differentiation rings on
-rows with square-root singularities (tangent lines of a disk); the spectral
-derivatives are ``filter_chain(g, "d_ds")`` and
-``filter_chain(g, "neg_d2_ds2")``.
+the operators are meant on the line, not the circle.  The rows are
+transformed in blocks of about ``BLOCK_PIXELS`` padded values into one
+real output that owns its data, with the bits of the whole-array
+transform.  :func:`d_ds` and :func:`neg_d2_ds2` are finite-difference
+stencils, the ``filter_impl = finite-difference`` derivatives, because
+spectral differentiation rings on rows with square-root singularities
+(tangent lines of a disk); the spectral derivatives are
+``filter_chain(g, "d_ds")`` and ``filter_chain(g, "neg_d2_ds2")``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _util
 from .geometry import AngularWindow, ImageGrid, Raster
 from .transforms import Sinogram, WeightFunction, backproject, backproject_windows
 
@@ -51,6 +54,10 @@ def filter_chain(g: Sinogram, kinds, pad_factor: int = 2) -> Sinogram:
 
     Successive symbols multiply the same padded spectrum, so a chain is
     equal (to rounding) to the single fused symbol given by their product.
+    Blocks of about ``BLOCK_PIXELS`` padded values are transformed in turn
+    and their cropped real parts written into one real output that owns its
+    data; the FFT transforms each row alone, so the bits are those of the
+    whole-array transform.
     """
     if pad_factor < 2:
         raise ValueError("pad_factor must be at least 2")
@@ -58,10 +65,14 @@ def filter_chain(g: Sinogram, kinds, pad_factor: int = 2) -> Sinogram:
     n_s = g.grid.n_s
     M = pad_factor * n_s
     sigma = 2.0 * math.pi * np.fft.fftfreq(M, d=g.grid.ds)
-    spec = np.fft.fft(g.values, n=M, axis=1)
-    for kind in kinds:
-        spec *= _multiplier(kind, sigma)
-    out = np.fft.ifft(spec, axis=1).real[:, :n_s]
+    symbols = [_multiplier(kind, sigma) for kind in kinds]
+    out = np.empty_like(g.values)
+    step = max(1, _util.BLOCK_PIXELS // M)
+    for r0 in range(0, out.shape[0], step):
+        spec = np.fft.fft(g.values[r0:r0 + step], n=M, axis=1)
+        for symbol in symbols:
+            spec *= symbol
+        out[r0:r0 + step] = np.fft.ifft(spec, axis=1).real[:, :n_s]
     return Sinogram(g.grid, out)
 
 
@@ -140,9 +151,9 @@ def reconstruct(g: Sinogram, cfg: ReconstructionConfig, igrid: ImageGrid,
     """Filtered back-projection reconstruction of a sinogram.
 
     Applies the operator's row filter, back-projects with the weight
-    ``nu`` and the window cutoff, and scales by ``1/(4 pi)``.  The
-    sinogram must have been produced with weight ``cfg.mu`` over an
-    angular range covering the window.
+    ``nu`` and the window cutoff, and scales the back-projected images by
+    ``1/(4 pi)`` in place.  The sinogram must have been produced with
+    weight ``cfg.mu`` over an angular range covering the window.
 
     With ``windows``, a sequence of windows (``None`` for no cutoff) used
     in place of ``cfg.window``, the sinogram is filtered once and
@@ -159,7 +170,9 @@ def reconstruct(g: Sinogram, cfg: ReconstructionConfig, igrid: ImageGrid,
             raise ValueError("sinogram angular range does not cover the window")
     filt = apply_operator_filter(g, cfg)
     if windows is None:
-        img = backproject(filt, cfg.nu, cfg.window, igrid)
-        return Raster(igrid, img.values / (4.0 * math.pi))
-    return [Raster(igrid, img.values / (4.0 * math.pi))
-            for img in backproject_windows(filt, cfg.nu, wins, igrid)]
+        imgs = [backproject(filt, cfg.nu, cfg.window, igrid)]
+    else:
+        imgs = backproject_windows(filt, cfg.nu, wins, igrid)
+    for img in imgs:
+        np.divide(img.values, 4.0 * math.pi, out=img.values)
+    return imgs[0] if windows is None else imgs

@@ -19,7 +19,7 @@ import numpy as np
 
 from .filters import ReconstructionConfig, reconstruct
 from .geometry import AngularWindow, ImageGrid, Raster, SinogramGrid
-from .phantoms import EdgeSingularity, Phantom, edge_singularities
+from .phantoms import EdgeSingularity, Ellipse, Phantom, edge_singularities
 from .transforms import forward
 
 NO_SIGNAL = float("nan")
@@ -202,6 +202,28 @@ def _sample_raster(raster: Raster, pts: np.ndarray) -> np.ndarray:
     return _bilinear(raster.values, rows, cols)
 
 
+def _tube(shape, pts: np.ndarray, radius: float) -> np.ndarray:
+    """Whether each point of ``pts`` (``(..., 2)``) is within ``radius`` of the
+    shape's boundary by its exact distance.
+
+    An ellipse's distance is a Newton solve, so its points are screened first
+    by the gauge ``q``.  The ellipse is convex and contains the disk of radius
+    ``r = min(a, b)`` about its centre, so ``q`` is subadditive with ``q(y) <=
+    |y| / r``, and the distance is at least ``r |q - 1|``, inside and outside.
+    The margin ``1e-9 max(a, b) (1 + radius / r)`` is far above the rounding of
+    ``q`` and of the distance near the tube, so the screen drops only points
+    farther than ``radius``.
+    """
+    if not isinstance(shape, Ellipse):
+        return shape.boundary_distance(pts) <= radius
+    r = min(shape.a, shape.b)
+    slack = 1e-9 * max(shape.a, shape.b) * (1.0 + radius / r)
+    near = r * np.abs(shape.gauge(pts) - 1.0) <= radius + slack
+    tube = np.zeros_like(near)
+    tube[near] = shape.boundary_distance(pts[near]) <= radius
+    return tube
+
+
 def artifact_report(recon: Raster, phantom: Phantom,
                     window: AngularWindow | None, exclusion_radius: float,
                     metadata: dict | None = None) -> ArtifactReport:
@@ -247,7 +269,7 @@ def artifact_report(recon: Raster, phantom: Phantom,
         ix, iy = (np.flatnonzero(inner & (np.abs(ax - c) <= w + tube_radius))
                   for c, w in zip(sh.center, sh.bbox_halfwidths()))
         pts = np.stack(np.meshgrid(ax[ix], ax[iy]), axis=-1)
-        tube = sh.boundary_distance(pts) <= tube_radius
+        tube = _tube(sh, pts, tube_radius)
         if window is not None:
             _, nrm = sh.boundary_distance(pts[tube], normal=True)
             tube[tube] = window.contains_direction(np.arctan2(nrm[:, 1], nrm[:, 0]))

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _util
 from .geometry import AngularWindow, ImageGrid, Raster
 
 # How far ``|n . e|`` of a clip edge may be from 1 for its normal to count
@@ -169,12 +170,22 @@ class Ellipse:
             raise ValueError("ellipse semi-axes must be positive")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
 
-    def contains(self, x) -> np.ndarray:
+    def _unit_axes(self, x):
+        """Offsets of ``x`` from the centre along the a- and b-axes, over ``a`` and ``b``."""
         dx, dy = _offsets(x, self.center)
         ca, sa = math.cos(self.angle), math.sin(self.angle)
-        u = (ca * dx + sa * dy) / self.a
-        v = (-sa * dx + ca * dy) / self.b
+        return (ca * dx + sa * dy) / self.a, (-sa * dx + ca * dy) / self.b
+
+    def contains(self, x) -> np.ndarray:
+        u, v = self._unit_axes(x)
         return u * u + v * v <= 1.0
+
+    def gauge(self, x) -> np.ndarray:
+        """The gauge ``sqrt(u^2 + v^2)`` of point(s) ``x``, with ``(u, v)`` the
+        offset from the centre in the ellipse's axes over ``(a, b)``: 1 on the
+        boundary, below 1 inside."""
+        u, v = self._unit_axes(x)
+        return np.sqrt(u * u + v * v)
 
     def bbox_halfwidths(self) -> tuple[float, float]:
         ca, sa = math.cos(self.angle), math.sin(self.angle)
@@ -403,12 +414,20 @@ def rasterize(phantom: Phantom, grid: ImageGrid) -> Raster:
     """Sample the phantom on the pixel lattice.
 
     Pixel values are the summed densities of the shapes containing the
-    pixel center.
+    pixel center.  The image is evaluated in blocks of whole rows of about
+    ``BLOCK_PIXELS`` pixels, so the point planes and each shape's
+    membership test stay block-sized; every pixel has the bits of a
+    whole-image evaluation.
     """
     if not phantom.fits_inside(grid):
         raise ValueError("phantom does not fit strictly inside the image extent")
-    X, Y = grid.centers()
-    return Raster(grid, phantom.evaluate(np.stack([X, Y], axis=-1)))
+    ax = grid.axis()
+    out = np.empty((grid.n, grid.n))
+    step = max(1, _util.BLOCK_PIXELS // grid.n)
+    for r0 in range(0, grid.n, step):
+        X, Y = np.meshgrid(ax, ax[r0:r0 + step])
+        out[r0:r0 + step] = phantom.evaluate(np.stack([X, Y], axis=-1))
+    return Raster(grid, out)
 
 
 # Gauss-Legendre rules (nodes, weights) on [-1, 1].  One node is exact for

@@ -22,15 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import for_each_chunk
+from . import _util
 from .geometry import AngularWindow, ImageGrid, Raster, SinogramGrid
 from .phantoms import SMOOTH_NODES, Phantom, analytic_sinogram_row
-
-# Pixels per back-projection block: one float64 plane of it is 256 KiB,
-# so the k-study's four accumulators and the block's temporaries stay in
-# cache while every active angle is added to them.  The analytic forward
-# sizes its blocks of angles to as many chord nodes.
-BLOCK_PIXELS = 32768
 
 
 def _exp_rates(lam: float, mode: str, phi):
@@ -188,7 +182,7 @@ def _forward_raster(raster: Raster, mu: WeightFunction, sgrid: SinogramGrid) -> 
                 f *= mu(np.stack(xy if k == 0 else xy[::-1], axis=-1), phis[i])
             out[i, lo:hi] = f.sum(axis=1) * (h / abs(a))
 
-    for_each_chunk(worker, sgrid.n_phi)
+    _util.for_each_chunk(worker, sgrid.n_phi)
     return out
 
 
@@ -235,7 +229,7 @@ def forward(source: Phantom | Raster, mu: WeightFunction,
         # Blocks of angles whose (shapes, angles, s, nodes) planes hold
         # about BLOCK_PIXELS values each, walked serially.
         nodes = 1 if mu.kind == "constant" else SMOOTH_NODES
-        step = max(1, BLOCK_PIXELS // (max(len(source.shapes), 1) * s.size * nodes))
+        step = max(1, _util.BLOCK_PIXELS // (max(len(source.shapes), 1) * s.size * nodes))
         for a0 in range(0, sgrid.n_phi, step):
             values[a0:a0 + step, hit] = analytic_sinogram_row(source, mu, phis[a0:a0 + step], s)
         return Sinogram(sgrid, values)
@@ -309,7 +303,7 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     n = igrid.n
     out = np.zeros((len(windows), n, n))
     active = np.nonzero(coef.any(axis=0))[0]
-    step = max(1, BLOCK_PIXELS // n)
+    step = max(1, _util.BLOCK_PIXELS // n)
 
     def worker(blocks: slice) -> None:
         # Whole blocks of image rows, each a contiguous run of pixels; the
@@ -327,5 +321,5 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
                 # Free this angle's planes before the next one allocates its own.
                 del gi, nu_i
 
-    for_each_chunk(worker, math.ceil(n / step))
+    _util.for_each_chunk(worker, math.ceil(n / step))
     return [Raster(igrid, img) for img in out]

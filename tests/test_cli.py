@@ -11,7 +11,7 @@ import pytest
 
 import limitomo
 from limitomo import (ImageGrid, Raster, _util, load_config, read_raster, read_sinogram,
-                      transforms, write_raster)
+                      write_raster)
 from limitomo.cli import main
 
 SMALL_CONFIG = """
@@ -367,7 +367,7 @@ def test_outputs_byte_identical_for_every_thread_count(tmp_path, monkeypatch, te
     # SMALL_CONFIG is a full circle with even n_phi and a constant nu, so
     # analyze folds opposite angles; study back-projects a batch of windows.
     # Blocks of 16 rows give the 64-row image's back-projection two workers.
-    monkeypatch.setattr(transforms, "BLOCK_PIXELS", 16 * 64)
+    monkeypatch.setattr(_util, "BLOCK_PIXELS", 16 * 64)
     pools = _record_pools(monkeypatch)
     cfg, out = _write_cfg(tmp_path, template)
     runs = []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from limitomo import (
     rasterize,
     reconstruct,
 )
+from limitomo import _util, filters
 
 ONE = WeightFunction.constant(1.0)
 UNIT_DISK = Phantom((Disk((0.0, 0.0), 1.0, 1.0),))
@@ -254,3 +256,72 @@ def test_filter_chain_rejects_bad_input():
         filter_chain(g, "ramp", pad_factor=1)
     with pytest.raises(ValueError):
         filter_chain(g, "sobel")
+
+
+def _whole_array_filter(g, kinds, pad_factor):
+    """The row filter as one transform of every row at once."""
+    n_s = g.grid.n_s
+    sigma = 2.0 * math.pi * np.fft.fftfreq(pad_factor * n_s, d=g.grid.ds)
+    spec = np.fft.fft(g.values, n=pad_factor * n_s, axis=1)
+    for kind in kinds:
+        spec *= filters._multiplier(kind, sigma)
+    return np.fft.ifft(spec, axis=1).real[:, :n_s]
+
+
+BLOCK_SINOGRAM = Sinogram(SinogramGrid(n_phi=37, n_s=50, s_max=1.3),
+                          np.random.default_rng(11).standard_normal((37, 50)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", [1, 5, 37], ids=["one-row", "five-rows", "whole"])
+@pytest.mark.parametrize("pad_factor", [2, 3])
+@pytest.mark.parametrize("kinds", [(kind,) for kind in filters.FILTER_KINDS]
+                         + [("hilbert", "d_ds")], ids="-".join)
+def test_filter_chain_blocks_match_whole_array(kinds, pad_factor, rows, monkeypatch):
+    # Blocks of 5 rows do not divide the 37 rows; the FFT transforms each
+    # row alone, so every block size gives the whole-array bits.
+    monkeypatch.setattr(_util, "BLOCK_PIXELS", rows * pad_factor * 50)
+    np.testing.assert_array_equal(filter_chain(BLOCK_SINOGRAM, kinds, pad_factor).values,
+                                  _whole_array_filter(BLOCK_SINOGRAM, kinds, pad_factor))
+
+
+def test_filter_chain_output_owns_its_data():
+    # The cropped real part of the padded spectrum is a view of it, which
+    # would keep a pad_factor-times larger complex buffer alive.
+    g = BLOCK_SINOGRAM
+    for kinds in [*filters.FILTER_KINDS, ("hilbert", "d_ds")]:
+        v = filter_chain(g, kinds).values
+        assert v.base is None or v.base.size <= g.values.size
+
+
+@pytest.mark.parametrize("operator", ["B", "Lambda"])
+@pytest.mark.parametrize("impl", filters.FILTER_IMPLS)
+def test_filtering_and_reconstruct_leave_the_sinogram_untouched(operator, impl):
+    g = Sinogram(SinogramGrid(n_phi=37, n_s=50, s_max=1.8, phi0=0.0, phi1=math.pi),
+                 BLOCK_SINOGRAM.values.copy())
+    kept = g.values.copy()
+    for kinds in [*filters.FILTER_KINDS, ("hilbert", "d_ds")]:
+        filter_chain(g, kinds, 3)
+    win = AngularWindow(math.pi / 4.0, 3.0 * math.pi / 4.0, "finite-order", 2)
+    cfg = ReconstructionConfig(operator, ONE, ONE, win, impl)
+    grid = ImageGrid(24, 1.2)
+    single = reconstruct(g, cfg, grid)
+    batched = reconstruct(g, cfg, grid, windows=[None, win])
+    np.testing.assert_array_equal(g.values, kept)
+    np.testing.assert_array_equal(batched[1].values, single.values)
+
+
+def test_filter_chain_temporaries_are_block_sized():
+    # Beyond the 720 x 768 output, a block of 21 rows padded to 1536 is two
+    # planes of BLOCK_PIXELS float64 values as complex128; the spectrum, its
+    # inverse and the next block's spectrum make about six.  Transforming
+    # every row at once holds two 17.7 MB complex arrays: 119 planes.
+    g = Sinogram(SinogramGrid(n_phi=720, n_s=768, s_max=1.7),
+                 np.random.default_rng(5).standard_normal((720, 768)))
+    tracemalloc.start()
+    try:
+        filter_chain(g, "ramp")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 720 * 768 * 8 < 8 * _util.BLOCK_PIXELS * 8

@@ -1,5 +1,9 @@
+import importlib.util
 import math
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,9 @@ from limitomo import (
     edge_singularities,
     rasterize,
 )
+from limitomo import _util
 from limitomo.geometry import theta, theta_perp
+from limitomo.microlocal import _tube
 from limitomo.phantoms import analytic_sinogram_row
 
 ONE = WeightFunction.constant(1.0)
@@ -244,6 +250,36 @@ def test_rasterize_rejects_oversized_phantom():
     ph = Phantom((Disk((0.5, 0.0), 0.8, 1.0),))
     with pytest.raises(ValueError):
         rasterize(ph, grid)
+
+
+RASTER_PHANTOM = Phantom((Disk((0.3, -0.2), 0.5, 1.0),
+                          Ellipse((-0.3, 0.3), 0.4, 0.2, 0.7, 0.5),
+                          ClippedDisk((0.0, 0.0), 0.6, (0.6, 0.8), 0.1, 0.25)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", [1, 5, 37], ids=["one-row", "five-rows", "whole"])
+def test_rasterize_blocks_match_whole_image(rows, monkeypatch):
+    # Blocks of 5 rows do not divide the 37 rows; each pixel's membership
+    # tests are elementwise, so every block size gives the whole-image bits.
+    grid = ImageGrid(37, 1.2)
+    monkeypatch.setattr(_util, "BLOCK_PIXELS", rows * 37)
+    np.testing.assert_array_equal(rasterize(RASTER_PHANTOM, grid).values,
+                                  RASTER_PHANTOM.evaluate(np.stack(grid.centers(), axis=-1)))
+
+
+def test_rasterize_temporaries_are_block_sized():
+    # Beyond the 512^2 output, a block of 64 rows is one plane of
+    # BLOCK_PIXELS values: its coordinate planes, their stack, the shape
+    # offsets and products and the running sum make about ten.  The whole
+    # image at once holds 8 planes per image-sized array, 80 in all.
+    tracemalloc.start()
+    try:
+        rasterize(RASTER_PHANTOM, ImageGrid(512, 1.2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 512 * 512 * 8 < 12 * _util.BLOCK_PIXELS * 8
 
 
 def test_edge_singularities_unit_disk():
@@ -495,3 +531,33 @@ def test_ellipse_distance_near_major_axis_is_finite_and_quiet(offset):
     np.testing.assert_allclose(nrm, np.copysign(nrm_axis, np.stack([np.ones(4), x[:, 1]], -1)),
                                rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(nrm[[0, 3]], [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
+
+
+def _workload_ellipses(seeds=(0, 23, 31)):
+    """The ellipses of the benchmark's workloads at a few seeds."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("limitomo_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads      # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return [Ellipse((cx, cy), a, b, angle, rho)
+            for name in workloads.NAMES for seed in seeds
+            for kind, cx, cy, a, b, angle, rho in (
+                sh for sh in workloads.build(name, seed).shapes if sh[0] == "ellipse")]
+
+
+@pytest.mark.parametrize("shape", [sh for sh in DISTANCE_SHAPES if isinstance(sh, Ellipse)]
+                         + _workload_ellipses(),
+                         ids=lambda sh: f"a{sh.a:.4g}-b{sh.b:.4g}-angle{sh.angle:.4g}")
+def test_ellipse_gauge_screen_keeps_every_tube_point(shape):
+    # The gauge screen before the Newton solve drops only points whose
+    # exact distance exceeds the tube radius: the kept set is unchanged
+    # for the report's 3-pixel tubes at n = 64 and 512, on every pixel
+    # centre of the image and on probes near the axes and the centre.
+    for n in (64, 512):
+        grid = ImageGrid(n, 1.2)
+        pts = np.concatenate([np.stack(grid.centers(), axis=-1).reshape(-1, 2),
+                              _distance_probes(shape, np.random.default_rng(n))])
+        radius = 3.0 * grid.h
+        np.testing.assert_array_equal(_tube(shape, pts, radius),
+                                      shape.boundary_distance(pts) <= radius)

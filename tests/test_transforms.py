@@ -23,7 +23,7 @@ from limitomo import (
     forward,
     rasterize,
 )
-from limitomo import transforms
+from limitomo import _util
 from limitomo.phantoms import analytic_sinogram_row
 
 ONE = WeightFunction.constant(1.0)
@@ -349,7 +349,7 @@ def test_forward_phantom_temporaries_are_block_sized(mu, usable_cpus):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - 360 * 257 * 8 < 12 * transforms.BLOCK_PIXELS * 8
+    assert peak - 360 * 257 * 8 < 12 * _util.BLOCK_PIXELS * 8
 
 
 @pytest.mark.parametrize("block", [None, 2 * 87 * 16 * 3 + 1])
@@ -365,7 +365,7 @@ def test_forward_phantom_bitwise_equal_across_threads(mu, block, monkeypatch, us
     one = forward(BLOCK_PHANTOM, mu, sg).values
     usable_cpus(2)
     if block is not None:
-        monkeypatch.setattr(transforms, "BLOCK_PIXELS", block)
+        monkeypatch.setattr(_util, "BLOCK_PIXELS", block)
     np.testing.assert_array_equal(forward(BLOCK_PHANTOM, mu, sg).values, one)
     assert not np.signbit(one[one == 0.0]).any()
 
@@ -408,7 +408,7 @@ def test_backproject_windows_bitwise_equal_single(cpus, nu, monkeypatch, usable_
     # bits of its own single-window call and of the plain per-angle sum,
     # at every thread count.  Five blocks of 5 rows give two CPUs two workers.
     usable_cpus(cpus)
-    monkeypatch.setattr(transforms, "BLOCK_PIXELS", 5 * 24)
+    monkeypatch.setattr(_util, "BLOCK_PIXELS", 5 * 24)
     phi1, phi2 = math.pi / 4.0, 3.0 * math.pi / 4.0
     sg = SinogramGrid(n_phi=61, n_s=49, s_max=1.8, phi0=0.0, phi1=math.pi)
     grid = ImageGrid(24, 1.2)
@@ -479,7 +479,7 @@ def test_unfoldable_backproject_keeps_reference_bits(nu, sg):
 
 def test_folded_backproject_bit_reproducible_with_threads(monkeypatch, usable_cpus):
     usable_cpus(2)
-    monkeypatch.setattr(transforms, "BLOCK_PIXELS", 12 * 24)
+    monkeypatch.setattr(_util, "BLOCK_PIXELS", 12 * 24)
     g = _fold_sinogram()
     first = backproject(g, ONE, None, FOLD_GRID).values
     np.testing.assert_array_equal(first, backproject(g, ONE, None, FOLD_GRID).values)
@@ -604,7 +604,6 @@ def test_forward_raster_bitwise_equal_across_threads(mu, usable_cpus):
 
 
 def test_thread_count_bounded_by_usable_cpus(monkeypatch, usable_cpus):
-    from limitomo import _util
     assert _util.thread_count() == len(os.sched_getaffinity(0))
     usable_cpus(5)
     assert _util.thread_count() == 5
@@ -619,7 +618,7 @@ def test_backproject_bands_stress_matches_reference(monkeypatch, usable_cpus):
     # Eight threads on eight blocks of three image rows, switching often:
     # a write outside a thread's own blocks would change the bits.
     usable_cpus(8)
-    monkeypatch.setattr(transforms, "BLOCK_PIXELS", 3 * 24)
+    monkeypatch.setattr(_util, "BLOCK_PIXELS", 3 * 24)
     g = _fold_sinogram(SinogramGrid(n_phi=47, n_s=49, s_max=1.8))
     nu = WeightFunction.exponential(0.4)
     interval = sys.getswitchinterval()
@@ -645,7 +644,7 @@ def test_backproject_blocks_match_reference(cpus, nu, monkeypatch, usable_cpus):
     usable_cpus(1)
     folded = backproject(_fold_sinogram(), ONE, None, BLOCK_GRID).values
     usable_cpus(cpus)
-    monkeypatch.setattr(transforms, "BLOCK_PIXELS", 5 * 37)
+    monkeypatch.setattr(_util, "BLOCK_PIXELS", 5 * 37)
     sg = SinogramGrid(n_phi=61, n_s=49, s_max=1.8, phi0=0.0, phi1=math.pi)
     g = Sinogram(sg, np.random.default_rng(7).standard_normal((61, 49)))
     windows = [None] + [AngularWindow(math.pi / 4.0, 3.0 * math.pi / 4.0,
@@ -669,7 +668,7 @@ def test_backproject_temporaries_are_block_sized(usable_cpus):
     g = Sinogram(sg, np.random.default_rng(3).standard_normal((91, 2 * n + 1)))
     windows = [AngularWindow(math.pi / 4.0, 3.0 * math.pi / 4.0, "finite-order", k)
                for k in (1, 2, 3, 4)]
-    plane = transforms.BLOCK_PIXELS * 8
+    plane = _util.BLOCK_PIXELS * 8
     for cpus in (1, 2):
         usable_cpus(cpus)
         tracemalloc.start()
@@ -683,8 +682,6 @@ def test_backproject_temporaries_are_block_sized(usable_cpus):
 
 def test_single_block_backprojects_in_calling_thread(monkeypatch, usable_cpus):
     # A grid of one block has one worker, whatever the CPU count: no pool.
-    from limitomo import _util
-
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was made for a single block")
 
