@@ -17,7 +17,9 @@ from concurrent.futures import ThreadPoolExecutor
 # accumulators and a block's temporaries stay in cache while every active
 # angle is added to them.  The analytic forward sizes its blocks of angles
 # to as many chord nodes; the row filter and the rasterizer take whole rows
-# of about as many values.  Callers read it at call time.
+# of about as many values; a complex plane counts as two block planes, so
+# the back-projection's mirror-paired blocks have half the rows.  Callers
+# read it at call time.
 BLOCK_PIXELS = 32768
 
 

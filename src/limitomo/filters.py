@@ -159,8 +159,8 @@ def reconstruct(g: Sinogram, cfg: ReconstructionConfig, igrid: ImageGrid,
     in place of ``cfg.window``, the sinogram is filtered once and
     back-projected for every window in one pass; the result is one
     raster per window, each bit-identical to a single-window call and for
-    every thread count, except for the opposite-angle fold of a constant
-    weight (within 1e-13) that
+    every thread count, except for the opposite-angle fold and mirror
+    pairing of a constant weight (within 1e-13) that
     :func:`~limitomo.transforms.backproject_windows` states.
     """
     wins = [cfg.window] if windows is None else list(windows)

@@ -248,7 +248,8 @@ def backproject(g: Sinogram, nu: WeightFunction,
     over the sinogram's angular range.  The image is bit-identical for
     every thread count.  With ``window=None`` on a full circle and a
     constant weight the angles ``phi`` and ``phi + pi`` may be folded
-    first; :func:`backproject_windows` says when, and gives the 1e-13
+    first and the folded angles ``phi`` and ``pi - phi`` interpolated
+    together; :func:`backproject_windows` says when, and gives the 1e-13
     tolerance.
     """
     return backproject_windows(g, nu, [window], igrid)[0]
@@ -274,12 +275,23 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     ``phi_i`` at offset ``-s``.  On a full circle with ``n_phi = 2 m``,
     when every window is ``None`` and ``nu`` is a constant weight
     (``nu.kind == "constant"``), row ``i + m`` reversed in ``s`` is added
-    to row ``i`` and the same kernel runs over the ``m`` folded rows: half
-    the interpolations.  The result is within 1e-13 of the image maximum
-    of the unfolded sum, not bitwise, because ``s_values()`` is
-    ``linspace`` and not bitwise symmetric.  Every other call (a cutoff, a
-    half range, an odd ``n_phi``, any other weight kind) is unfolded, so
-    a ``None`` window batched with cutoff windows gets the unfolded bits.
+    to row ``i``: ``m`` folded rows.  Mirror pairs then halve the index
+    searches again: angle ``phi_j = pi - phi_i`` reads at ``(x, y)`` the
+    offset ``phi_i`` reads at ``(-x, y)``, and ``ImageGrid.axis()`` is
+    symmetric about 0.  The partner is ``j = rint((pi - phi_i - phi_0) /
+    dphi)``, kept when ``i < j < m`` and ``|phi_i + phi_j - pi| <= 1e-14``.
+    Rows ``i`` and ``j`` are the real and imaginary parts of one complex
+    row, interpolated once at ``phi_i``'s offsets; the real plane is added
+    to the image and the imaginary plane reversed in ``x``.  A paired
+    block has ``BLOCK_PIXELS // (2 n)`` rows, so its complex plane holds a
+    real block's bytes.  Angles without a partner (on the usual grids 0 and
+    ``pi/2``) run the real kernel after the pairs.  The result is within
+    1e-13 of the image maximum of the unfolded sum, not bitwise, because
+    ``s_values()`` and ``axis()`` are not bitwise symmetric, and it is
+    bit-identical for every thread count and block size.  Every other call
+    (a cutoff, a half range, an odd ``n_phi``, any other weight kind) is
+    unfolded, so a ``None`` window batched with cutoff windows gets the
+    unfolded bits.
     """
     if not np.all(np.isfinite(g.values)):
         raise ValueError("sinogram contains non-finite values")
@@ -292,18 +304,38 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     rows = g.values
     s = g.grid.s_values()
     ax = igrid.axis()
-    # Opposite-angle fold (see the docstring).  The periodic weights are
-    # uniform, so the folded row i keeps w_i.
+    # Opposite-angle fold and mirror pairs (see the docstring).  The periodic
+    # weights are uniform, so a folded row and its partner keep w_i.
+    zrows, zphi, zscale = (), (), ()
     m = phis.size // 2
     if (g.grid.periodic and phis.size % 2 == 0 and all(w is None for w in windows)
             and nu.kind == "constant"):
-        rows = np.add(rows[:m], rows[m:, ::-1], out=np.empty((m, s.size)))
-        phis, wphi = phis[:m], wphi[:m]
+        def fold(k, into):
+            return np.add(g.values[k], g.values[k + m, ::-1], out=into)
+
+        i = np.arange(m)
+        j = np.rint((math.pi - phis[:m] - phis[0]) / g.grid.dphi).astype(np.intp)
+        ok = (i < j) & (j < m)
+        ok[ok] = np.abs(phis[i[ok]] + phis[j[ok]] - math.pi) <= 1e-14
+        pairs = np.stack([i[ok], j[ok]], axis=1)
+        zrows = np.empty((len(pairs), s.size), dtype=complex)
+        for z, (a, b) in zip(zrows, pairs):
+            fold(a, z.real)
+            fold(b, z.imag)
+        zphi, zscale = phis[pairs[:, 0]], wphi[pairs[:, 0]] * nu.params[0]
+        solo = np.ones(m, dtype=bool)
+        solo[pairs] = False
+        solo = np.nonzero(solo)[0]
+        rows = np.empty((solo.size, s.size))
+        for r, k in zip(rows, solo):
+            fold(k, r)
+        phis, wphi = phis[solo], wphi[solo]
     coef = np.array([(1.0 if w is None else w.kappa(phis)) * wphi for w in windows])
     n = igrid.n
     out = np.zeros((len(windows), n, n))
     active = np.nonzero(coef.any(axis=0))[0]
-    step = max(1, _util.BLOCK_PIXELS // n)
+    # A paired block's complex plane holds as many bytes as a real block.
+    step = max(1, _util.BLOCK_PIXELS // (n * (2 if len(zrows) else 1)))
 
     def worker(blocks: slice) -> None:
         # Whole blocks of image rows, each a contiguous run of pixels; the
@@ -311,6 +343,16 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
         for r0 in range(blocks.start * step, blocks.stop * step, step):
             rs = slice(r0, r0 + step)
             y = ax[rs]
+            # Mirror pair: the real part is phi_i at (x, y), the imaginary
+            # part is phi_j = pi - phi_i at (-x, y), so one index search
+            # serves both and the imaginary plane is added reversed in x.
+            for z, phi, wc in zip(zrows, zphi, zscale):
+                gz = np.interp(ax * math.cos(phi) + y[:, None] * math.sin(phi), s, z)
+                gz *= wc
+                for img in out:
+                    img[rs] += gz.real
+                    img[rs] += gz.imag[:, ::-1]
+                del gz
             nu_at = nu.on_grid(ax, y)
             for i in active:
                 c, sn = math.cos(phis[i]), math.sin(phis[i])

@@ -492,6 +492,68 @@ def test_folded_backproject_windows_gives_equal_images():
     np.testing.assert_array_equal(a.values, b.values)
 
 
+def _interp_rows(monkeypatch):
+    # The row (fp) of every np.interp call, in call order.
+    rows, interp = [], np.interp
+
+    def spy(x, xp, fp, *args, **kwargs):
+        rows.append(np.array(fp))
+        return interp(x, xp, fp, *args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", spy)
+    return rows
+
+
+def _shifted_full_circle(n_phi, shift):
+    # A full circle that starts at shift > 0 lies outside the constructor's
+    # [0, 2 pi] range, so it is set on a valid grid.
+    sg = SinogramGrid(n_phi=n_phi, n_s=49, s_max=1.8)
+    object.__setattr__(sg, "phi0", shift)
+    object.__setattr__(sg, "phi1", shift + 2.0 * math.pi)
+    return sg
+
+
+@pytest.mark.parametrize("sg, n_complex, n_real", [
+    (FOLD_SG, 11, 2),
+    (_shifted_full_circle(48, 2.0 * math.pi / 48 / 4.0), 0, 24),
+    (_shifted_full_circle(48, 1e-10), 0, 24),
+], ids=["mirror-pairs", "quarter-step", "1e-10-off"])
+def test_mirror_pairs_share_one_complex_interpolation(sg, n_complex, n_real, monkeypatch,
+                                                      usable_cpus):
+    # m = 24 folded angles: phi_i and pi - phi_i (i = 1..11 with 23..13) share
+    # one complex interpolation; 0 and pi/2 have no partner.  A circle
+    # shifted by dphi / 4, or by 1e-10 past the 1e-14 pairing tolerance,
+    # has no mirror pairs.  Four blocks of 6 rows (half the real block).
+    usable_cpus(1)
+    monkeypatch.setattr(_util, "BLOCK_PIXELS", 12 * 24)
+    g = _fold_sinogram(sg)
+    rows = _interp_rows(monkeypatch)
+    img = backproject(g, ONE, None, FOLD_GRID).values
+    blocks = 4 if n_complex else 2
+    assert sum(np.iscomplexobj(r) for r in rows) == blocks * n_complex
+    assert sum(not np.iscomplexobj(r) for r in rows) == blocks * n_real
+    ref = _reference_backproject(g, ONE, None, FOLD_GRID)
+    np.testing.assert_allclose(img, ref, rtol=1e-12, atol=1e-13 * np.abs(ref).max())
+    if n_complex:
+        assert not np.array_equal(img, ref)
+
+
+def test_mirror_pairs_with_odd_m(monkeypatch):
+    # n_phi = 46, m = 23: rows 1..11 pair with 22..12 and row 0 stays alone.
+    sg = SinogramGrid(n_phi=46, n_s=49, s_max=1.8)
+    g = _fold_sinogram(sg)
+    rows = _interp_rows(monkeypatch)
+    img = backproject(g, ONE, None, FOLD_GRID).values
+    v = g.values
+    folded = v[:23] + v[23:, ::-1]
+    expected = [folded[i] + 1j * folded[23 - i] for i in range(1, 12)] + [folded[0]]
+    assert len(rows) == len(expected)
+    for got, want in zip(rows, expected):
+        np.testing.assert_array_equal(got, want)
+    ref = _reference_backproject(g, ONE, None, FOLD_GRID)
+    np.testing.assert_allclose(img, ref, rtol=1e-12, atol=1e-13 * np.abs(ref).max())
+
+
 def test_backproject_window_between_samples_is_zero():
     # No sample angle falls inside the window: every kappa is zero.
     sg = SinogramGrid(n_phi=5, n_s=9, s_max=1.8, phi0=0.0, phi1=math.pi)
@@ -678,6 +740,26 @@ def test_backproject_temporaries_are_block_sized(usable_cpus):
         finally:
             tracemalloc.stop()
         assert peak - 4 * n * n * 8 < cpus * 5 * plane
+
+
+def test_folded_backproject_temporaries_are_block_sized(usable_cpus):
+    # The folded call holds the (n^2) output and the folded rows, as m real
+    # or about m / 2 complex rows of n_s values, and per worker a half-block
+    # of x . theta and its complex interpolated plane: one block's bytes each.
+    n, n_phi, n_s = 256, 180, 2 * 256 + 1
+    grid = ImageGrid(n, 1.2)
+    sg = SinogramGrid(n_phi=n_phi, n_s=n_s, s_max=1.8)
+    g = Sinogram(sg, np.random.default_rng(3).standard_normal((n_phi, n_s)))
+    plane = _util.BLOCK_PIXELS * 8
+    for cpus in (1, 2):
+        usable_cpus(cpus)
+        tracemalloc.start()
+        try:
+            backproject(g, ONE, None, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - n * n * 8 - n_phi // 2 * n_s * 8 < cpus * 5 * plane
 
 
 def test_single_block_backprojects_in_calling_thread(monkeypatch, usable_cpus):
