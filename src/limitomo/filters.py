@@ -147,7 +147,7 @@ def apply_operator_filter(g: Sinogram, cfg: ReconstructionConfig) -> Sinogram:
 
 
 def reconstruct(g: Sinogram, cfg: ReconstructionConfig, igrid: ImageGrid,
-                windows=None) -> Raster | list[Raster]:
+                windows=None, pixels=None) -> Raster | list[Raster]:
     """Filtered back-projection reconstruction of a sinogram.
 
     Applies the operator's row filter, back-projects with the weight
@@ -162,6 +162,10 @@ def reconstruct(g: Sinogram, cfg: ReconstructionConfig, igrid: ImageGrid,
     every thread count, except for the opposite-angle fold and mirror
     pairing of a constant weight (within 1e-13) that
     :func:`~limitomo.transforms.backproject_windows` states.
+
+    ``pixels``, a boolean ``(n, n)`` mask, back-projects only the masked
+    pixels: each keeps the bits of the unmasked call without a fold, and
+    every other pixel is +0.0.
     """
     wins = [cfg.window] if windows is None else list(windows)
     lo, hi = g.grid.phi0, g.grid.phi1
@@ -170,9 +174,9 @@ def reconstruct(g: Sinogram, cfg: ReconstructionConfig, igrid: ImageGrid,
             raise ValueError("sinogram angular range does not cover the window")
     filt = apply_operator_filter(g, cfg)
     if windows is None:
-        imgs = [backproject(filt, cfg.nu, cfg.window, igrid)]
+        imgs = [backproject(filt, cfg.nu, cfg.window, igrid, pixels)]
     else:
-        imgs = backproject_windows(filt, cfg.nu, wins, igrid)
+        imgs = backproject_windows(filt, cfg.nu, wins, igrid, pixels)
     for img in imgs:
         np.divide(img.values, 4.0 * math.pi, out=img.values)
     return imgs[0] if windows is None else imgs

@@ -19,13 +19,16 @@ import numpy as np
 
 from .filters import ReconstructionConfig, reconstruct
 from .geometry import AngularWindow, ImageGrid, Raster, SinogramGrid
-from .phantoms import EdgeSingularity, Ellipse, Phantom, edge_singularities
+from .phantoms import Disk, EdgeSingularity, Ellipse, Phantom, edge_singularities
 from .transforms import forward
 
 NO_SIGNAL = float("nan")
 
 # Scales on the :func:`default_probe_scales` ladder.
 PROBE_SCALES = 12
+
+# Half-width, in pixels, of the boundary tube an edge strength is read on.
+TUBE_PIXELS = 3.0
 
 
 def symbol_eval(cfg: ReconstructionConfig, x, xi) -> float | np.ndarray:
@@ -181,25 +184,37 @@ class ArtifactReport:
         return max(self.edge_strengths, default=0.0)
 
 
-def _bilinear(values: np.ndarray, rows, cols) -> np.ndarray:
-    """Bilinear interpolation at fractional indices, 0 outside ``[0, n - 1]``; the
-    bits of ``scipy.ndimage.map_coordinates(order=1, mode="constant")``."""
-    n0, n1 = values.shape
+def _cells(shape, rows, cols):
+    """Where bilinear interpolation at fractional indices reads a ``shape`` array:
+    the inside mask, the top-left cell ``(i, j)`` of the four neighbours read,
+    and the fractions ``(ty, tx)``.  A point outside ``[0, n - 1]`` reads cell
+    ``(0, 0)`` and gets 0."""
+    n0, n1 = shape
     inside = (rows >= 0) & (rows <= n0 - 1) & (cols >= 0) & (cols <= n1 - 1)
     r, c = np.where(inside, rows, 0.0), np.where(inside, cols, 0.0)
     # The last row or column interpolates from the cell before it, with weight 1.
     i, j = np.minimum(r.astype(np.intp), n0 - 2), np.minimum(c.astype(np.intp), n1 - 2)
-    ty, tx = r - i, c - j
+    return inside, i, j, r - i, c - j
+
+
+def _bilinear(values: np.ndarray, rows, cols) -> np.ndarray:
+    """Bilinear interpolation at fractional indices, 0 outside ``[0, n - 1]``; the
+    bits of ``scipy.ndimage.map_coordinates(order=1, mode="constant")``."""
+    inside, i, j, ty, tx = _cells(values.shape, rows, cols)
     out = (values[i, j] * (1 - ty) * (1 - tx) + values[i, j + 1] * (1 - ty) * tx
            + values[i + 1, j] * ty * (1 - tx) + values[i + 1, j + 1] * ty * tx)
     return np.where(inside, out, 0.0)
 
 
-def _sample_raster(raster: Raster, pts: np.ndarray) -> np.ndarray:
-    grid = raster.grid
+def _grid_index(grid: ImageGrid, pts: np.ndarray):
+    """Fractional ``(row, column)`` indices of points ``(..., 2)`` among the pixel centres."""
     cols = (pts[..., 0] + grid.extent) / grid.h - 0.5
     rows = (pts[..., 1] + grid.extent) / grid.h - 0.5
-    return _bilinear(raster.values, rows, cols)
+    return rows, cols
+
+
+def _sample_raster(raster: Raster, pts: np.ndarray) -> np.ndarray:
+    return _bilinear(raster.values, *_grid_index(raster.grid, pts))
 
 
 def _tube(shape, pts: np.ndarray, radius: float) -> np.ndarray:
@@ -224,6 +239,76 @@ def _tube(shape, pts: np.ndarray, radius: float) -> np.ndarray:
     return tube
 
 
+def _box_candidates(shape, x: np.ndarray, y: np.ndarray, radius: float):
+    """``(row, column)`` indices of the pixels of the box ``y`` by ``x`` that may
+    lie within ``radius`` of the shape's boundary.
+
+    A disk's tube is the annulus ``r - radius <= rho <= r + radius``, so each
+    row keeps the ``x`` whose squared offset from the centre lies between the
+    annulus's bounds at the row's ``y``.  Both squared bounds are widened by
+    ``1e-9 (r + radius)^2``, far above the rounding of the squares and of
+    ``rho``, so the bound drops only points farther than ``radius``.  Other
+    shapes keep the box.
+    """
+    if not isinstance(shape, Disk):
+        return np.nonzero(np.ones((y.size, x.size), dtype=bool))
+    (cx, cy), r = shape.center, shape.radius
+    dx2, dy2 = (x - cx) ** 2, (y - cy) ** 2
+    slack = 1e-9 * (r + radius) ** 2
+    lo = max(r - radius, 0.0) ** 2 - slack - dy2
+    hi = (r + radius) ** 2 + slack - dy2
+    return np.nonzero((dx2 >= lo[:, None]) & (dx2 <= hi[:, None]))
+
+
+def _line_samples(grid: ImageGrid, phantom: Phantom, window: AngularWindow | None,
+                  exclusion_radius: float):
+    """The predicted lines and, for each, the points :func:`artifact_report` samples."""
+    h, L = grid.h, grid.extent
+    if exclusion_radius < 2.0 * h:
+        raise ValueError("exclusion radius must be at least 2 pixels")
+    lines = predicted_artifact_lines(phantom, window) if window is not None else []
+    # Offsets symmetric about the generator: the mirror image of a line in
+    # a mirror-symmetric phantom runs the other way and samples the same points.
+    m = math.ceil(math.sqrt(2.0) * L / h)
+    t = h * np.arange(-m, m + 1)
+    along = np.array([ln.point + t[:, None] * ln.direction for ln in lines]).reshape(-1, t.size, 2)
+    # One distance call for all lines: the ellipse's Newton loop costs per call.
+    far = phantom.boundary_distance(along) >= exclusion_radius
+    samples = []
+    for line, pts, keep in zip(lines, along, far):
+        keep &= (np.abs(pts[:, 0]) <= L - h) & (np.abs(pts[:, 1]) <= L - h)
+        keep &= np.hypot(pts[:, 0] - line.point[0], pts[:, 1] - line.point[1]) >= exclusion_radius
+        samples.append(pts[keep])
+    return lines, samples
+
+
+def _visible_tubes(grid: ImageGrid, phantom: Phantom, window: AngularWindow | None):
+    """For each shape, the ``(rows, columns)`` of the pixels whose centre lies
+    within ``TUBE_PIXELS`` pixels of its boundary, at most ``L - h`` from the
+    image centre in each coordinate, and whose nearest boundary point has a
+    normal in the window (every one with ``window=None``)."""
+    ax, L, h = grid.axis(), grid.extent, grid.h
+    radius = TUBE_PIXELS * h
+    inner = np.abs(ax) <= L - h
+    tubes = []
+    for sh in phantom.shapes:
+        # The bounding box grown by the tube; normals only on the tube.
+        ix, iy = (np.flatnonzero(inner & (np.abs(ax - c) <= w + radius))
+                  for c, w in zip(sh.center, sh.bbox_halfwidths()))
+        r, c = _box_candidates(sh, ax[ix], ax[iy], radius)
+        pts = np.stack([ax[ix[c]], ax[iy[r]]], axis=-1)
+        tube = _tube(sh, pts, radius)
+        if window is not None:
+            _, nrm = sh.boundary_distance(pts[tube], normal=True)
+            tube[tube] = window.contains_direction(np.arctan2(nrm[:, 1], nrm[:, 0]))
+        tubes.append((iy[r[tube]], ix[c[tube]]))
+    return tubes
+
+
+def _peak(vals: np.ndarray) -> float:
+    return float(np.abs(vals).max()) if vals.size else 0.0
+
+
 def artifact_report(recon: Raster, phantom: Phantom,
                     window: AngularWindow | None, exclusion_radius: float,
                     metadata: dict | None = None) -> ArtifactReport:
@@ -238,54 +323,45 @@ def artifact_report(recon: Raster, phantom: Phantom,
     its boundary whose nearest boundary point has a normal in the window;
     with ``window=None`` the whole tube counts as visible.  Only samples and
     pixels at most ``L - h`` from the image centre in each coordinate count.
+    The report reads only the pixels :func:`report_pixels` names, so a
+    reconstruction computed on those pixels alone gives the same report.
     """
     grid = recon.grid
-    h, L = grid.h, grid.extent
-    if exclusion_radius < 2.0 * h:
-        raise ValueError("exclusion radius must be at least 2 pixels")
-    tube_radius = 3.0 * h
-
-    lines = predicted_artifact_lines(phantom, window) if window is not None else []
-    # Offsets symmetric about the generator: the mirror image of a line in
-    # a mirror-symmetric phantom runs the other way and samples the same points.
-    m = math.ceil(math.sqrt(2.0) * L / h)
-    t = h * np.arange(-m, m + 1)
-    along = np.array([ln.point + t[:, None] * ln.direction for ln in lines]).reshape(-1, t.size, 2)
-    # One distance call for all lines: the ellipse's Newton loop costs per call.
-    far = phantom.boundary_distance(along) >= exclusion_radius
-    strengths = []
-    for line, pts, keep in zip(lines, along, far):
-        keep &= (np.abs(pts[:, 0]) <= L - h) & (np.abs(pts[:, 1]) <= L - h)
-        keep &= np.hypot(pts[:, 0] - line.point[0], pts[:, 1] - line.point[1]) >= exclusion_radius
-        vals = np.abs(_sample_raster(recon, pts[keep]))
-        strengths.append(float(vals.max()) if vals.size else 0.0)
-
-    # Per-shape peak |recon| over the visible tube pixels of its bounding
-    # box; normals only on the tube, the distance alone on the box.
-    ax = grid.axis()
-    inner = np.abs(ax) <= L - h
-    edge_strengths = []
-    for sh in phantom.shapes:
-        ix, iy = (np.flatnonzero(inner & (np.abs(ax - c) <= w + tube_radius))
-                  for c, w in zip(sh.center, sh.bbox_halfwidths()))
-        pts = np.stack(np.meshgrid(ax[ix], ax[iy]), axis=-1)
-        tube = _tube(sh, pts, tube_radius)
-        if window is not None:
-            _, nrm = sh.boundary_distance(pts[tube], normal=True)
-            tube[tube] = window.contains_direction(np.arctan2(nrm[:, 1], nrm[:, 0]))
-        vals = np.abs(recon.values[np.ix_(iy, ix)][tube])
-        edge_strengths.append(float(vals.max()) if vals.size else 0.0)
-
+    lines, samples = _line_samples(grid, phantom, window, exclusion_radius)
+    strengths = [_peak(_sample_raster(recon, pts)) for pts in samples]
+    edge_strengths = [_peak(recon.values[rows, cols])
+                      for rows, cols in _visible_tubes(grid, phantom, window)]
     k = window.k if window is not None and window.kind == "finite-order" else None
     meta = {
         "n": grid.n,
         "extent": grid.extent,
         "exclusion_radius": float(exclusion_radius),
-        "tube_radius": float(tube_radius),
+        "tube_radius": float(TUBE_PIXELS * grid.h),
     }
     if metadata:
         meta.update(metadata)
     return ArtifactReport(tuple(lines), tuple(strengths), tuple(edge_strengths), k, meta)
+
+
+def report_pixels(grid: ImageGrid, phantom: Phantom, window: AngularWindow | None,
+                  exclusion_radius: float) -> np.ndarray:
+    """The boolean ``(n, n)`` mask of the pixels :func:`artifact_report` reads.
+
+    It holds the four bilinear neighbours of every kept line sample and
+    every visible tube pixel, taken from the same sampling code as the
+    report, so a reconstruction whose masked pixels are exact gives the
+    report of the full image, whatever lies outside the mask.  It reads the
+    window only through its arc, not through its order ``k``.
+    """
+    mask = np.zeros((grid.n, grid.n), dtype=bool)
+    for pts in _line_samples(grid, phantom, window, exclusion_radius)[1]:
+        _, i, j, _, _ = _cells(mask.shape, *_grid_index(grid, pts))
+        for di in (0, 1):
+            for dj in (0, 1):
+                mask[i + di, j + dj] = True
+    for rows, cols in _visible_tubes(grid, phantom, window):
+        mask[rows, cols] = True
+    return mask
 
 
 @dataclass(frozen=True)
@@ -307,8 +383,12 @@ def strength_vs_order_study(phantom: Phantom, base_cfg: ReconstructionConfig,
     The sinogram is computed once with ``base_cfg.mu`` and filtered once;
     one back-projection pass over its angles then reconstructs it with
     the finite-order cutoff of every order ``k`` on identical grids (see
-    :func:`~limitomo.filters.reconstruct` with ``windows``).  Each image
-    is measured with :func:`artifact_report` and summarized as
+    :func:`~limitomo.filters.reconstruct` with ``windows``).  The pass
+    computes only the union of the :func:`report_pixels` of the windows,
+    one window's set since they differ only in ``k``, with the bits of a
+    full image there, so every report equals that of the full
+    reconstruction.  Each image is measured with
+    :func:`artifact_report` and summarized as
     ``(k, max line strength, max edge strength, ratio)``.  When
     ``report_dir`` is given, per-k CSV reports and a JSON summary are
     written there.
@@ -325,8 +405,11 @@ def strength_vs_order_study(phantom: Phantom, base_cfg: ReconstructionConfig,
 
     wins = [AngularWindow(base_cfg.window.phi1, base_cfg.window.phi2,
                           "finite-order", k) for k in ks]
+    # The windows differ only in k, which the reports' sampling never reads,
+    # so the union of their pixel sets is the set of any one of them.
+    read = report_pixels(igrid, phantom, wins[0], exclusion_radius)
     sino = forward(phantom, base_cfg.mu, sgrid)
-    recons = reconstruct(sino, base_cfg, igrid, windows=wins)
+    recons = reconstruct(sino, base_cfg, igrid, windows=wins, pixels=read)
     rows: list[StudyRow] = []
     reports: list[ArtifactReport] = []
     for k, win, recon in zip(ks, wins, recons):

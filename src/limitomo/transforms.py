@@ -56,16 +56,17 @@ class WeightFunction:
         return f"WeightFunction({self.kind}{' ' + args if args else ''})"
 
     def on_grid(self, x, y):
-        """``phi -> w`` at the points ``(x[j], y[i])``, bit for bit, broadcastable
-        to ``(y.size, x.size)``: the scalar, an outer product, or a call on points."""
+        """``phi -> w`` at the points ``(x, y)``, bit for bit, for coordinates that
+        broadcast together: the scalar, two short ``exp`` vectors on a block of
+        rows ``(x, y[:, None])``, or a call on the points."""
         if self.kind == "constant":
             return lambda phi: self.params[0]
         if self.kind == "exponential":
             def at(phi):
                 p0, p1 = _exp_rates(*self.params, phi)
-                return np.exp(p1 * y)[:, None] * np.exp(p0 * x)
+                return np.exp(p0 * x) * np.exp(p1 * y)
             return at
-        pts = np.stack(np.meshgrid(x, y, copy=False), axis=-1)
+        pts = np.stack(np.broadcast_arrays(x, y), axis=-1)
         return lambda phi: self(pts, phi)
 
     @classmethod
@@ -239,7 +240,7 @@ def forward(source: Phantom | Raster, mu: WeightFunction,
 
 
 def backproject(g: Sinogram, nu: WeightFunction,
-                window: AngularWindow | None, igrid: ImageGrid) -> Raster:
+                window: AngularWindow | None, igrid: ImageGrid, pixels=None) -> Raster:
     """Weighted, cutoff-modulated back-projection onto an image grid.
 
     For each pixel ``x`` this accumulates
@@ -250,13 +251,13 @@ def backproject(g: Sinogram, nu: WeightFunction,
     constant weight the angles ``phi`` and ``phi + pi`` may be folded
     first and the folded angles ``phi`` and ``pi - phi`` interpolated
     together; :func:`backproject_windows` says when, and gives the 1e-13
-    tolerance.
+    tolerance.  ``pixels`` restricts the sum to a mask, as there.
     """
-    return backproject_windows(g, nu, [window], igrid)[0]
+    return backproject_windows(g, nu, [window], igrid, pixels)[0]
 
 
 def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
-                        igrid: ImageGrid) -> list[Raster]:
+                        igrid: ImageGrid, pixels=None) -> list[Raster]:
     """:func:`backproject` for several windows in one pass over the angles.
 
     Each active angle interpolates its row at ``x . theta`` and evaluates
@@ -271,10 +272,19 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     operations in the same order, so each image is bit-identical to a
     single-window call and for every thread count.
 
+    ``pixels``, a boolean ``(n, n)`` mask, computes only the masked pixels:
+    a block is then a run of the mask's pixel centres in row-major order,
+    one run per usable CPU and at most ``BLOCK_PIXELS`` each, accumulated
+    into ``(windows, P)`` arrays for the mask's ``P`` pixels and scattered
+    into images that are +0.0 elsewhere.
+    Each masked pixel gets the operations of the unmasked call, so it keeps
+    its bits.  A masked call never folds.
+
     Opposite-angle fold: angle ``phi_i + pi`` reads the line of
-    ``phi_i`` at offset ``-s``.  On a full circle with ``n_phi = 2 m``,
-    when every window is ``None`` and ``nu`` is a constant weight
-    (``nu.kind == "constant"``), row ``i + m`` reversed in ``s`` is added
+    ``phi_i`` at offset ``-s``.  On a full circle with ``n_phi = 2 m``
+    and ``|m dphi - pi| <= 1e-14``, when every window is ``None``, ``nu``
+    is a constant weight (``nu.kind == "constant"``) and there is no mask,
+    row ``i + m`` reversed in ``s`` is added
     to row ``i``: ``m`` folded rows.  Mirror pairs then halve the index
     searches again: angle ``phi_j = pi - phi_i`` reads at ``(x, y)`` the
     offset ``phi_i`` reads at ``(-x, y)``, and ``ImageGrid.axis()`` is
@@ -289,9 +299,9 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     1e-13 of the image maximum of the unfolded sum, not bitwise, because
     ``s_values()`` and ``axis()`` are not bitwise symmetric, and it is
     bit-identical for every thread count and block size.  Every other call
-    (a cutoff, a half range, an odd ``n_phi``, any other weight kind) is
-    unfolded, so a ``None`` window batched with cutoff windows gets the
-    unfolded bits.
+    (a cutoff, a half range, an odd ``n_phi``, any other weight kind, a
+    mask) is unfolded, so a ``None`` window batched with cutoff windows
+    gets the unfolded bits.
     """
     if not np.all(np.isfinite(g.values)):
         raise ValueError("sinogram contains non-finite values")
@@ -299,6 +309,12 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
         raise ValueError(
             "image grid has pixels with |x . theta| > s_max; increase s_max"
         )
+    n = igrid.n
+    if pixels is not None:
+        pixels = np.asarray(pixels, dtype=bool)
+        if pixels.shape != (n, n):
+            raise ValueError(f"pixel mask shape {pixels.shape} does not match the "
+                             f"image grid ({n}, {n})")
     phis = g.grid.phis()
     wphi = g.grid.phi_weights()
     rows = g.values
@@ -308,8 +324,9 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     # weights are uniform, so a folded row and its partner keep w_i.
     zrows, zphi, zscale = (), (), ()
     m = phis.size // 2
-    if (g.grid.periodic and phis.size % 2 == 0 and all(w is None for w in windows)
-            and nu.kind == "constant"):
+    if (pixels is None and g.grid.periodic and phis.size % 2 == 0
+            and abs(m * g.grid.dphi - math.pi) <= 1e-14
+            and all(w is None for w in windows) and nu.kind == "constant"):
         def fold(k, into):
             return np.add(g.values[k], g.values[k + m, ::-1], out=into)
 
@@ -331,37 +348,58 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
             fold(k, r)
         phis, wphi = phis[solo], wphi[solo]
     coef = np.array([(1.0 if w is None else w.kappa(phis)) * wphi for w in windows])
-    n = igrid.n
-    out = np.zeros((len(windows), n, n))
     active = np.nonzero(coef.any(axis=0))[0]
-    # A paired block's complex plane holds as many bytes as a real block.
-    step = max(1, _util.BLOCK_PIXELS // (n * (2 if len(zrows) else 1)))
+    # A block is a pair of coordinates that broadcast together and the
+    # accumulators they add to: whole image rows (ax, y[:, None]), or a run
+    # of the mask's pixel centres.
+    if pixels is None:
+        out = np.zeros((len(windows), n, n))
+        # A paired block's complex plane holds as many bytes as a real block.
+        step = max(1, _util.BLOCK_PIXELS // (n * (2 if len(zrows) else 1)))
+        n_blocks = math.ceil(n / step)
+
+        def block(b):
+            rs = slice(b * step, (b + 1) * step)
+            return ax, ax[rs, None], out[:, rs]
+    else:
+        at = np.flatnonzero(pixels)
+        px, py = ax[at % n], ax[at // n]
+        acc = np.zeros((len(windows), at.size))
+        # One run per usable CPU, of at most BLOCK_PIXELS points each.
+        step = max(1, min(_util.BLOCK_PIXELS, math.ceil(at.size / _util.thread_count())))
+        n_blocks = math.ceil(at.size / step)
+
+        def block(b):
+            ps = slice(b * step, (b + 1) * step)
+            return px[ps], py[ps], acc[:, ps]
 
     def worker(blocks: slice) -> None:
-        # Whole blocks of image rows, each a contiguous run of pixels; the
-        # slices stop the last block at the image's last row.
-        for r0 in range(blocks.start * step, blocks.stop * step, step):
-            rs = slice(r0, r0 + step)
-            y = ax[rs]
+        # Each block is a contiguous run of pixels; the slices stop the last
+        # block at the last row or point.
+        for b in range(blocks.start, blocks.stop):
+            x, y, dest = block(b)
             # Mirror pair: the real part is phi_i at (x, y), the imaginary
             # part is phi_j = pi - phi_i at (-x, y), so one index search
             # serves both and the imaginary plane is added reversed in x.
             for z, phi, wc in zip(zrows, zphi, zscale):
-                gz = np.interp(ax * math.cos(phi) + y[:, None] * math.sin(phi), s, z)
+                gz = np.interp(x * math.cos(phi) + y * math.sin(phi), s, z)
                 gz *= wc
-                for img in out:
-                    img[rs] += gz.real
-                    img[rs] += gz.imag[:, ::-1]
+                for img in dest:
+                    img += gz.real
+                    img += gz.imag[:, ::-1]
                 del gz
-            nu_at = nu.on_grid(ax, y)
+            nu_at = nu.on_grid(x, y)
             for i in active:
                 c, sn = math.cos(phis[i]), math.sin(phis[i])
-                gi = np.interp(ax * c + y[:, None] * sn, s, rows[i])
+                gi = np.interp(x * c + y * sn, s, rows[i])
                 nu_i = nu_at(phis[i])
                 for k in np.nonzero(coef[:, i])[0]:
-                    out[k, rs] += (coef[k, i] * nu_i) * gi
+                    dest[k] += (coef[k, i] * nu_i) * gi
                 # Free this angle's planes before the next one allocates its own.
                 del gi, nu_i
 
-    _util.for_each_chunk(worker, math.ceil(n / step))
+    _util.for_each_chunk(worker, n_blocks)
+    if pixels is not None:
+        out = np.zeros((len(windows), n, n))
+        out.reshape(len(windows), -1)[:, at] = acc
     return [Raster(igrid, img) for img in out]

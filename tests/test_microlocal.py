@@ -5,7 +5,9 @@ import pytest
 
 from limitomo import (
     AngularWindow,
+    ClippedDisk,
     Disk,
+    Ellipse,
     ImageGrid,
     Phantom,
     Raster,
@@ -18,11 +20,12 @@ from limitomo import (
     forward,
     predicted_artifact_lines,
     reconstruct,
+    report_pixels,
     strength_vs_order_study,
     symbol_eval,
     wavefront_probe,
 )
-from limitomo import filters
+from limitomo import filters, microlocal
 from limitomo.microlocal import StudyRow, write_report_csv
 
 ONE = WeightFunction.constant(1.0)
@@ -358,6 +361,68 @@ def test_study_matches_per_k_reconstructions(tmp_path, operator):
         single = ReconstructionConfig(operator, ONE, cfg.nu, window=win_k)
         rep = artifact_report(reconstruct(g, single, grid), UNIT_DISK, win_k,
                               4.0 * grid.h)
+        edge, line = rep.max_edge_strength, rep.max_line_strength
+        assert row == StudyRow(k, line, edge, line / edge)
+        write_report_csv(rep, tmp_path / f"report_k{k}.csv")
+        assert ((tmp_path / "study" / f"report_k{k}.csv").read_bytes()
+                == (tmp_path / f"report_k{k}.csv").read_bytes())
+
+
+REPORT_SHAPES = {
+    "disk": Disk((0.05, 0.1), 0.7, 1.0),
+    "ellipse": Ellipse((0.2, -0.1), 0.5, 0.25, 0.4, 1.0),
+    "clipped-disk": ClippedDisk((0.0, 0.05), 0.7, (1.0, 0.0), 0.3, 1.0),
+}
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("shape", list(REPORT_SHAPES.values()), ids=list(REPORT_SHAPES))
+@pytest.mark.parametrize("operator", ["B", "Lambda"])
+def test_report_pixels_cover_every_pixel_the_report_reads(operator, shape):
+    # Every pixel outside report_pixels set to NaN: every line and edge
+    # strength keeps its bits, with the window and without one.
+    grid, sg, win = _study_setup(n=128, n_phi=91)
+    phantom = Phantom((shape,))
+    rec = reconstruct(forward(phantom, ONE, sg),
+                      ReconstructionConfig(operator, ONE, ONE, window=win), grid)
+    for window in (win, None):
+        mask = report_pixels(grid, phantom, window, 4.0 * grid.h)
+        assert 0 < mask.sum() < mask.size // 4
+        want = artifact_report(rec, phantom, window, 4.0 * grid.h)
+        got = artifact_report(Raster(grid, np.where(mask, rec.values, np.nan)), phantom,
+                              window, 4.0 * grid.h)
+        assert len(want.lines) > 0 or window is None
+        np.testing.assert_array_equal(_bits(got.per_line_strength),
+                                      _bits(want.per_line_strength))
+        np.testing.assert_array_equal(_bits(got.edge_strengths), _bits(want.edge_strengths))
+
+
+def test_study_equals_full_image_reports(tmp_path, monkeypatch):
+    # The study back-projects only the union of its windows' report_pixels;
+    # its rows and report_k*.csv bytes equal those of the full images of one
+    # batched reconstruction.
+    grid, sg, win = _study_setup(n=128, n_phi=91)
+    phantom = Phantom(tuple(REPORT_SHAPES.values()))
+    cfg = ReconstructionConfig("Lambda", ONE, WeightFunction.exponential(0.3), window=win)
+    ks = [1, 2, 3]
+    wins = [AngularWindow(PHI1, PHI2, "finite-order", k) for k in ks]
+    masks, original = [], microlocal.reconstruct
+
+    def spy(*args, **kwargs):
+        masks.append(kwargs["pixels"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(microlocal, "reconstruct", spy)
+    rows = strength_vs_order_study(phantom, cfg, ks, grid, sg, report_dir=tmp_path / "study")
+    union = np.logical_or.reduce([report_pixels(grid, phantom, w, 4.0 * grid.h) for w in wins])
+    assert len(masks) == 1 and union.sum() < union.size // 4
+    np.testing.assert_array_equal(masks[0], union)
+    full = original(forward(phantom, ONE, sg), cfg, grid, windows=wins)
+    for k, win_k, rec, row in zip(ks, wins, full, rows):
+        rep = artifact_report(rec, phantom, win_k, 4.0 * grid.h)
         edge, line = rep.max_edge_strength, rep.max_line_strength
         assert row == StudyRow(k, line, edge, line / edge)
         write_report_csv(rep, tmp_path / f"report_k{k}.csv")

@@ -16,13 +16,15 @@ from limitomo import (
     Ellipse,
     ImageGrid,
     Phantom,
+    Raster,
     WeightFunction,
+    artifact_report,
     edge_singularities,
     rasterize,
 )
 from limitomo import _util
 from limitomo.geometry import theta, theta_perp
-from limitomo.microlocal import _tube
+from limitomo.microlocal import _box_candidates, _tube
 from limitomo.phantoms import analytic_sinogram_row
 
 ONE = WeightFunction.constant(1.0)
@@ -533,17 +535,21 @@ def test_ellipse_distance_near_major_axis_is_finite_and_quiet(offset):
     np.testing.assert_allclose(nrm[[0, 3]], [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
 
-def _workload_ellipses(seeds=(0, 23, 31)):
-    """The ellipses of the benchmark's workloads at a few seeds."""
+def _workload_shapes(kind, seeds):
+    """The shape tuples of one kind in the benchmark's workloads at a few seeds."""
     path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
     spec = importlib.util.spec_from_file_location("limitomo_bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads      # its dataclasses look their module up
     spec.loader.exec_module(workloads)
+    return [sh[1:] for name in workloads.NAMES for seed in seeds
+            for sh in workloads.build(name, seed).shapes if sh[0] == kind]
+
+
+def _workload_ellipses(seeds=(0, 23, 31)):
+    """The ellipses of the benchmark's workloads at a few seeds."""
     return [Ellipse((cx, cy), a, b, angle, rho)
-            for name in workloads.NAMES for seed in seeds
-            for kind, cx, cy, a, b, angle, rho in (
-                sh for sh in workloads.build(name, seed).shapes if sh[0] == "ellipse")]
+            for cx, cy, a, b, angle, rho in _workload_shapes("ellipse", seeds)]
 
 
 @pytest.mark.parametrize("shape", [sh for sh in DISTANCE_SHAPES if isinstance(sh, Ellipse)]
@@ -561,3 +567,30 @@ def test_ellipse_gauge_screen_keeps_every_tube_point(shape):
         radius = 3.0 * grid.h
         np.testing.assert_array_equal(_tube(shape, pts, radius),
                                       shape.boundary_distance(pts) <= radius)
+
+
+@pytest.mark.parametrize("shape", [Disk((cx, cy), r, rho)
+                                   for cx, cy, r, rho in _workload_shapes("disk", (0, 23))],
+                         ids=lambda sh: f"r{sh.radius:.4g}-c{sh.center[0]:.4g},{sh.center[1]:.4g}")
+def test_disk_annulus_bound_keeps_every_tube_pixel(shape):
+    # The per-row annulus bound before the exact distance drops only pixels
+    # outside the report's 3-pixel tube: at n = 64 and 512 the kept tube is
+    # that of the exact distance on every pixel centre of the image, and the
+    # edge strength has the bits of the peak over the exact visible tube.
+    win = AngularWindow(math.pi / 4.0, 3.0 * math.pi / 4.0, "finite-order", 1)
+    for n in (64, 512):
+        grid = ImageGrid(n, 1.2)
+        ax, h = grid.axis(), grid.h
+        radius = 3.0 * h
+        rows, cols = _box_candidates(shape, ax, ax, radius)
+        tube = _tube(shape, np.stack([ax[cols], ax[rows]], axis=-1), radius)
+        kept = np.zeros((n, n), dtype=bool)
+        kept[rows[tube], cols[tube]] = True
+        pts = np.stack(grid.centers(), axis=-1)
+        dist, nrm = shape.boundary_distance(pts, normal=True)
+        np.testing.assert_array_equal(kept, dist <= radius)
+        visible = ((dist <= radius) & np.all(np.abs(pts) <= grid.extent - h, axis=-1)
+                   & win.contains_direction(np.arctan2(nrm[..., 1], nrm[..., 0])))
+        values = np.random.default_rng(n).normal(size=(n, n))
+        rep = artifact_report(Raster(grid, values), Phantom((shape,)), win, 4.0 * h)
+        assert rep.edge_strengths == (np.abs(values[visible]).max(),)

@@ -390,14 +390,17 @@ def test_forward_raster_finite_at_rate_bound(mode, sign):
 @pytest.mark.parametrize("w", WEIGHTS, ids=WEIGHT_IDS)
 def test_weight_on_grid_equals_call_bitwise(w):
     # The back-projection's per-block evaluation is the weight itself on
-    # the block's pixel points, bit for bit, for every kind.
+    # the block's pixel points, bit for bit, for every kind: on a block of
+    # rows (x, y[:, None]) and on a run of scattered points.
     x = ImageGrid(24, 1.2).axis()
     y = x[5:12]
     pts = np.stack(np.meshgrid(x, y), axis=-1)
-    at = w.on_grid(x, y)
-    for phi in np.linspace(0.0, 2.0 * math.pi, 13):
-        np.testing.assert_array_equal(np.broadcast_to(at(phi), (y.size, x.size)),
-                                      np.broadcast_to(w(pts, phi), (y.size, x.size)))
+    run = np.random.default_rng(2).permutation(pts.reshape(-1, 2))[:40]
+    for (bx, by), p in (((x, y[:, None]), pts), ((run[:, 0], run[:, 1]), run)):
+        at = w.on_grid(bx, by)
+        for phi in np.linspace(0.0, 2.0 * math.pi, 13):
+            np.testing.assert_array_equal(np.broadcast_to(at(phi), p.shape[:-1]),
+                                          np.broadcast_to(w(p, phi), p.shape[:-1]))
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -490,6 +493,70 @@ def test_folded_backproject_bit_reproducible_with_threads(monkeypatch, usable_cp
 def test_folded_backproject_windows_gives_equal_images():
     a, b = backproject_windows(_fold_sinogram(), ONE, [None, None], FOLD_GRID)
     np.testing.assert_array_equal(a.values, b.values)
+
+
+def test_fold_needs_rows_exactly_half_a_circle_apart():
+    # The grid is periodic (its span is 1e-10 short of 2 pi), but row i + m
+    # lies 5e-11 short of pi from row i, so folding them would add two rows
+    # at the wrong angle: it is back-projected unfolded.
+    sg = SinogramGrid(48, 49, 1.8, phi0=1e-10, phi1=2.0 * math.pi)
+    assert sg.periodic
+    g = _fold_sinogram(sg)
+    img = backproject(g, ONE, None, FOLD_GRID).values
+    ref = _reference_backproject(g, ONE, None, FOLD_GRID)
+    np.testing.assert_allclose(img, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+def _mask(n, seed=5):
+    return np.random.default_rng(seed).random((n, n)) < 0.3
+
+
+HALF_SG = SinogramGrid(n_phi=61, n_s=49, s_max=1.8, phi0=0.0, phi1=math.pi)
+
+
+@pytest.mark.parametrize("cpus, block", [(1, None), (2, None), (1, 7), (2, 7)],
+                         ids=["1cpu", "2cpus", "1cpu-7px", "2cpus-7px"])
+@pytest.mark.parametrize("nu", [ONE, WeightFunction.exponential(0.4), RADIAL],
+                         ids=["constant", "exponential", "custom"])
+@pytest.mark.parametrize("windows", [
+    [AngularWindow(0.3, 1.1, "finite-order", 2)],
+    [AngularWindow(math.pi / 4.0, 3.0 * math.pi / 4.0, "finite-order", k) for k in (1, 2, 3, 4)],
+], ids=["one-window", "four-orders"])
+def test_masked_backproject_keeps_the_bits_of_the_full_call(windows, nu, cpus, block,
+                                                            monkeypatch, usable_cpus):
+    # A half range onto 24^2 pixels: each masked pixel has the bits of the
+    # full call and every other pixel is +0.0, at every thread count and
+    # block size (7 points leave the last run short).
+    g = Sinogram(HALF_SG, np.random.default_rng(7).standard_normal((61, 49)))
+    full = backproject_windows(g, nu, windows, FOLD_GRID)
+    usable_cpus(cpus)
+    if block is not None:
+        monkeypatch.setattr(_util, "BLOCK_PIXELS", block)
+    mask = _mask(FOLD_GRID.n)
+    masked = backproject_windows(g, nu, windows, FOLD_GRID, pixels=mask)
+    assert len(masked) == len(windows)
+    for a, b in zip(masked, full):
+        np.testing.assert_array_equal(a.values[mask], b.values[mask])
+        off = a.values[~mask]
+        assert np.all(off == 0.0) and not np.signbit(off).any()
+
+
+def test_masked_backproject_never_folds():
+    # A full circle, None windows and a constant weight fold when unmasked;
+    # masked, the pixels get the unfolded per-angle sum, bit for bit.  A mask
+    # of every pixel or of none gives the unfolded image or zeros.
+    g = _fold_sinogram()
+    ref = _reference_backproject(g, ONE, None, FOLD_GRID)
+    mask = _mask(FOLD_GRID.n)
+    for img in backproject_windows(g, ONE, [None, None], FOLD_GRID, pixels=mask):
+        np.testing.assert_array_equal(img.values[mask], ref[mask])
+        assert np.all(img.values[~mask] == 0.0)
+    every = np.ones((FOLD_GRID.n, FOLD_GRID.n), dtype=bool)
+    np.testing.assert_array_equal(backproject(g, ONE, None, FOLD_GRID, pixels=every).values, ref)
+    none = backproject(g, ONE, None, FOLD_GRID, pixels=~every).values
+    assert np.all(none == 0.0) and not np.signbit(none).any()
+    with pytest.raises(ValueError, match="mask shape"):
+        backproject(g, ONE, None, FOLD_GRID, pixels=every[1:])
 
 
 def _interp_rows(monkeypatch):
