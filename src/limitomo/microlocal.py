@@ -19,7 +19,7 @@ import numpy as np
 
 from .filters import ReconstructionConfig, reconstruct
 from .geometry import AngularWindow, ImageGrid, Raster, SinogramGrid
-from .phantoms import Disk, EdgeSingularity, Ellipse, Phantom, edge_singularities
+from .phantoms import Disk, EdgeSingularity, Phantom, edge_singularities
 from .transforms import forward
 
 NO_SIGNAL = float("nan")
@@ -217,28 +217,6 @@ def _sample_raster(raster: Raster, pts: np.ndarray) -> np.ndarray:
     return _bilinear(raster.values, *_grid_index(raster.grid, pts))
 
 
-def _tube(shape, pts: np.ndarray, radius: float) -> np.ndarray:
-    """Whether each point of ``pts`` (``(..., 2)``) is within ``radius`` of the
-    shape's boundary by its exact distance.
-
-    An ellipse's distance is a Newton solve, so its points are screened first
-    by the gauge ``q``.  The ellipse is convex and contains the disk of radius
-    ``r = min(a, b)`` about its centre, so ``q`` is subadditive with ``q(y) <=
-    |y| / r``, and the distance is at least ``r |q - 1|``, inside and outside.
-    The margin ``1e-9 max(a, b) (1 + radius / r)`` is far above the rounding of
-    ``q`` and of the distance near the tube, so the screen drops only points
-    farther than ``radius``.
-    """
-    if not isinstance(shape, Ellipse):
-        return shape.boundary_distance(pts) <= radius
-    r = min(shape.a, shape.b)
-    slack = 1e-9 * max(shape.a, shape.b) * (1.0 + radius / r)
-    near = r * np.abs(shape.gauge(pts) - 1.0) <= radius + slack
-    tube = np.zeros_like(near)
-    tube[near] = shape.boundary_distance(pts[near]) <= radius
-    return tube
-
-
 def _box_candidates(shape, x: np.ndarray, y: np.ndarray, radius: float):
     """``(row, column)`` indices of the pixels of the box ``y`` by ``x`` that may
     lie within ``radius`` of the shape's boundary.
@@ -297,7 +275,7 @@ def _visible_tubes(grid: ImageGrid, phantom: Phantom, window: AngularWindow | No
                   for c, w in zip(sh.center, sh.bbox_halfwidths()))
         r, c = _box_candidates(sh, ax[ix], ax[iy], radius)
         pts = np.stack([ax[ix[c]], ax[iy[r]]], axis=-1)
-        tube = _tube(sh, pts, radius)
+        tube = sh.boundary_distance(pts) <= radius
         if window is not None:
             _, nrm = sh.boundary_distance(pts[tube], normal=True)
             tube[tube] = window.contains_direction(np.arctan2(nrm[:, 1], nrm[:, 0]))
@@ -307,6 +285,47 @@ def _visible_tubes(grid: ImageGrid, phantom: Phantom, window: AngularWindow | No
 
 def _peak(vals: np.ndarray) -> float:
     return float(np.abs(vals).max()) if vals.size else 0.0
+
+
+def _report_sites(grid: ImageGrid, phantom: Phantom, window: AngularWindow | None,
+                  exclusion_radius: float):
+    """What a report reads: ``(lines, samples, tubes)`` of :func:`_line_samples`
+    and :func:`_visible_tubes`.  It reads the window only through its arc."""
+    lines, samples = _line_samples(grid, phantom, window, exclusion_radius)
+    return lines, samples, _visible_tubes(grid, phantom, window)
+
+
+def _measure(recon: Raster, sites, window: AngularWindow | None, exclusion_radius: float,
+             metadata: dict | None = None) -> ArtifactReport:
+    """The report of ``recon`` read at ``sites``, the :func:`_report_sites` of its grid."""
+    grid = recon.grid
+    lines, samples, tubes = sites
+    strengths = [_peak(_sample_raster(recon, pts)) for pts in samples]
+    edge_strengths = [_peak(recon.values[rows, cols]) for rows, cols in tubes]
+    k = window.k if window is not None and window.kind == "finite-order" else None
+    meta = {
+        "n": grid.n,
+        "extent": grid.extent,
+        "exclusion_radius": float(exclusion_radius),
+        "tube_radius": float(TUBE_PIXELS * grid.h),
+    }
+    if metadata:
+        meta.update(metadata)
+    return ArtifactReport(tuple(lines), tuple(strengths), tuple(edge_strengths), k, meta)
+
+
+def _mask(grid: ImageGrid, sites) -> np.ndarray:
+    """The boolean ``(n, n)`` mask of the pixels :func:`_measure` reads at ``sites``."""
+    _, samples, tubes = sites
+    mask = np.zeros((grid.n, grid.n), dtype=bool)
+    for pts in samples:
+        _, i, j, _, _ = _cells(mask.shape, *_grid_index(grid, pts))
+        for di in (0, 1):
+            for dj in (0, 1):
+                mask[i + di, j + dj] = True
+    for rows, cols in tubes:
+        mask[rows, cols] = True
+    return mask
 
 
 def artifact_report(recon: Raster, phantom: Phantom,
@@ -323,24 +342,11 @@ def artifact_report(recon: Raster, phantom: Phantom,
     its boundary whose nearest boundary point has a normal in the window;
     with ``window=None`` the whole tube counts as visible.  Only samples and
     pixels at most ``L - h`` from the image centre in each coordinate count.
-    The report reads only the pixels :func:`report_pixels` names, so a
-    reconstruction computed on those pixels alone gives the same report.
+    It reads only the pixels :func:`report_pixels` names, from the same
+    geometry, so a reconstruction computed on them alone gives this report.
     """
-    grid = recon.grid
-    lines, samples = _line_samples(grid, phantom, window, exclusion_radius)
-    strengths = [_peak(_sample_raster(recon, pts)) for pts in samples]
-    edge_strengths = [_peak(recon.values[rows, cols])
-                      for rows, cols in _visible_tubes(grid, phantom, window)]
-    k = window.k if window is not None and window.kind == "finite-order" else None
-    meta = {
-        "n": grid.n,
-        "extent": grid.extent,
-        "exclusion_radius": float(exclusion_radius),
-        "tube_radius": float(TUBE_PIXELS * grid.h),
-    }
-    if metadata:
-        meta.update(metadata)
-    return ArtifactReport(tuple(lines), tuple(strengths), tuple(edge_strengths), k, meta)
+    sites = _report_sites(recon.grid, phantom, window, exclusion_radius)
+    return _measure(recon, sites, window, exclusion_radius, metadata)
 
 
 def report_pixels(grid: ImageGrid, phantom: Phantom, window: AngularWindow | None,
@@ -348,20 +354,12 @@ def report_pixels(grid: ImageGrid, phantom: Phantom, window: AngularWindow | Non
     """The boolean ``(n, n)`` mask of the pixels :func:`artifact_report` reads.
 
     It holds the four bilinear neighbours of every kept line sample and
-    every visible tube pixel, taken from the same sampling code as the
-    report, so a reconstruction whose masked pixels are exact gives the
-    report of the full image, whatever lies outside the mask.  It reads the
-    window only through its arc, not through its order ``k``.
+    every visible tube pixel, from the report's own sampled geometry, so a
+    reconstruction whose masked pixels are exact gives the report of the
+    full image, whatever lies outside the mask.  It reads the window only
+    through its arc, not through its order ``k``.
     """
-    mask = np.zeros((grid.n, grid.n), dtype=bool)
-    for pts in _line_samples(grid, phantom, window, exclusion_radius)[1]:
-        _, i, j, _, _ = _cells(mask.shape, *_grid_index(grid, pts))
-        for di in (0, 1):
-            for dj in (0, 1):
-                mask[i + di, j + dj] = True
-    for rows, cols in _visible_tubes(grid, phantom, window):
-        mask[rows, cols] = True
-    return mask
+    return _mask(grid, _report_sites(grid, phantom, window, exclusion_radius))
 
 
 @dataclass(frozen=True)
@@ -383,12 +381,14 @@ def strength_vs_order_study(phantom: Phantom, base_cfg: ReconstructionConfig,
     The sinogram is computed once with ``base_cfg.mu`` and filtered once;
     one back-projection pass over its angles then reconstructs it with
     the finite-order cutoff of every order ``k`` on identical grids (see
-    :func:`~limitomo.filters.reconstruct` with ``windows``).  The pass
-    computes only the union of the :func:`report_pixels` of the windows,
-    one window's set since they differ only in ``k``, with the bits of a
-    full image there, so every report equals that of the full
-    reconstruction.  Each image is measured with
-    :func:`artifact_report` and summarized as
+    :func:`~limitomo.filters.reconstruct` with ``windows``).  The
+    windows differ only in ``k``, which the report geometry (the lines,
+    their samples and the tubes) never reads, so it is sampled once.
+    The pass computes only the pixels it reads, the
+    :func:`report_pixels` of every window, with the bits of a full image
+    there; each image is measured at that geometry, so every report
+    equals :func:`artifact_report` of the full reconstruction, and is
+    summarized as
     ``(k, max line strength, max edge strength, ratio)``.  When
     ``report_dir`` is given, per-k CSV reports and a JSON summary are
     written there.
@@ -405,15 +405,15 @@ def strength_vs_order_study(phantom: Phantom, base_cfg: ReconstructionConfig,
 
     wins = [AngularWindow(base_cfg.window.phi1, base_cfg.window.phi2,
                           "finite-order", k) for k in ks]
-    # The windows differ only in k, which the reports' sampling never reads,
-    # so the union of their pixel sets is the set of any one of them.
-    read = report_pixels(igrid, phantom, wins[0], exclusion_radius)
+    # The windows differ only in k, which the report geometry never reads,
+    # so one geometry, and its pixel set, serves every window.
+    sites = _report_sites(igrid, phantom, wins[0], exclusion_radius)
     sino = forward(phantom, base_cfg.mu, sgrid)
-    recons = reconstruct(sino, base_cfg, igrid, windows=wins, pixels=read)
+    recons = reconstruct(sino, base_cfg, igrid, windows=wins, pixels=_mask(igrid, sites))
     rows: list[StudyRow] = []
     reports: list[ArtifactReport] = []
     for k, win, recon in zip(ks, wins, recons):
-        rep = artifact_report(recon, phantom, win, exclusion_radius)
+        rep = _measure(recon, sites, win, exclusion_radius)
         reports.append(rep)
         edge = rep.max_edge_strength
         line = rep.max_line_strength

@@ -180,13 +180,6 @@ class Ellipse:
         u, v = self._unit_axes(x)
         return u * u + v * v <= 1.0
 
-    def gauge(self, x) -> np.ndarray:
-        """The gauge ``sqrt(u^2 + v^2)`` of point(s) ``x``, with ``(u, v)`` the
-        offset from the centre in the ellipse's axes over ``(a, b)``: 1 on the
-        boundary, below 1 inside."""
-        u, v = self._unit_axes(x)
-        return np.sqrt(u * u + v * v)
-
     def bbox_halfwidths(self) -> tuple[float, float]:
         ca, sa = math.cos(self.angle), math.sin(self.angle)
         wx = math.hypot(self.a * ca, self.b * sa)

@@ -303,6 +303,8 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     mask) is unfolded, so a ``None`` window batched with cutoff windows
     gets the unfolded bits.
     """
+    if len(windows) == 0:
+        raise ValueError("windows must be nonempty")
     if not np.all(np.isfinite(g.values)):
         raise ValueError("sinogram contains non-finite values")
     if igrid.pixel_radius > g.grid.s_max + 1e-12:

@@ -179,6 +179,13 @@ def test_reconstruct_requires_window_coverage():
         reconstruct(Sinogram(sg, np.zeros((60, 65))), cfg, grid)
 
 
+def test_reconstruct_rejects_an_empty_window_list():
+    sg = SinogramGrid(n_phi=16, n_s=65, s_max=1.8)
+    cfg = ReconstructionConfig("B", ONE, ONE)
+    with pytest.raises(ValueError, match="windows must be nonempty"):
+        reconstruct(Sinogram(sg, np.zeros((16, 65))), cfg, ImageGrid(32, 1.2), windows=[])
+
+
 def test_full_data_inversion_small():
     # spectral ramp path; generous s_max keeps the padded Hilbert tail
     # wrap-around small at the default pad_factor

@@ -446,6 +446,26 @@ def test_study_filters_the_sinogram_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_study_samples_its_report_geometry_once(monkeypatch):
+    # The windows differ only in k, so the lines, their samples and the
+    # tubes are sampled once for the pixel mask and every report.
+    grid, sg, win = _study_setup(n=64, n_phi=46)
+    phantom = Phantom(tuple(REPORT_SHAPES.values()))
+    calls = {"_line_samples": 0, "_visible_tubes": 0}
+    for name in calls:
+        original = getattr(microlocal, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(microlocal, name, counting)
+    cfg = ReconstructionConfig("Lambda", ONE, ONE, window=win)
+    rows = strength_vs_order_study(phantom, cfg, [1, 2, 3, 4], grid, sg)
+    assert len(rows) == 4
+    assert calls == {"_line_samples": 1, "_visible_tubes": 1}
+
+
 def test_report_csv_roundtrip(tmp_path):
     rec, grid, win = _limited_recon(n=128, n_phi=91)
     rep = artifact_report(rec, UNIT_DISK, win, 4.0 * grid.h)

@@ -24,7 +24,7 @@ from limitomo import (
 )
 from limitomo import _util
 from limitomo.geometry import theta, theta_perp
-from limitomo.microlocal import _box_candidates, _tube
+from limitomo.microlocal import _visible_tubes
 from limitomo.phantoms import analytic_sinogram_row
 
 ONE = WeightFunction.constant(1.0)
@@ -552,45 +552,41 @@ def _workload_ellipses(seeds=(0, 23, 31)):
             for cx, cy, a, b, angle, rho in _workload_shapes("ellipse", seeds)]
 
 
-@pytest.mark.parametrize("shape", [sh for sh in DISTANCE_SHAPES if isinstance(sh, Ellipse)]
-                         + _workload_ellipses(),
-                         ids=lambda sh: f"a{sh.a:.4g}-b{sh.b:.4g}-angle{sh.angle:.4g}")
-def test_ellipse_gauge_screen_keeps_every_tube_point(shape):
-    # The gauge screen before the Newton solve drops only points whose
-    # exact distance exceeds the tube radius: the kept set is unchanged
-    # for the report's 3-pixel tubes at n = 64 and 512, on every pixel
-    # centre of the image and on probes near the axes and the centre.
-    for n in (64, 512):
-        grid = ImageGrid(n, 1.2)
-        pts = np.concatenate([np.stack(grid.centers(), axis=-1).reshape(-1, 2),
-                              _distance_probes(shape, np.random.default_rng(n))])
-        radius = 3.0 * grid.h
-        np.testing.assert_array_equal(_tube(shape, pts, radius),
-                                      shape.boundary_distance(pts) <= radius)
+def _tube_id(shape):
+    if isinstance(shape, Disk):
+        return f"r{shape.radius:.4g}-c{shape.center[0]:.4g},{shape.center[1]:.4g}"
+    if isinstance(shape, Ellipse):
+        return f"a{shape.a:.4g}-b{shape.b:.4g}-angle{shape.angle:.4g}"
+    return f"clipped-r{shape.radius:.4g}-offset{shape.clip_offset:.4g}"
 
 
-@pytest.mark.parametrize("shape", [Disk((cx, cy), r, rho)
-                                   for cx, cy, r, rho in _workload_shapes("disk", (0, 23))],
-                         ids=lambda sh: f"r{sh.radius:.4g}-c{sh.center[0]:.4g},{sh.center[1]:.4g}")
-def test_disk_annulus_bound_keeps_every_tube_pixel(shape):
-    # The per-row annulus bound before the exact distance drops only pixels
-    # outside the report's 3-pixel tube: at n = 64 and 512 the kept tube is
-    # that of the exact distance on every pixel centre of the image, and the
-    # edge strength has the bits of the peak over the exact visible tube.
+@pytest.mark.parametrize("shape",
+                         [Disk((cx, cy), r, rho)
+                          for cx, cy, r, rho in _workload_shapes("disk", (0, 23))]
+                         + [sh for sh in DISTANCE_SHAPES if isinstance(sh, Ellipse)]
+                         + _workload_ellipses() + [CLIPPED], ids=_tube_id)
+def test_visible_tube_is_the_exact_tube(shape):
+    # The report's 3-pixel tube, with a disk's per-row annulus bound before
+    # the exact distance, is the tube of the exact distance and normal over
+    # every pixel centre of the image: at n = 64 and 512, with the window
+    # and without, the visible tube pixels are those, and the edge strength
+    # has the bits of the peak over them.
     win = AngularWindow(math.pi / 4.0, 3.0 * math.pi / 4.0, "finite-order", 1)
+    phantom = Phantom((shape,))
     for n in (64, 512):
         grid = ImageGrid(n, 1.2)
-        ax, h = grid.axis(), grid.h
-        radius = 3.0 * h
-        rows, cols = _box_candidates(shape, ax, ax, radius)
-        tube = _tube(shape, np.stack([ax[cols], ax[rows]], axis=-1), radius)
-        kept = np.zeros((n, n), dtype=bool)
-        kept[rows[tube], cols[tube]] = True
+        h = grid.h
         pts = np.stack(grid.centers(), axis=-1)
         dist, nrm = shape.boundary_distance(pts, normal=True)
-        np.testing.assert_array_equal(kept, dist <= radius)
-        visible = ((dist <= radius) & np.all(np.abs(pts) <= grid.extent - h, axis=-1)
-                   & win.contains_direction(np.arctan2(nrm[..., 1], nrm[..., 0])))
+        tube = (dist <= 3.0 * h) & np.all(np.abs(pts) <= grid.extent - h, axis=-1)
         values = np.random.default_rng(n).normal(size=(n, n))
-        rep = artifact_report(Raster(grid, values), Phantom((shape,)), win, 4.0 * h)
-        assert rep.edge_strengths == (np.abs(values[visible]).max(),)
+        for window in (None, win):
+            visible = tube if window is None else (
+                tube & window.contains_direction(np.arctan2(nrm[..., 1], nrm[..., 0])))
+            assert visible.any()
+            (rows, cols), = _visible_tubes(grid, phantom, window)
+            kept = np.zeros((n, n), dtype=bool)
+            kept[rows, cols] = True
+            np.testing.assert_array_equal(kept, visible)
+            rep = artifact_report(Raster(grid, values), phantom, window, 4.0 * h)
+            assert rep.edge_strengths == (np.abs(values[visible]).max(),)

@@ -559,6 +559,13 @@ def test_masked_backproject_never_folds():
         backproject(g, ONE, None, FOLD_GRID, pixels=every[1:])
 
 
+def test_backproject_windows_rejects_an_empty_window_list():
+    g = _fold_sinogram()
+    for pixels in (None, _mask(FOLD_GRID.n)):
+        with pytest.raises(ValueError, match="windows must be nonempty"):
+            backproject_windows(g, ONE, [], FOLD_GRID, pixels=pixels)
+
+
 def _interp_rows(monkeypatch):
     # The row (fp) of every np.interp call, in call order.
     rows, interp = [], np.interp
