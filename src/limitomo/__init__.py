@@ -32,7 +32,6 @@ from .microlocal import (
     artifact_report,
     default_probe_scales,
     predicted_artifact_lines,
-    report_pixels,
     strength_vs_order_study,
     symbol_eval,
     wavefront_probe,
@@ -88,7 +87,6 @@ __all__ = [
     "read_raster",
     "read_sinogram",
     "reconstruct",
-    "report_pixels",
     "run_pipeline",
     "strength_vs_order_study",
     "symbol_eval",

@@ -240,7 +240,10 @@ def _box_candidates(shape, x: np.ndarray, y: np.ndarray, radius: float):
 
 def _line_samples(grid: ImageGrid, phantom: Phantom, window: AngularWindow | None,
                   exclusion_radius: float):
-    """The predicted lines and, for each, the points :func:`artifact_report` samples."""
+    """The predicted lines and the ``(lines, t)`` lattice :func:`artifact_report`
+    samples them on: ``(lines, points, keep)``.  ``points[l, i]`` is line ``l``'s
+    generator plus ``t_i`` times its direction, ``t = h (-m..m)`` with
+    ``m = ceil(sqrt(2) L / h)``; ``keep`` is false where the report drops it."""
     h, L = grid.h, grid.extent
     if exclusion_radius < 2.0 * h:
         raise ValueError("exclusion radius must be at least 2 pixels")
@@ -249,15 +252,16 @@ def _line_samples(grid: ImageGrid, phantom: Phantom, window: AngularWindow | Non
     # a mirror-symmetric phantom runs the other way and samples the same points.
     m = math.ceil(math.sqrt(2.0) * L / h)
     t = h * np.arange(-m, m + 1)
-    along = np.array([ln.point + t[:, None] * ln.direction for ln in lines]).reshape(-1, t.size, 2)
+    base = np.array([ln.point for ln in lines]).reshape(-1, 1, 2)
+    step = np.array([ln.direction for ln in lines]).reshape(-1, 1, 2)
+    points = base + t[:, None] * step
     # One distance call for all lines: the ellipse's Newton loop costs per call.
-    far = phantom.boundary_distance(along) >= exclusion_radius
-    samples = []
-    for line, pts, keep in zip(lines, along, far):
-        keep &= (np.abs(pts[:, 0]) <= L - h) & (np.abs(pts[:, 1]) <= L - h)
-        keep &= np.hypot(pts[:, 0] - line.point[0], pts[:, 1] - line.point[1]) >= exclusion_radius
-        samples.append(pts[keep])
-    return lines, samples
+    keep = phantom.boundary_distance(points) >= exclusion_radius
+    keep &= (np.abs(points[..., 0]) <= L - h) & (np.abs(points[..., 1]) <= L - h)
+    # The distance to the generator, not |t|: the two round apart at the bound.
+    keep &= (np.hypot(points[..., 0] - base[..., 0], points[..., 1] - base[..., 1])
+             >= exclusion_radius)
+    return lines, points, keep
 
 
 def _visible_tubes(grid: ImageGrid, phantom: Phantom, window: AngularWindow | None):
@@ -289,40 +293,45 @@ def _peak(vals: np.ndarray) -> float:
 
 def _report_sites(grid: ImageGrid, phantom: Phantom, window: AngularWindow | None,
                   exclusion_radius: float):
-    """What a report reads: ``(lines, samples, tubes)`` of :func:`_line_samples`
-    and :func:`_visible_tubes`.  It reads the window only through its arc."""
-    lines, samples = _line_samples(grid, phantom, window, exclusion_radius)
-    return lines, samples, _visible_tubes(grid, phantom, window)
+    """What a report reads: ``(lines, points, keep, tubes, exclusion_radius)``,
+    the :func:`_line_samples` lattice, the :func:`_visible_tubes` and the radius
+    the lattice's points were dropped by.  It reads the window only through its
+    arc."""
+    lines, points, keep = _line_samples(grid, phantom, window, exclusion_radius)
+    return lines, points, keep, _visible_tubes(grid, phantom, window), float(exclusion_radius)
 
 
-def _measure(recon: Raster, sites, window: AngularWindow | None, exclusion_radius: float,
+def _measure(recon: Raster, sites, window: AngularWindow | None,
              metadata: dict | None = None) -> ArtifactReport:
     """The report of ``recon`` read at ``sites``, the :func:`_report_sites` of its grid."""
     grid = recon.grid
-    lines, samples, tubes = sites
-    strengths = [_peak(_sample_raster(recon, pts)) for pts in samples]
+    lines, points, keep, tubes, exclusion_radius = sites
+    # Only kept points count: the others may lie on pixels never computed.
+    strengths = np.max(np.abs(_sample_raster(recon, points)), axis=-1, where=keep, initial=0.0)
     edge_strengths = [_peak(recon.values[rows, cols]) for rows, cols in tubes]
     k = window.k if window is not None and window.kind == "finite-order" else None
     meta = {
         "n": grid.n,
         "extent": grid.extent,
-        "exclusion_radius": float(exclusion_radius),
+        "exclusion_radius": exclusion_radius,
         "tube_radius": float(TUBE_PIXELS * grid.h),
     }
     if metadata:
         meta.update(metadata)
-    return ArtifactReport(tuple(lines), tuple(strengths), tuple(edge_strengths), k, meta)
+    return ArtifactReport(tuple(lines), tuple(strengths.tolist()), tuple(edge_strengths), k, meta)
 
 
 def _mask(grid: ImageGrid, sites) -> np.ndarray:
-    """The boolean ``(n, n)`` mask of the pixels :func:`_measure` reads at ``sites``."""
-    _, samples, tubes = sites
+    """The boolean ``(n, n)`` mask of the pixels :func:`_measure` reads at ``sites``:
+    the four bilinear neighbours of every kept lattice point and every visible
+    tube pixel, so a reconstruction whose masked pixels are exact gives the
+    report of the full image, whatever lies outside the mask."""
+    _, points, keep, tubes, _ = sites
     mask = np.zeros((grid.n, grid.n), dtype=bool)
-    for pts in samples:
-        _, i, j, _, _ = _cells(mask.shape, *_grid_index(grid, pts))
-        for di in (0, 1):
-            for dj in (0, 1):
-                mask[i + di, j + dj] = True
+    _, i, j, _, _ = _cells(mask.shape, *_grid_index(grid, points[keep]))
+    for di in (0, 1):
+        for dj in (0, 1):
+            mask[i + di, j + dj] = True
     for rows, cols in tubes:
         mask[rows, cols] = True
     return mask
@@ -333,33 +342,19 @@ def artifact_report(recon: Raster, phantom: Phantom,
                     metadata: dict | None = None) -> ArtifactReport:
     """Measure streak and edge strengths of a reconstruction.
 
-    Each predicted artifact line is sampled every pixel, symmetrically about
-    its generator; points within ``exclusion_radius`` of the generator, or of
-    the phantom boundary by each shape's exact distance
-    (``Phantom.boundary_distance``), are dropped and the peak absolute value
-    of the rest is the line strength.  A shape's edge strength is the peak
-    absolute value at the pixel centres within ``tube_radius`` (3 pixels) of
-    its boundary whose nearest boundary point has a normal in the window;
-    with ``window=None`` the whole tube counts as visible.  Only samples and
+    Every predicted artifact line is sampled every pixel, symmetrically
+    about its generator, on one ``(lines, t)`` lattice; points within
+    ``exclusion_radius`` of the generator, or of the phantom boundary by
+    each shape's exact distance (``Phantom.boundary_distance``), are
+    dropped and the peak absolute value of the rest is the line strength
+    (0.0 when none is left).  A shape's edge strength is the peak absolute
+    value at the pixel centres within ``tube_radius`` (3 pixels) of its
+    boundary whose nearest boundary point has a normal in the window; with
+    ``window=None`` the whole tube counts as visible.  Only samples and
     pixels at most ``L - h`` from the image centre in each coordinate count.
-    It reads only the pixels :func:`report_pixels` names, from the same
-    geometry, so a reconstruction computed on them alone gives this report.
     """
     sites = _report_sites(recon.grid, phantom, window, exclusion_radius)
-    return _measure(recon, sites, window, exclusion_radius, metadata)
-
-
-def report_pixels(grid: ImageGrid, phantom: Phantom, window: AngularWindow | None,
-                  exclusion_radius: float) -> np.ndarray:
-    """The boolean ``(n, n)`` mask of the pixels :func:`artifact_report` reads.
-
-    It holds the four bilinear neighbours of every kept line sample and
-    every visible tube pixel, from the report's own sampled geometry, so a
-    reconstruction whose masked pixels are exact gives the report of the
-    full image, whatever lies outside the mask.  It reads the window only
-    through its arc, not through its order ``k``.
-    """
-    return _mask(grid, _report_sites(grid, phantom, window, exclusion_radius))
+    return _measure(recon, sites, window, metadata)
 
 
 @dataclass(frozen=True)
@@ -382,13 +377,12 @@ def strength_vs_order_study(phantom: Phantom, base_cfg: ReconstructionConfig,
     one back-projection pass over its angles then reconstructs it with
     the finite-order cutoff of every order ``k`` on identical grids (see
     :func:`~limitomo.filters.reconstruct` with ``windows``).  The
-    windows differ only in ``k``, which the report geometry (the lines,
-    their samples and the tubes) never reads, so it is sampled once.
-    The pass computes only the pixels it reads, the
-    :func:`report_pixels` of every window, with the bits of a full image
-    there; each image is measured at that geometry, so every report
-    equals :func:`artifact_report` of the full reconstruction, and is
-    summarized as
+    windows differ only in ``k``, which the report geometry (the lines'
+    ``(lines, t)`` sample lattice and the tubes) never reads, so it is
+    sampled once.  The pass computes only the pixels that geometry reads,
+    with the bits of a full image there; each image is measured at that
+    geometry, so every report equals :func:`artifact_report` of the full
+    reconstruction, and is summarized as
     ``(k, max line strength, max edge strength, ratio)``.  When
     ``report_dir`` is given, per-k CSV reports and a JSON summary are
     written there.
@@ -413,7 +407,7 @@ def strength_vs_order_study(phantom: Phantom, base_cfg: ReconstructionConfig,
     rows: list[StudyRow] = []
     reports: list[ArtifactReport] = []
     for k, win, recon in zip(ks, wins, recons):
-        rep = _measure(recon, sites, win, exclusion_radius)
+        rep = _measure(recon, sites, win)
         reports.append(rep)
         edge = rep.max_edge_strength
         line = rep.max_line_strength

@@ -20,7 +20,6 @@ from limitomo import (
     forward,
     predicted_artifact_lines,
     reconstruct,
-    report_pixels,
     strength_vs_order_study,
     symbol_eval,
     wavefront_probe,
@@ -251,13 +250,15 @@ def test_artifact_report_limited_angle_positive_strengths():
     assert rep.k == 1
 
 
+MIRROR_PHANTOM = Phantom((Disk((0.0, 0.05), 0.8, 1.0),
+                          Ellipse((0.4, 0.3), 0.25, 0.12, 0.5, 0.5),
+                          Ellipse((-0.4, 0.3), 0.25, 0.12, math.pi - 0.5, 0.5)))
+
+
 def test_artifact_report_mirror_lines_have_equal_strengths():
     # A phantom and window symmetric under x -> -x: each line and its mirror
     # image sample mirror-image points, so their strengths agree.
-    from limitomo import Ellipse
-
-    phantom = Phantom((Disk((0.0, 0.05), 0.8, 1.0), Ellipse((0.4, 0.3), 0.25, 0.12, 0.5, 0.5),
-                       Ellipse((-0.4, 0.3), 0.25, 0.12, math.pi - 0.5, 0.5)))
+    phantom = MIRROR_PHANTOM
     grid = ImageGrid(128, 1.2)
     s_max = math.sqrt(2.0) * grid.extent
     sg = SinogramGrid(91, 2 * 128 + 1, s_max, PHI1, PHI2)
@@ -382,14 +383,15 @@ def _bits(values):
 @pytest.mark.parametrize("shape", list(REPORT_SHAPES.values()), ids=list(REPORT_SHAPES))
 @pytest.mark.parametrize("operator", ["B", "Lambda"])
 def test_report_pixels_cover_every_pixel_the_report_reads(operator, shape):
-    # Every pixel outside report_pixels set to NaN: every line and edge
+    # Every pixel outside the report's mask set to NaN: every line and edge
     # strength keeps its bits, with the window and without one.
     grid, sg, win = _study_setup(n=128, n_phi=91)
     phantom = Phantom((shape,))
     rec = reconstruct(forward(phantom, ONE, sg),
                       ReconstructionConfig(operator, ONE, ONE, window=win), grid)
     for window in (win, None):
-        mask = report_pixels(grid, phantom, window, 4.0 * grid.h)
+        mask = microlocal._mask(grid, microlocal._report_sites(grid, phantom, window,
+                                                               4.0 * grid.h))
         assert 0 < mask.sum() < mask.size // 4
         want = artifact_report(rec, phantom, window, 4.0 * grid.h)
         got = artifact_report(Raster(grid, np.where(mask, rec.values, np.nan)), phantom,
@@ -401,7 +403,7 @@ def test_report_pixels_cover_every_pixel_the_report_reads(operator, shape):
 
 
 def test_study_equals_full_image_reports(tmp_path, monkeypatch):
-    # The study back-projects only the union of its windows' report_pixels;
+    # The study back-projects only the union of its windows' report masks;
     # its rows and report_k*.csv bytes equal those of the full images of one
     # batched reconstruction.
     grid, sg, win = _study_setup(n=128, n_phi=91)
@@ -417,7 +419,9 @@ def test_study_equals_full_image_reports(tmp_path, monkeypatch):
 
     monkeypatch.setattr(microlocal, "reconstruct", spy)
     rows = strength_vs_order_study(phantom, cfg, ks, grid, sg, report_dir=tmp_path / "study")
-    union = np.logical_or.reduce([report_pixels(grid, phantom, w, 4.0 * grid.h) for w in wins])
+    union = np.logical_or.reduce([
+        microlocal._mask(grid, microlocal._report_sites(grid, phantom, w, 4.0 * grid.h))
+        for w in wins])
     assert len(masks) == 1 and union.sum() < union.size // 4
     np.testing.assert_array_equal(masks[0], union)
     full = original(forward(phantom, ONE, sg), cfg, grid, windows=wins)
@@ -464,6 +468,61 @@ def test_study_samples_its_report_geometry_once(monkeypatch):
     rows = strength_vs_order_study(phantom, cfg, [1, 2, 3, 4], grid, sg)
     assert len(rows) == 4
     assert calls == {"_line_samples": 1, "_visible_tubes": 1}
+
+
+def test_line_with_every_sample_dropped_reads_zero():
+    # An exclusion radius of 4 L drops every sample of every line, so each
+    # line reads exactly 0.0 on a non-zero image, and only the tubes are read.
+    rec, grid, win = _limited_recon(n=128, n_phi=91)
+    radius = 4.0 * grid.extent
+    rep = artifact_report(rec, UNIT_DISK, win, radius)
+    assert rep.per_line_strength == (0.0,) * 4
+    assert all(s > 0.0 for s in rep.edge_strengths)
+    assert rep.metadata["exclusion_radius"] == radius
+    tubes = np.zeros((grid.n, grid.n), dtype=bool)
+    for rows, cols in microlocal._visible_tubes(grid, UNIT_DISK, win):
+        tubes[rows, cols] = True
+    mask = microlocal._mask(grid, microlocal._report_sites(grid, UNIT_DISK, win, radius))
+    np.testing.assert_array_equal(mask, tubes)
+
+
+def _reference_line_strengths(recon, phantom, window, exclusion_radius):
+    # Each line on its own, on the documented offsets t = h (-m..m) with
+    # m = ceil(sqrt(2) L / h) and the documented drop rules, sampled by scipy.
+    from scipy.ndimage import map_coordinates
+
+    h, L = recon.grid.h, recon.grid.extent
+    m = math.ceil(math.sqrt(2.0) * L / h)
+    t = h * np.arange(-m, m + 1)
+    strengths = []
+    for line in predicted_artifact_lines(phantom, window):
+        pts = line.point + t[:, None] * line.direction
+        keep = ((phantom.boundary_distance(pts) >= exclusion_radius)
+                & (np.abs(pts[:, 0]) <= L - h) & (np.abs(pts[:, 1]) <= L - h)
+                & (np.hypot(pts[:, 0] - line.point[0], pts[:, 1] - line.point[1])
+                   >= exclusion_radius))
+        rows, cols = (pts[keep, 1] + L) / h - 0.5, (pts[keep, 0] + L) / h - 0.5
+        vals = map_coordinates(recon.values, [rows, cols], order=1, mode="constant")
+        strengths.append(float(np.abs(vals).max()) if vals.size else 0.0)
+    return strengths
+
+
+REFERENCE_PHANTOMS = {**{name: Phantom((shape,)) for name, shape in REPORT_SHAPES.items()},
+                      "mirror": MIRROR_PHANTOM}
+
+
+@pytest.mark.parametrize("phantom", list(REFERENCE_PHANTOMS.values()),
+                         ids=list(REFERENCE_PHANTOMS))
+@pytest.mark.parametrize("n", [128, 101])
+def test_line_strengths_match_a_per_line_reference_bitwise(n, phantom):
+    grid, sg, win = _study_setup(n=n, n_phi=91)
+    rec = reconstruct(forward(phantom, ONE, sg),
+                      ReconstructionConfig("Lambda", ONE, ONE, window=win), grid)
+    rep = artifact_report(rec, phantom, win, 4.0 * grid.h)
+    assert len(rep.lines) > 0
+    np.testing.assert_array_equal(_bits(rep.per_line_strength),
+                                  _bits(_reference_line_strengths(rec, phantom, win,
+                                                                  4.0 * grid.h)))
 
 
 def test_report_csv_roundtrip(tmp_path):
