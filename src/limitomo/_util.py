@@ -18,9 +18,9 @@ from concurrent.futures import ThreadPoolExecutor
 # angle is added to them.  The analytic forward sizes its blocks of angles
 # to as many chord nodes; the row filter and the rasterizer take whole rows
 # of about as many values; a complex plane counts as two block planes, so
-# the back-projection's mirror-paired blocks have half the rows, and its
-# masked calls take runs of at most as many points.  Callers read it at
-# call time.
+# the back-projection's blocks have half the rows when its rows are complex
+# (a folded call with mirror pairs), and its masked calls take runs of at
+# most as many points.  Callers read it at call time.
 BLOCK_PIXELS = 32768
 
 

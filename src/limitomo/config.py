@@ -193,7 +193,7 @@ _EXP_ARG_MAX = math.log(sys.float_info.max)
 MAX_BUFFER_BYTES = 2 * 1024**3
 
 
-def _check_buffer(what: str, nbytes: int) -> None:
+def check_buffer(what: str, nbytes: int) -> None:
     # Decimal: a count of hundreds of digits overflows a float.
     if nbytes > MAX_BUFFER_BYTES:
         raise ValueError(f"the {what} takes {Decimal(nbytes) / 2**30:.4g} GiB, "
@@ -259,7 +259,7 @@ def loads_config(text: str) -> RunConfig:
             struct.pack("<f", extent)  # the raster header stores the extent as float32
         except OverflowError:
             raise ValueError(f"extent = {extent:.6g} overflows the raster header's float32")
-        _check_buffer(f"{n}x{n} float64 image", 8 * n * n)
+        check_buffer(f"{n}x{n} float64 image", 8 * n * n)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -288,8 +288,8 @@ def loads_config(text: str) -> RunConfig:
         sgrid = SinogramGrid(n_phi, n_s, s_max, phi0, phi1)
         # The row filter's zero-padded complex spectrum is four times the
         # float64 sinogram, so it bounds both.
-        _check_buffer(f"{n_phi}x{2 * n_s} complex128 padded row spectrum",
-                      16 * n_phi * 2 * n_s)
+        check_buffer(f"{n_phi}x{2 * n_s} complex128 padded row spectrum",
+                     16 * n_phi * 2 * n_s)
         if not sgrid.dphi > 0.0:
             raise ValueError(f"the angle step over {phi1 - phi0:.6g} rad underflows to 0")
     except ValueError as exc:

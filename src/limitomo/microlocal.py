@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_buffer
 from .filters import ReconstructionConfig, reconstruct
 from .geometry import AngularWindow, ImageGrid, Raster, SinogramGrid
 from .phantoms import Disk, EdgeSingularity, Phantom, edge_singularities
@@ -256,11 +257,10 @@ def _line_samples(grid: ImageGrid, phantom: Phantom, window: AngularWindow | Non
     step = np.array([ln.direction for ln in lines]).reshape(-1, 1, 2)
     points = base + t[:, None] * step
     # One distance call for all lines: the ellipse's Newton loop costs per call.
+    # Every generator lies on the boundary, so this also drops the points
+    # within the radius of the line's own generator.
     keep = phantom.boundary_distance(points) >= exclusion_radius
     keep &= (np.abs(points[..., 0]) <= L - h) & (np.abs(points[..., 1]) <= L - h)
-    # The distance to the generator, not |t|: the two round apart at the bound.
-    keep &= (np.hypot(points[..., 0] - base[..., 0], points[..., 1] - base[..., 1])
-             >= exclusion_radius)
     return lines, points, keep
 
 
@@ -344,9 +344,9 @@ def artifact_report(recon: Raster, phantom: Phantom,
 
     Every predicted artifact line is sampled every pixel, symmetrically
     about its generator, on one ``(lines, t)`` lattice; points within
-    ``exclusion_radius`` of the generator, or of the phantom boundary by
-    each shape's exact distance (``Phantom.boundary_distance``), are
-    dropped and the peak absolute value of the rest is the line strength
+    ``exclusion_radius`` of the phantom boundary, which holds every
+    generator, by each shape's exact distance (``Phantom.boundary_distance``),
+    are dropped and the peak absolute value of the rest is the line strength
     (0.0 when none is left).  A shape's edge strength is the peak absolute
     value at the pixel centres within ``tube_radius`` (3 pixels) of its
     boundary whose nearest boundary point has a normal in the window; with
@@ -385,7 +385,8 @@ def strength_vs_order_study(phantom: Phantom, base_cfg: ReconstructionConfig,
     reconstruction, and is summarized as
     ``(k, max line strength, max edge strength, ratio)``.  When
     ``report_dir`` is given, per-k CSV reports and a JSON summary are
-    written there.
+    written there.  Orders whose images exceed ``MAX_BUFFER_BYTES`` together
+    are rejected first.
     """
     ks = [int(k) for k in k_list]
     if not ks:
@@ -399,6 +400,9 @@ def strength_vs_order_study(phantom: Phantom, base_cfg: ReconstructionConfig,
 
     wins = [AngularWindow(base_cfg.window.phi1, base_cfg.window.phi2,
                           "finite-order", k) for k in ks]
+    # Every order gets a full float64 image: bound them before any work.
+    check_buffer(f"stack of {len(ks)} {igrid.n}x{igrid.n} float64 images",
+                 8 * len(ks) * igrid.n ** 2)
     # The windows differ only in k, which the report geometry never reads,
     # so one geometry, and its pixel set, serves every window.
     sites = _report_sites(igrid, phantom, wins[0], exclusion_radius)

@@ -249,8 +249,8 @@ def backproject(g: Sinogram, nu: WeightFunction,
     over the sinogram's angular range.  The image is bit-identical for
     every thread count.  With ``window=None`` on a full circle and a
     constant weight the angles ``phi`` and ``phi + pi`` may be folded
-    first and the folded angles ``phi`` and ``pi - phi`` interpolated
-    together; :func:`backproject_windows` says when, and gives the 1e-13
+    first, and the folded angles ``phi`` and ``pi - phi`` made one complex
+    row; :func:`backproject_windows` says when, and gives the 1e-13
     tolerance.  ``pixels`` restricts the sum to a mask, as there.
     """
     return backproject_windows(g, nu, [window], igrid, pixels)[0]
@@ -260,48 +260,46 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
                         igrid: ImageGrid, pixels=None) -> list[Raster]:
     """:func:`backproject` for several windows in one pass over the angles.
 
-    Each active angle interpolates its row at ``x . theta`` and evaluates
-    ``nu`` once, then adds the row, times ``w_phi kappa(phi) nu``, to the
-    image of every window that uses it.  The image is cut into blocks of
-    whole rows, about ``BLOCK_PIXELS`` pixels each, so the accumulators
-    stay in cache; ``nu`` is evaluated on each block by
-    :meth:`WeightFunction.on_grid`, with the bits of ``nu`` itself on the
-    block's pixel points.  One worker per
-    usable CPU, and never more workers than blocks, takes a contiguous run
-    of whole blocks; the angles are never split.  Each pixel gets the same
-    operations in the same order, so each image is bit-identical to a
-    single-window call and for every thread count.
+    Every call runs one per-angle loop: each active angle interpolates its
+    row at ``x . theta`` and evaluates ``nu`` once, then adds the row, times
+    ``w_phi kappa(phi) nu``, to the image of every window that uses it.  The
+    image is cut into blocks of whole rows, about ``BLOCK_PIXELS`` pixels
+    each, so the accumulators stay in cache; ``nu`` is evaluated on each
+    block by :meth:`WeightFunction.on_grid`, with the bits of ``nu`` itself
+    on the block's pixel points.  One worker per usable CPU, and never more
+    workers than blocks, takes a contiguous run of whole blocks; the angles
+    are never split.  Each pixel gets the same operations in the same
+    order, so each image is bit-identical to a single-window call and for
+    every thread count.
 
     ``pixels``, a boolean ``(n, n)`` mask, computes only the masked pixels:
     a block is then a run of the mask's pixel centres in row-major order,
     one run per usable CPU and at most ``BLOCK_PIXELS`` each, accumulated
     into ``(windows, P)`` arrays for the mask's ``P`` pixels and scattered
-    into images that are +0.0 elsewhere.
-    Each masked pixel gets the operations of the unmasked call, so it keeps
-    its bits.  A masked call never folds.
+    into images that are +0.0 elsewhere.  Each masked pixel gets the
+    operations of the unmasked call, so it keeps its bits.  A masked call
+    never folds.
 
-    Opposite-angle fold: angle ``phi_i + pi`` reads the line of
-    ``phi_i`` at offset ``-s``.  On a full circle with ``n_phi = 2 m``
-    and ``|m dphi - pi| <= 1e-14``, when every window is ``None``, ``nu``
-    is a constant weight (``nu.kind == "constant"``) and there is no mask,
-    row ``i + m`` reversed in ``s`` is added
-    to row ``i``: ``m`` folded rows.  Mirror pairs then halve the index
-    searches again: angle ``phi_j = pi - phi_i`` reads at ``(x, y)`` the
-    offset ``phi_i`` reads at ``(-x, y)``, and ``ImageGrid.axis()`` is
-    symmetric about 0.  The partner is ``j = rint((pi - phi_i - phi_0) /
-    dphi)``, kept when ``i < j < m`` and ``|phi_i + phi_j - pi| <= 1e-14``.
-    Rows ``i`` and ``j`` are the real and imaginary parts of one complex
-    row, interpolated once at ``phi_i``'s offsets; the real plane is added
-    to the image and the imaginary plane reversed in ``x``.  A paired
-    block has ``BLOCK_PIXELS // (2 n)`` rows, so its complex plane holds a
-    real block's bytes.  Angles without a partner (on the usual grids 0 and
-    ``pi/2``) run the real kernel after the pairs.  The result is within
-    1e-13 of the image maximum of the unfolded sum, not bitwise, because
-    ``s_values()`` and ``axis()`` are not bitwise symmetric, and it is
-    bit-identical for every thread count and block size.  Every other call
-    (a cutoff, a half range, an odd ``n_phi``, any other weight kind, a
-    mask) is unfolded, so a ``None`` window batched with cutoff windows
-    gets the unfolded bits.
+    Opposite-angle fold: angle ``phi_i + pi`` reads the line of ``phi_i``
+    at offset ``-s``.  On a full circle with ``n_phi = 2 m`` and
+    ``|m dphi - pi| <= 1e-14``, when every window is ``None``, ``nu`` is a
+    constant weight (``nu.kind == "constant"``) and there is no mask, row
+    ``i + m`` reversed in ``s`` is added to row ``i``: ``m`` folded rows.
+    Mirror pairs then halve the index searches again: angle ``phi_j = pi -
+    phi_i`` reads at ``(x, y)`` the offset ``phi_i`` reads at ``(-x, y)``,
+    and ``ImageGrid.axis()`` is symmetric about 0.  The partner is ``j =
+    rint((pi - phi_i - phi_0) / dphi)``, kept when ``i < j < m`` and
+    ``|phi_i + phi_j - pi| <= 1e-14``.  Each folded angle that is not a
+    partner is then one complex row of the same loop, the paired ones
+    first: its folded row is the real part and its partner's the imaginary
+    part (zero without one), and the imaginary plane is added reversed in
+    ``x``.  Complex blocks have ``BLOCK_PIXELS // (2 n)`` rows; a grid
+    without a pair keeps real rows.  The result is within 1e-13 of the
+    image maximum of the unfolded sum, not bitwise, because ``s_values()``
+    and ``axis()`` are not bitwise symmetric, and it is bit-identical for
+    every thread count and block size.  Every other call (a cutoff, a half
+    range, an odd ``n_phi``, any other weight kind, a mask) is unfolded, so
+    a ``None`` window batched with cutoff windows gets the unfolded bits.
     """
     if len(windows) == 0:
         raise ValueError("windows must be nonempty")
@@ -324,7 +322,6 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     ax = igrid.axis()
     # Opposite-angle fold and mirror pairs (see the docstring).  The periodic
     # weights are uniform, so a folded row and its partner keep w_i.
-    zrows, zphi, zscale = (), (), ()
     m = phis.size // 2
     if (pixels is None and g.grid.periodic and phis.size % 2 == 0
             and abs(m * g.grid.dphi - math.pi) <= 1e-14
@@ -336,28 +333,29 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
         j = np.rint((math.pi - phis[:m] - phis[0]) / g.grid.dphi).astype(np.intp)
         ok = (i < j) & (j < m)
         ok[ok] = np.abs(phis[i[ok]] + phis[j[ok]] - math.pi) <= 1e-14
-        pairs = np.stack([i[ok], j[ok]], axis=1)
-        zrows = np.empty((len(pairs), s.size), dtype=complex)
-        for z, (a, b) in zip(zrows, pairs):
-            fold(a, z.real)
-            fold(b, z.imag)
-        zphi, zscale = phis[pairs[:, 0]], wphi[pairs[:, 0]] * nu.params[0]
+        # One row per paired angle, then per angle without a partner.
         solo = np.ones(m, dtype=bool)
-        solo[pairs] = False
-        solo = np.nonzero(solo)[0]
-        rows = np.empty((solo.size, s.size))
-        for r, k in zip(rows, solo):
-            fold(k, r)
-        phis, wphi = phis[solo], wphi[solo]
+        solo[i[ok]] = solo[j[ok]] = False
+        own = np.concatenate([i[ok], i[solo]])
+        rows = np.zeros((own.size, s.size), dtype=complex if ok.any() else float)
+        for r, a in zip(rows, own):
+            fold(a, r.real)
+            if ok[a]:
+                fold(j[a], r.imag)
+        phis, wphi = phis[own], wphi[own]
+    paired = np.iscomplexobj(rows)
     coef = np.array([(1.0 if w is None else w.kappa(phis)) * wphi for w in windows])
-    active = np.nonzero(coef.any(axis=0))[0]
+    # Each active angle once per call: its row, its angle and the windows it
+    # adds to with their coefficients.
+    work = [(rows[i], phis[i], [(k, coef[k, i]) for k in np.nonzero(coef[:, i])[0]])
+            for i in np.nonzero(coef.any(axis=0))[0]]
     # A block is a pair of coordinates that broadcast together and the
     # accumulators they add to: whole image rows (ax, y[:, None]), or a run
     # of the mask's pixel centres.
     if pixels is None:
         out = np.zeros((len(windows), n, n))
-        # A paired block's complex plane holds as many bytes as a real block.
-        step = max(1, _util.BLOCK_PIXELS // (n * (2 if len(zrows) else 1)))
+        # A complex block plane holds as many bytes as a real one.
+        step = max(1, _util.BLOCK_PIXELS // (n * (2 if paired else 1)))
         n_blocks = math.ceil(n / step)
 
         def block(b):
@@ -380,23 +378,19 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
         # block at the last row or point.
         for b in range(blocks.start, blocks.stop):
             x, y, dest = block(b)
-            # Mirror pair: the real part is phi_i at (x, y), the imaginary
-            # part is phi_j = pi - phi_i at (-x, y), so one index search
-            # serves both and the imaginary plane is added reversed in x.
-            for z, phi, wc in zip(zrows, zphi, zscale):
-                gz = np.interp(x * math.cos(phi) + y * math.sin(phi), s, z)
-                gz *= wc
-                for img in dest:
-                    img += gz.real
-                    img += gz.imag[:, ::-1]
-                del gz
             nu_at = nu.on_grid(x, y)
-            for i in active:
-                c, sn = math.cos(phis[i]), math.sin(phis[i])
-                gi = np.interp(x * c + y * sn, s, rows[i])
-                nu_i = nu_at(phis[i])
-                for k in np.nonzero(coef[:, i])[0]:
-                    dest[k] += (coef[k, i] * nu_i) * gi
+            # One product plane per block, reused by every angle and window.
+            term = np.empty(dest.shape[1:], dtype=rows.dtype)
+            for row, phi, ks in work:
+                gi = np.interp(x * math.cos(phi) + y * math.sin(phi), s, row)
+                nu_i = nu_at(phi)
+                for k, ck in ks:
+                    np.multiply(ck * nu_i, gi, out=term)
+                    dest[k] += term.real
+                    if paired:
+                        # The partner pi - phi reads at (x, y) what phi
+                        # reads at (-x, y): its plane is reversed in x.
+                        dest[k] += term.imag[:, ::-1]
                 # Free this angle's planes before the next one allocates its own.
                 del gi, nu_i
 

@@ -477,6 +477,24 @@ def test_study_rejects_order_beyond_normal_floats(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_study_rejects_images_beyond_the_buffer_limit(tmp_path, capsys, monkeypatch):
+    # Each order gets a 64x64 float64 image (32 KiB): under a 140000-byte
+    # limit, which the config's own buffers meet, four orders fit and five
+    # are rejected before the forward projection.
+    def no_forward(*args, **kwargs):
+        raise AssertionError("the sinogram was projected")
+
+    monkeypatch.setattr(limitomo.config, "MAX_BUFFER_BYTES", 140000)
+    monkeypatch.setattr(limitomo.microlocal, "forward", no_forward)
+    cfg, out = _write_cfg(tmp_path, STUDY_CONFIG)
+    rc = main(["study", "--config", str(cfg), "--k-list", "1,2,3,4,5", "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [study] the stack of 5 64x64 float64 images takes")
+    assert "GiB limit" in err
+    assert not out.exists()
+
+
 def test_reconstruct_rejects_header_grid_unlike_config(tmp_path, capsys):
     # A valid file for the 16x16 config whose header says s_max = 1e300.
     cfg, _ = _write_cfg(tmp_path, DEFAULTS_CONFIG)

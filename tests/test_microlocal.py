@@ -488,7 +488,8 @@ def test_line_with_every_sample_dropped_reads_zero():
 
 def _reference_line_strengths(recon, phantom, window, exclusion_radius):
     # Each line on its own, on the documented offsets t = h (-m..m) with
-    # m = ceil(sqrt(2) L / h) and the documented drop rules, sampled by scipy.
+    # m = ceil(sqrt(2) L / h) and the documented drop rules, plus the distance
+    # to the generator that they imply, sampled by scipy.
     from scipy.ndimage import map_coordinates
 
     h, L = recon.grid.h, recon.grid.extent
@@ -509,6 +510,26 @@ def _reference_line_strengths(recon, phantom, window, exclusion_radius):
 
 REFERENCE_PHANTOMS = {**{name: Phantom((shape,)) for name, shape in REPORT_SHAPES.items()},
                       "mirror": MIRROR_PHANTOM}
+
+
+@pytest.mark.parametrize("phantom", list(REFERENCE_PHANTOMS.values()),
+                         ids=list(REFERENCE_PHANTOMS))
+@pytest.mark.parametrize("n", [64, 101, 256])
+def test_boundary_rule_drops_every_point_near_the_generator(n, phantom):
+    # Every generator lies on the phantom boundary, so a point within the
+    # exclusion radius of its line's generator is within it of the boundary:
+    # adding the generator-distance rule drops nothing more.
+    grid, _, win = _study_setup(n=n)
+    for radius in (2.0 * grid.h, 4.0 * grid.h, 8.0 * grid.h):
+        lines, points, keep = microlocal._line_samples(grid, phantom, win, radius)
+        assert len(lines) > 0 and keep.any()
+        base = np.array([ln.point for ln in lines])[:, None, :]
+        old = ((phantom.boundary_distance(points) >= radius)
+               & (np.abs(points[..., 0]) <= grid.extent - grid.h)
+               & (np.abs(points[..., 1]) <= grid.extent - grid.h)
+               & (np.hypot(points[..., 0] - base[..., 0], points[..., 1] - base[..., 1])
+                  >= radius))
+        np.testing.assert_array_equal(keep, old)
 
 
 @pytest.mark.parametrize("phantom", list(REFERENCE_PHANTOMS.values()),

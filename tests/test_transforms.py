@@ -588,16 +588,17 @@ def _shifted_full_circle(n_phi, shift):
 
 
 @pytest.mark.parametrize("sg, n_complex, n_real", [
-    (FOLD_SG, 11, 2),
+    (FOLD_SG, 13, 0),
     (_shifted_full_circle(48, 2.0 * math.pi / 48 / 4.0), 0, 24),
     (_shifted_full_circle(48, 1e-10), 0, 24),
 ], ids=["mirror-pairs", "quarter-step", "1e-10-off"])
 def test_mirror_pairs_share_one_complex_interpolation(sg, n_complex, n_real, monkeypatch,
                                                       usable_cpus):
     # m = 24 folded angles: phi_i and pi - phi_i (i = 1..11 with 23..13) share
-    # one complex interpolation; 0 and pi/2 have no partner.  A circle
-    # shifted by dphi / 4, or by 1e-10 past the 1e-14 pairing tolerance,
-    # has no mirror pairs.  Four blocks of 6 rows (half the real block).
+    # one complex interpolation; 0 and pi/2 have no partner and are complex
+    # rows with a zero imaginary part.  A circle shifted by dphi / 4, or by
+    # 1e-10 past the 1e-14 pairing tolerance, has no mirror pairs and keeps
+    # real rows.  Four blocks of 6 rows (half the real block).
     usable_cpus(1)
     monkeypatch.setattr(_util, "BLOCK_PIXELS", 12 * 24)
     g = _fold_sinogram(sg)
@@ -612,17 +613,36 @@ def test_mirror_pairs_share_one_complex_interpolation(sg, n_complex, n_real, mon
         assert not np.array_equal(img, ref)
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_mirror_pairs_cover_every_folded_angle(cpus, monkeypatch, usable_cpus):
+    # A circle shifted by dphi / 2: the m = 24 folded angles pair i with
+    # 23 - i, so 12 complex rows hold them all and none has a zero
+    # imaginary part.  Four blocks of 6 rows, taken by 1 or 2 workers.
+    usable_cpus(cpus)
+    monkeypatch.setattr(_util, "BLOCK_PIXELS", 12 * 24)
+    g = _fold_sinogram(_shifted_full_circle(48, 2.0 * math.pi / 48 / 2.0))
+    rows = _interp_rows(monkeypatch)
+    img = backproject(g, ONE, None, FOLD_GRID).values
+    assert len(rows) == 4 * 12
+    assert all(np.iscomplexobj(r) and np.all(r.imag != 0.0) for r in rows)
+    ref = _reference_backproject(g, ONE, None, FOLD_GRID)
+    np.testing.assert_allclose(img, ref, rtol=1e-12, atol=1e-13 * np.abs(ref).max())
+    assert not np.array_equal(img, ref)
+
+
 def test_mirror_pairs_with_odd_m(monkeypatch):
-    # n_phi = 46, m = 23: rows 1..11 pair with 22..12 and row 0 stays alone.
+    # n_phi = 46, m = 23: rows 1..11 pair with 22..12 and row 0 has no
+    # partner: its complex row has a zero imaginary part.
     sg = SinogramGrid(n_phi=46, n_s=49, s_max=1.8)
     g = _fold_sinogram(sg)
     rows = _interp_rows(monkeypatch)
     img = backproject(g, ONE, None, FOLD_GRID).values
     v = g.values
     folded = v[:23] + v[23:, ::-1]
-    expected = [folded[i] + 1j * folded[23 - i] for i in range(1, 12)] + [folded[0]]
+    expected = [folded[i] + 1j * folded[23 - i] for i in range(1, 12)] + [folded[0] + 0j]
     assert len(rows) == len(expected)
     for got, want in zip(rows, expected):
+        assert np.iscomplexobj(got)
         np.testing.assert_array_equal(got, want)
     ref = _reference_backproject(g, ONE, None, FOLD_GRID)
     np.testing.assert_allclose(img, ref, rtol=1e-12, atol=1e-13 * np.abs(ref).max())
