@@ -273,12 +273,16 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     every thread count.
 
     ``pixels``, a boolean ``(n, n)`` mask, computes only the masked pixels:
-    a block is then a run of the mask's pixel centres in row-major order,
-    one run per usable CPU and at most ``BLOCK_PIXELS`` each, accumulated
-    into ``(windows, P)`` arrays for the mask's ``P`` pixels and scattered
-    into images that are +0.0 elsewhere.  Each masked pixel gets the
-    operations of the unmasked call, so it keeps its bits.  A masked call
-    never folds.
+    a block is then a run of the mask's pixel centres, one run per usable
+    CPU and at most ``BLOCK_PIXELS`` each, accumulated into ``(windows, P)``
+    arrays for the mask's ``P`` pixels and scattered into images that are
+    +0.0 elsewhere.  The centres are visited by 16 x 16 tiles (tile rows top
+    to bottom, tiles left to right, row-major inside a tile): consecutive
+    points then have nearby ``x . theta``, so ``np.interp``, which searches
+    from its last answer, takes about half the time per point of row-major
+    order on the k-study's scattered masks.  Each masked pixel gets the
+    operations of the unmasked call in the same order, so it keeps its bits.
+    A masked call never folds.
 
     Opposite-angle fold: angle ``phi_i + pi`` reads the line of ``phi_i``
     at offset ``-s``.  On a full circle with ``n_phi = 2 m`` and
@@ -362,7 +366,10 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
             rs = slice(b * step, (b + 1) * step)
             return ax, ax[rs, None], out[:, rs]
     else:
+        # The mask's pixels by 16 x 16 tiles (see the docstring): a stable
+        # sort of the row-major indices by one key, the tile's index.
         at = np.flatnonzero(pixels)
+        at = at[np.argsort(at // (16 * n) * n + at % n // 16, kind="stable")]
         px, py = ax[at % n], ax[at // n]
         acc = np.zeros((len(windows), at.size))
         # One run per usable CPU, of at most BLOCK_PIXELS points each.

@@ -512,8 +512,12 @@ def _mask(n, seed=5):
 
 
 HALF_SG = SinogramGrid(n_phi=61, n_s=49, s_max=1.8, phi0=0.0, phi1=math.pi)
+# 3 x 3 tiles of 16 px for the masked call's visiting order, the last row
+# and column of tiles cut to 8 px.
+TILE_GRID = ImageGrid(40, 1.2)
 
 
+@pytest.mark.parametrize("grid", [FOLD_GRID, TILE_GRID], ids=["24px", "40px"])
 @pytest.mark.parametrize("cpus, block", [(1, None), (2, None), (1, 7), (2, 7)],
                          ids=["1cpu", "2cpus", "1cpu-7px", "2cpus-7px"])
 @pytest.mark.parametrize("nu", [ONE, WeightFunction.exponential(0.4), RADIAL],
@@ -522,18 +526,18 @@ HALF_SG = SinogramGrid(n_phi=61, n_s=49, s_max=1.8, phi0=0.0, phi1=math.pi)
     [AngularWindow(0.3, 1.1, "finite-order", 2)],
     [AngularWindow(math.pi / 4.0, 3.0 * math.pi / 4.0, "finite-order", k) for k in (1, 2, 3, 4)],
 ], ids=["one-window", "four-orders"])
-def test_masked_backproject_keeps_the_bits_of_the_full_call(windows, nu, cpus, block,
+def test_masked_backproject_keeps_the_bits_of_the_full_call(windows, nu, cpus, block, grid,
                                                             monkeypatch, usable_cpus):
-    # A half range onto 24^2 pixels: each masked pixel has the bits of the
-    # full call and every other pixel is +0.0, at every thread count and
-    # block size (7 points leave the last run short).
+    # A half range onto 24^2 or 40^2 pixels: each masked pixel has the bits
+    # of the full call and every other pixel is +0.0, at every thread count
+    # and block size (7 points leave the last run short).
     g = Sinogram(HALF_SG, np.random.default_rng(7).standard_normal((61, 49)))
-    full = backproject_windows(g, nu, windows, FOLD_GRID)
+    full = backproject_windows(g, nu, windows, grid)
     usable_cpus(cpus)
     if block is not None:
         monkeypatch.setattr(_util, "BLOCK_PIXELS", block)
-    mask = _mask(FOLD_GRID.n)
-    masked = backproject_windows(g, nu, windows, FOLD_GRID, pixels=mask)
+    mask = _mask(grid.n)
+    masked = backproject_windows(g, nu, windows, grid, pixels=mask)
     assert len(masked) == len(windows)
     for a, b in zip(masked, full):
         np.testing.assert_array_equal(a.values[mask], b.values[mask])
@@ -566,16 +570,75 @@ def test_backproject_windows_rejects_an_empty_window_list():
             backproject_windows(g, ONE, [], FOLD_GRID, pixels=pixels)
 
 
-def _interp_rows(monkeypatch):
-    # The row (fp) of every np.interp call, in call order.
-    rows, interp = [], np.interp
+def _interp_calls(monkeypatch):
+    # The points (x) and the row (fp) of every np.interp call, in call order.
+    xs, rows, interp = [], [], np.interp
 
     def spy(x, xp, fp, *args, **kwargs):
+        xs.append(np.array(x))
         rows.append(np.array(fp))
         return interp(x, xp, fp, *args, **kwargs)
 
     monkeypatch.setattr(np, "interp", spy)
-    return rows
+    return xs, rows
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_masked_backproject_visits_pixels_tile_by_tile(cpus, monkeypatch, usable_cpus):
+    # The masked points are visited by 16 px tiles (tile rows top to bottom,
+    # tiles left to right, row-major inside a tile) and cut into runs of 50
+    # points, which cut through tiles: each np.interp call reads x . theta
+    # of one run at one angle, bit for bit.
+    usable_cpus(cpus)
+    monkeypatch.setattr(_util, "BLOCK_PIXELS", 50)
+    g = Sinogram(HALF_SG, np.random.default_rng(7).standard_normal((61, 49)))
+    mask = _mask(TILE_GRID.n)
+    xs, _ = _interp_calls(monkeypatch)
+    backproject(g, ONE, None, TILE_GRID, pixels=mask)
+    r, c = np.nonzero(mask)
+    order = sorted(range(r.size), key=lambda i: (r[i] // 16, c[i] // 16, r[i], c[i]))
+    ax = TILE_GRID.axis()
+    px, py = ax[c[order]], ax[r[order]]
+    phis = HALF_SG.phis()[HALF_SG.phi_weights() != 0.0]
+    want = [px[a:a + 50] * math.cos(phi) + py[a:a + 50] * math.sin(phi)
+            for a in range(0, r.size, 50) for phi in phis]
+    assert sorted(x.tobytes() for x in xs) == sorted(x.tobytes() for x in want)
+
+
+def test_masked_backproject_memory_is_linear_in_the_mask(monkeypatch, usable_cpus):
+    # n = 256 with a 5% mask: P = 3245 points.  Up to the first np.interp
+    # call the output does not exist yet, and the call has held at most
+    # 10.8-12.4 P float64 values (measured at 1 and 2 CPUs): the (4, P)
+    # accumulators, the points' indices, order and coordinates.  An integer
+    # array over every pixel (an order built on the whole image) adds 20 P.
+    # The whole call holds 8.3-8.5 P beyond the (4, n^2) output it scatters.
+    n = 256
+    grid = ImageGrid(n, 1.2)
+    sg = SinogramGrid(n_phi=91, n_s=2 * n + 1, s_max=1.8, phi0=0.0, phi1=math.pi)
+    g = Sinogram(sg, np.random.default_rng(3).standard_normal((91, 2 * n + 1)))
+    windows = [AngularWindow(math.pi / 4.0, 3.0 * math.pi / 4.0, "finite-order", k)
+               for k in (1, 2, 3, 4)]
+    mask = np.random.default_rng(4).random((n, n)) < 0.05
+    plane = int(mask.sum()) * 8
+    interp, before_loop = np.interp, []
+
+    def spy(*args, **kwargs):
+        if not before_loop:
+            before_loop.append(tracemalloc.get_traced_memory()[1])
+        return interp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", spy)
+    for cpus in (1, 2):
+        usable_cpus(cpus)
+        before_loop.clear()
+        tracemalloc.start()
+        try:
+            backproject_windows(g, ONE, windows, grid, pixels=mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert before_loop[0] < 16 * plane
+        assert peak - 4 * n * n * 8 < 10 * plane
 
 
 def _shifted_full_circle(n_phi, shift):
@@ -602,7 +665,7 @@ def test_mirror_pairs_share_one_complex_interpolation(sg, n_complex, n_real, mon
     usable_cpus(1)
     monkeypatch.setattr(_util, "BLOCK_PIXELS", 12 * 24)
     g = _fold_sinogram(sg)
-    rows = _interp_rows(monkeypatch)
+    _, rows = _interp_calls(monkeypatch)
     img = backproject(g, ONE, None, FOLD_GRID).values
     blocks = 4 if n_complex else 2
     assert sum(np.iscomplexobj(r) for r in rows) == blocks * n_complex
@@ -621,7 +684,7 @@ def test_mirror_pairs_cover_every_folded_angle(cpus, monkeypatch, usable_cpus):
     usable_cpus(cpus)
     monkeypatch.setattr(_util, "BLOCK_PIXELS", 12 * 24)
     g = _fold_sinogram(_shifted_full_circle(48, 2.0 * math.pi / 48 / 2.0))
-    rows = _interp_rows(monkeypatch)
+    _, rows = _interp_calls(monkeypatch)
     img = backproject(g, ONE, None, FOLD_GRID).values
     assert len(rows) == 4 * 12
     assert all(np.iscomplexobj(r) and np.all(r.imag != 0.0) for r in rows)
@@ -635,7 +698,7 @@ def test_mirror_pairs_with_odd_m(monkeypatch):
     # partner: its complex row has a zero imaginary part.
     sg = SinogramGrid(n_phi=46, n_s=49, s_max=1.8)
     g = _fold_sinogram(sg)
-    rows = _interp_rows(monkeypatch)
+    _, rows = _interp_calls(monkeypatch)
     img = backproject(g, ONE, None, FOLD_GRID).values
     v = g.values
     folded = v[:23] + v[23:, ::-1]
