@@ -11,8 +11,10 @@ uniform-periodic) in ``phi`` with linear interpolation in ``s``.
 The exponential weight is ``exp(p0 x) exp(p1 y)`` everywhere, so both
 projectors evaluate it per angle as two short ``exp`` vectors.
 Both forward paths compute only the lines that can meet the source and
-leave every other line at +0.0, so a sparse source costs less and each
-computed sample keeps the bits of a full-range evaluation.
+leave every other line at +0.0, so a sparse source costs less.  The
+raster path also steps only through the pixel lines that hold the source
+and, on a full circle, serves ``phi`` and ``phi + pi`` from one plane:
+its samples are within 1e-13 of the per-angle rows, not bitwise equal.
 """
 
 from __future__ import annotations
@@ -113,6 +115,12 @@ class Sinogram:
         object.__setattr__(self, "values", v)
 
 
+def _folds(sgrid: SinogramGrid) -> bool:
+    """Whether angle ``i + m`` is angle ``i`` plus pi: ``n_phi = 2 m`` on a full circle."""
+    m = sgrid.n_phi // 2
+    return sgrid.periodic and sgrid.n_phi % 2 == 0 and abs(m * sgrid.dphi - math.pi) <= 1e-14
+
+
 def _forward_raster(raster: Raster, mu: WeightFunction, sgrid: SinogramGrid) -> np.ndarray:
     if not np.all(np.isfinite(raster.values)):
         raise ValueError("raster contains non-finite values")
@@ -133,57 +141,80 @@ def _forward_raster(raster: Raster, mu: WeightFunction, sgrid: SinogramGrid) -> 
         return out
     px = ax[np.concatenate([nz[rows].argmax(axis=1), n - 1 - nz[rows, ::-1].argmax(axis=1)])]
     py = np.tile(ax[rows], 2)
-    # flat[0] holds the image rows and flat[1] its columns, each zero-padded
-    # with one zero on the left and two on the right, so an index clipped
-    # to [0, n + 1] and its right neighbour read 0 off the image.
-    flat = np.pad(np.stack([img, img.T]), ((0, 0), (0, 0), (1, 2))).reshape(2, -1)
-    base = (np.arange(n) * (n + 3))[None, :]
+    # The pixel lines that hold a non-zero pixel: rows (k = 0), columns (k = 1).
+    cols = np.nonzero(nz.any(axis=0))[0]
+    spans = [slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)]
+    # pair[k] holds the image rows (k = 0) and columns (k = 1), each padded
+    # with one zero on the left and two on the right, as f0 + (f1 - f0) i:
+    # an index clipped to [0, n + 1] reads itself and its right neighbour
+    # in one gather, and 0 off the image.  f1 - f0 is one subtract over the
+    # flat table, which crosses from one line to the next only at the
+    # unread last entry, 0 - 0.
+    pair = np.zeros((2, n, n + 3), dtype=complex)
+    pair.real[0, :, 1:n + 1] = img
+    pair.real[1, :, 1:n + 1] = img.T
+    flat = pair.reshape(-1)
+    np.subtract(flat.real[1:], flat.real[:-1], out=flat.imag[:-1])
+    base = (np.arange(2 * n) * (n + 3)).reshape(2, n)
+    # One step per pixel line along the line's dominant axis: the rows
+    # (y = a_j, k = 0) when |cos| >= |sin|, the columns (x = a_j) otherwise.
+    ks = [0 if abs(math.cos(phi)) >= abs(math.sin(phi)) else 1 for phi in phis]
+    # Opposite-angle fold: line (phi + pi, s) crosses every pixel line where
+    # (phi, -s) does, so angles i and i + m share one plane, read reversed in
+    # s, unless |cos| and |sin| tie to rounding on opposite sides at them.
+    m = sgrid.n_phi // 2
+    planes = [[i] for i in range(sgrid.n_phi)]
+    if _folds(sgrid):
+        planes = ([[i, i + m] if ks[i] == ks[i + m] else [i] for i in range(m)]
+                  + [[i + m] for i in range(m) if ks[i] != ks[i + m]])
 
     def worker(sl: slice) -> None:
-        for i in range(sl.start, sl.stop):
+        for i, *partner in planes[sl]:
             c, sn = math.cos(phis[i]), math.sin(phis[i])
             # A sample is non-zero only within |a| h <= h in s of a non-zero
             # pixel centre; the second h absorbs rounding.  The lines outside
-            # [lo, hi) meet no non-zero pixel and keep the zeros of out.
+            # [lo, hi), and the partner's outside the mirror [n_s - hi,
+            # n_s - lo), meet no non-zero pixel and keep the zeros of out.
             proj = px * c + py * sn
             lo, hi = np.searchsorted(s, (proj.min() - 2.0 * h, proj.max() + 2.0 * h))
-            si = s[lo:hi]
-            # One step per pixel line along the line's dominant axis: the
-            # rows (y = a_j) when |cos| >= |sin|, the columns (x = a_j) otherwise.
-            k = 0 if abs(c) >= abs(sn) else 1
+            k = ks[i]
             a, b = (c, sn) if k == 0 else (sn, c)
+            axk = ax[spans[k]]
             # Line s crosses pixel line a_j at u = (s - a_j b) / a along it;
-            # q = (u + L) / h + 0.5 is that crossing in padded pixels.
-            q = np.add.outer(si * (1.0 / (a * h)) + (L / h + 0.5), ax * (-b / (a * h)))
-            np.clip(q, 0.0, n + 1.0, out=q)
-            # f0 + frac * (f1 - f0) in place: q becomes frac and idx steps
-            # to the right neighbour, so each worker holds fewer planes.
-            idx = q.astype(np.intp)
-            q -= idx
-            idx += base
-            f0 = flat[k].take(idx)
-            idx += 1
-            f = flat[k].take(idx)
-            f -= f0
-            f *= q
-            f += f0
-            del q, idx, f0
-            if mu.kind == "exponential":
-                # At the crossing p . x = (p_k / a) s + (p_{1-k} - p_k b / a) a_j:
-                # weight each pixel line before the sum and each line's sum
-                # after it, so no factor exceeds exp(|lam| max(s_max, sqrt(2) L)).
-                p = _exp_rates(*mu.params, phis[i])
-                f *= np.exp(ax * (p[1 - k] - p[k] * (b / a)))
-                out[i, lo:hi] = f.sum(axis=1) * np.exp(si * (p[k] / a)) * (h / abs(a))
-                continue
-            if mu.kind == "constant":
-                f *= mu.params[0]
-            else:  # the weight at each crossing point (u, a_j), in (x, y) order
-                xy = (np.subtract.outer(si, ax * b) / a, np.broadcast_to(ax, f.shape))
-                f *= mu(np.stack(xy if k == 0 else xy[::-1], axis=-1), phis[i])
-            out[i, lo:hi] = f.sum(axis=1) * (h / abs(a))
+            # q = (u + L) / h + 0.5 is that crossing in padded pixels.  The
+            # plane f holds q, then its fraction, then the interpolated values.
+            f = np.add.outer(s[lo:hi] * (1.0 / (a * h)) + (L / h + 0.5), axk * (-b / (a * h)))
+            np.clip(f, 0.0, n + 1.0, out=f)
+            # z holds the index, then the pairs (f0, f1 - f0) it gathers, and
+            # f0 + frac (f1 - f0) is formed in the plane of the fraction.
+            z = f.astype(np.intp)
+            f -= np.floor(f)
+            z += base[k, spans[k]]
+            z = np.take(flat, z)
+            np.multiply(z.imag, f, out=f)
+            f += z.real
+            del z
+            # Each angle weights the plane and sums each line; at phi + pi
+            # the line parameters are (-a, -b).
+            mirror = slice(sgrid.n_s - hi, sgrid.n_s - lo)
+            for j, sign, at, plane in [(i, 1.0, slice(lo, hi), f),
+                                       *[(j, -1.0, mirror, f[::-1]) for j in partner]]:
+                aj, bj, si, e = sign * a, sign * b, s[at], 1.0
+                if mu.kind == "exponential":
+                    # At the crossing p . x = (p_k / a) s + (p_{1-k} - p_k b / a) a_j:
+                    # weight each pixel line before the sum and each line's sum
+                    # after it, so no factor exceeds exp(|lam| max(s_max, sqrt(2) L)).
+                    p = _exp_rates(*mu.params, phis[j])
+                    w = np.exp(axk * (p[1 - k] - p[k] * (bj / aj)))
+                    e = np.exp(si * (p[k] / aj))
+                elif mu.kind == "constant":
+                    w = mu.params[0]
+                else:  # the weight at each crossing point (u, a_j), in (x, y) order
+                    xy = (np.subtract.outer(si, axk * bj) / aj, np.broadcast_to(axk, f.shape))
+                    w = mu(np.stack(xy if k == 0 else xy[::-1], axis=-1), phis[j])
+                out[j, at] = np.multiply(plane, w).sum(axis=1) * e * (h / abs(a))
 
-    _util.for_each_chunk(worker, sgrid.n_phi)
+    _util.for_each_chunk(worker, len(planes))
     return out
 
 
@@ -207,15 +238,24 @@ def forward(source: Phantom | Raster, mu: WeightFunction,
     pixel-line factor, applied before the sum, and an ``s`` factor that
     scales it.  Only lines that can meet the source are computed; the rest
     are +0.0.  The analytic path takes ``|s|`` up to the support radius,
-    with one node of margin on each side.  The raster path takes, per
-    angle, the ``s`` within ``2h`` of the projections of the first and last
-    non-zero pixel centre of each image row: a Joseph sample is non-zero
-    only within ``h`` of a non-zero pixel centre, and the second ``h``
-    absorbs rounding.  Each computed sample has the bits of a full-range
-    call.  Beyond the outermost pixel centre a row or column ramps linearly
-    to zero over one pixel spacing (half a pixel outside the image edge)
-    and is zero further out; this only matters for rasters that are
-    non-zero on their border.
+    with one node of margin on each side, and each computed sample has
+    the bits of a full-range call.  The raster path takes, per angle, the
+    ``s`` within ``2h`` of the projections of the first and last non-zero
+    pixel centre of each image row: a Joseph sample is non-zero only
+    within ``h`` of a non-zero pixel centre, and the second ``h`` absorbs
+    rounding.  It steps only through the pixel lines that hold a non-zero
+    pixel.  On a full circle with ``n_phi = 2 m`` and ``|m dphi - pi| <=
+    1e-14`` (the back-projection's fold rule) line ``(phi + pi, s)`` crosses
+    each pixel line where ``(phi, -s)`` does: angles ``i`` and ``i + m``
+    share one plane, read reversed in ``s`` over the mirror ``[n_s - hi,
+    n_s - lo)`` of the lines of ``i``, each with its own weight and sum,
+    unless a 45-degree tie makes them step through different pixel lines.
+    Raster samples are within 1e-13 of each row's maximum of the per-angle
+    projector, not bitwise (``s_values()`` is not bitwise symmetric and the
+    span regroups the sum), and bit-identical for every thread count.  A
+    row or column ramps linearly to zero over one pixel spacing beyond its
+    outermost pixel centre and is zero further out; this only matters for
+    rasters that are non-zero on their border.
     """
     if isinstance(source, Phantom):
         r = source.support_radius()
@@ -327,8 +367,7 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     # Opposite-angle fold and mirror pairs (see the docstring).  The periodic
     # weights are uniform, so a folded row and its partner keep w_i.
     m = phis.size // 2
-    if (pixels is None and g.grid.periodic and phis.size % 2 == 0
-            and abs(m * g.grid.dphi - math.pi) <= 1e-14
+    if (pixels is None and _folds(g.grid)
             and all(w is None for w in windows) and nu.kind == "constant"):
         def fold(k, into):
             return np.add(g.values[k], g.values[k + m, ::-1], out=into)

@@ -23,7 +23,7 @@ from limitomo import (
     forward,
     rasterize,
 )
-from limitomo import _util
+from limitomo import _util, transforms
 from limitomo.phantoms import analytic_sinogram_row
 
 ONE = WeightFunction.constant(1.0)
@@ -249,16 +249,27 @@ def _assert_matches_reference(raster, mu, sg):
     return zero
 
 
+# Even full circles: angles i and i + n_phi / 2 share one interpolated plane.
+FOLDED_SGS = {f"{n_phi}x{n_s}": SinogramGrid(n_phi=n_phi, n_s=n_s, s_max=1.8)
+              for n_phi, n_s in [(36, 71), (36, 301), (48, 300)]}
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 @pytest.mark.parametrize("mu", WEIGHTS, ids=WEIGHT_IDS)
-def test_forward_raster_matches_reference(cpus, mu, usable_cpus):
-    # The kernel computes the crossing index as one outer sum and applies
-    # an exponential weight as two 1-D factors, so it matches the
-    # per-sample projector to rounding only: 1e-13 of each row's maximum.
+@pytest.mark.parametrize("sg", [SinogramGrid(n_phi=37, n_s=71, s_max=1.8), *FOLDED_SGS.values(),
+                                SinogramGrid(n_phi=200, n_s=71, s_max=1.8)],
+                         ids=["37x71", *FOLDED_SGS, "200x71"])
+def test_forward_raster_matches_reference(sg, cpus, mu, usable_cpus):
+    # The kernel computes the crossing index as one outer sum, applies an
+    # exponential weight as two 1-D factors, sums only the pixel lines that
+    # hold the source and reads angle phi + pi from the plane of phi at -s,
+    # so it matches the per-sample projector to rounding only: 1e-13 of
+    # each row's maximum.  At n_phi = 200, |cos| >= |sin| holds at 315
+    # degrees but not at 135: the two step through different pixel lines,
+    # which give different sums under a weight that varies along the line.
     usable_cpus(cpus)
     values = np.random.default_rng(9).normal(size=(40, 40))
-    _assert_matches_reference(Raster(ImageGrid(40, 1.2), values), mu,
-                              SinogramGrid(n_phi=37, n_s=71, s_max=1.8))
+    _assert_matches_reference(Raster(ImageGrid(40, 1.2), values), mu, sg)
 
 
 def _sparse_raster(pixels, values=1.0):
@@ -279,22 +290,27 @@ SPARSE_RASTERS = {
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 @pytest.mark.parametrize("mu", WEIGHTS, ids=WEIGHT_IDS)
 @pytest.mark.parametrize("values", SPARSE_RASTERS.values(), ids=SPARSE_RASTERS.keys())
-def test_forward_raster_sparse_support_margin(values, mu, cpus, usable_cpus):
+@pytest.mark.parametrize("sg", [SinogramGrid(n_phi=37, n_s=301, s_max=1.8), *FOLDED_SGS.values()],
+                         ids=["37x301", *FOLDED_SGS])
+def test_forward_raster_sparse_support_margin(sg, values, mu, cpus, usable_cpus):
     # A lone pixel is the tightest support: its lines lie within h of its
     # centre in s, and the projector computes only those, so a margin
     # below h drops non-zero samples.  n_s = 301 puts about 5 samples per
-    # pixel width, some within h/2 of the margin's edge.
+    # pixel width, some within h/2 of the margin's edge; on a folded grid
+    # angle phi + pi computes the mirror of the lines of phi.
     usable_cpus(cpus)
-    sg = SinogramGrid(n_phi=37, n_s=301, s_max=1.8)
     zero = _assert_matches_reference(Raster(ImageGrid(40, 1.2), values), mu, sg)
     assert 0 < (~zero).sum(axis=1).min()
 
 
 def test_forward_raster_temporaries_scale_with_support(usable_cpus):
-    # A disk of radius 0.3 meets about a fifth of the lines at s_max = 1.8.
-    # Beyond the output, one worker holds 2.1 (n_s, n) planes projecting
-    # only those lines, and 6.1 projecting every line: the bound of 4
-    # planes fails if the full s range comes back.
+    # A disk of radius 0.3 meets about a fifth of the lines at s_max = 1.8
+    # and about a quarter of the pixel lines.  Beyond the output, the call
+    # holds 2.4 (n_s, n) planes, 2.0 of them the complex pair table: the
+    # bound of 4 planes fails if the full s range comes back.  Beyond the
+    # output and the pair table it holds 0.7 of an (n, n) float64 image,
+    # most of it numpy's fixed ufunc buffers, so a second whole-image
+    # array fails the bound of one image.
     n, n_s = 128, 257
     f = rasterize(Phantom((Disk((0.2, -0.1), 0.3, 1.0),)), ImageGrid(n, 1.2))
     sg = SinogramGrid(n_phi=64, n_s=n_s, s_max=1.8)
@@ -306,6 +322,7 @@ def test_forward_raster_temporaries_scale_with_support(usable_cpus):
     finally:
         tracemalloc.stop()
     assert peak - 64 * n_s * 8 < 4 * n_s * n * 8
+    assert peak - 64 * n_s * 8 - 2 * n * (n + 3) * 16 < n * n * 8
 
 
 @pytest.mark.parametrize("mu", [ONE, WeightFunction.exponential(0.6)],
@@ -581,6 +598,58 @@ def _interp_calls(monkeypatch):
 
     monkeypatch.setattr(np, "interp", spy)
     return xs, rows
+
+
+def _gathers(monkeypatch):
+    # The index plane of every np.take call, in call order: the raster
+    # forward gathers each interpolated plane with one take.
+    planes, take = [], np.take
+
+    def spy(a, indices, *args, **kwargs):
+        planes.append(np.array(indices))
+        return take(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", spy)
+    return planes
+
+
+FOLD_CASES = {
+    "full-30": (SinogramGrid(n_phi=30, n_s=49, s_max=1.8), True),
+    "full-48": (FOLD_SG, True),
+    "odd": (SinogramGrid(n_phi=37, n_s=49, s_max=1.8), False),
+    "half": (SinogramGrid(n_phi=30, n_s=49, s_max=1.8, phi0=0.0, phi1=math.pi), False),
+    # periodic, but row i + m lies 5e-11 short of pi from row i
+    "1e-10-off": (SinogramGrid(30, 49, 1.8, phi0=1e-10, phi1=2.0 * math.pi), False),
+    "two": (SinogramGrid(n_phi=2, n_s=49, s_max=1.8), True),
+}
+
+
+@pytest.mark.parametrize("sg, folds", FOLD_CASES.values(), ids=FOLD_CASES.keys())
+def test_forward_folds_exactly_when_backproject_folds(sg, folds, monkeypatch):
+    # One rule folds both projectors: a folding forward makes one gather
+    # per opposite-angle pair, and a folding back-projection interpolates
+    # fewer rows than it has angles (one block here).
+    assert transforms._folds(sg) is folds
+    values = np.random.default_rng(3).normal(size=(FOLD_GRID.n, FOLD_GRID.n))
+    planes = _gathers(monkeypatch)
+    forward(Raster(FOLD_GRID, values), ONE, sg)
+    assert len(planes) == (sg.n_phi // 2 if folds else sg.n_phi)
+    _, rows = _interp_calls(monkeypatch)
+    backproject(_fold_sinogram(sg), ONE, None, FOLD_GRID)
+    assert (len(rows) < sg.n_phi) is folds
+
+
+def test_forward_gathers_only_the_pixel_lines_that_hold_the_source(monkeypatch, usable_cpus):
+    # The row raster's non-zero pixels lie in image row 13, columns 5..30:
+    # a plane is one pixel line wide where the line steps through rows
+    # (|cos| >= |sin|) and 26 wide where it steps through columns.
+    usable_cpus(1)
+    sg = FOLDED_SGS["36x71"]
+    planes = _gathers(monkeypatch)
+    forward(Raster(ImageGrid(40, 1.2), SPARSE_RASTERS["row"]), ONE, sg)
+    assert len(planes) == 18
+    for plane, phi in zip(planes, sg.phis()):
+        assert plane.shape[1] == (1 if abs(math.cos(phi)) >= abs(math.sin(phi)) else 26)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
