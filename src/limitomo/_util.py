@@ -19,8 +19,10 @@ from concurrent.futures import ThreadPoolExecutor
 # to as many chord nodes; the row filter and the rasterizer take whole rows
 # of about as many values; a complex plane counts as two block planes, so
 # the back-projection's blocks have half the rows when its rows are complex
-# (a folded call with mirror pairs), and its masked calls take runs of at
-# most as many points.  Callers read it at call time.
+# (a folded call with mirror pairs, whose rows carry their coefficient and
+# whose planes add into one complex accumulator per block, reversed into the
+# image once), and its masked calls take runs of at most as many points.
+# Callers read it at call time.
 BLOCK_PIXELS = 32768
 
 

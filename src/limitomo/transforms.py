@@ -288,10 +288,10 @@ def backproject(g: Sinogram, nu: WeightFunction,
     linear interpolation in ``s``; ``window=None`` means ``kappa == 1``
     over the sinogram's angular range.  The image is bit-identical for
     every thread count.  With ``window=None`` on a full circle and a
-    constant weight the angles ``phi`` and ``phi + pi`` may be folded
-    first, and the folded angles ``phi`` and ``pi - phi`` made one complex
-    row; :func:`backproject_windows` says when, and gives the 1e-13
-    tolerance.  ``pixels`` restricts the sum to a mask, as there.
+    constant weight the angles ``phi`` and ``phi + pi`` may be folded into
+    rows that carry ``w_phi c``, ``phi`` and ``pi - phi`` made one complex
+    row and reversed once per block; :func:`backproject_windows` says when,
+    and gives the 1e-13 tolerance.  ``pixels`` restricts the sum to a mask.
     """
     return backproject_windows(g, nu, [window], igrid, pixels)[0]
 
@@ -302,7 +302,8 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
 
     Every call runs one per-angle loop: each active angle interpolates its
     row at ``x . theta`` and evaluates ``nu`` once, then adds the row, times
-    ``w_phi kappa(phi) nu``, to the image of every window that uses it.  The
+    ``w_phi kappa(phi) nu``, to the image of every window that uses it
+    (a factor of exactly 1.0 skips its multiply, which keeps the bits).  The
     image is cut into blocks of whole rows, about ``BLOCK_PIXELS`` pixels
     each, so the accumulators stay in cache; ``nu`` is evaluated on each
     block by :meth:`WeightFunction.on_grid`, with the bits of ``nu`` itself
@@ -328,7 +329,9 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     at offset ``-s``.  On a full circle with ``n_phi = 2 m`` and
     ``|m dphi - pi| <= 1e-14``, when every window is ``None``, ``nu`` is a
     constant weight (``nu.kind == "constant"``) and there is no mask, row
-    ``i + m`` reversed in ``s`` is added to row ``i``: ``m`` folded rows.
+    ``i + m`` reversed in ``s`` is added to row ``i`` and the sum scaled by
+    its coefficient ``w_phi c``, the same for every row: ``m`` folded rows
+    that the loop adds with the factor 1.0.
     Mirror pairs then halve the index searches again: angle ``phi_j = pi -
     phi_i`` reads at ``(x, y)`` the offset ``phi_i`` reads at ``(-x, y)``,
     and ``ImageGrid.axis()`` is symmetric about 0.  The partner is ``j =
@@ -336,14 +339,17 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     ``|phi_i + phi_j - pi| <= 1e-14``.  Each folded angle that is not a
     partner is then one complex row of the same loop, the paired ones
     first: its folded row is the real part and its partner's the imaginary
-    part (zero without one), and the imaginary plane is added reversed in
-    ``x``.  Complex blocks have ``BLOCK_PIXELS // (2 n)`` rows; a grid
-    without a pair keeps real rows.  The result is within 1e-13 of the
-    image maximum of the unfolded sum, not bitwise, because ``s_values()``
-    and ``axis()`` are not bitwise symmetric, and it is bit-identical for
-    every thread count and block size.  Every other call (a cutoff, a half
-    range, an odd ``n_phi``, any other weight kind, a mask) is unfolded, so
-    a ``None`` window batched with cutoff windows gets the unfolded bits.
+    part (zero without one).  Each block adds the complex planes of every
+    angle into one complex accumulator per window, then adds its real part
+    to the image and its imaginary part reversed in ``x``, once per block.
+    Complex blocks have ``BLOCK_PIXELS // (2 n)`` rows; a grid without a
+    pair keeps real rows, added into the image.  The result is within 1e-13
+    of the image maximum of the unfolded sum, not bitwise, because
+    ``s_values()`` and ``axis()`` are not bitwise symmetric, and it is
+    bit-identical for every thread count and block size.  Every other call
+    (a cutoff, a half range, an odd ``n_phi``, any other weight kind, a
+    mask) is unfolded, so a ``None`` window batched with cutoff windows gets
+    the unfolded bits.
     """
     if len(windows) == 0:
         raise ValueError("windows must be nonempty")
@@ -365,12 +371,16 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     s = g.grid.s_values()
     ax = igrid.axis()
     # Opposite-angle fold and mirror pairs (see the docstring).  The periodic
-    # weights are uniform, so a folded row and its partner keep w_i.
+    # weights are uniform, so every folded row carries one coefficient w_i c
+    # and the loop sees unit weights.
     m = phis.size // 2
     if (pixels is None and _folds(g.grid)
             and all(w is None for w in windows) and nu.kind == "constant"):
+        wc = wphi[0] * nu.params[0]
+
         def fold(k, into):
-            return np.add(g.values[k], g.values[k + m, ::-1], out=into)
+            np.add(g.values[k], g.values[k + m, ::-1], out=into)
+            into *= wc
 
         i = np.arange(m)
         j = np.rint((math.pi - phis[:m] - phis[0]) / g.grid.dphi).astype(np.intp)
@@ -385,7 +395,7 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
             fold(a, r.real)
             if ok[a]:
                 fold(j[a], r.imag)
-        phis, wphi = phis[own], wphi[own]
+        phis, wphi, nu = phis[own], np.ones(own.size), WeightFunction.constant(1.0)
     paired = np.iscomplexobj(rows)
     coef = np.array([(1.0 if w is None else w.kappa(phis)) * wphi for w in windows])
     # Each active angle once per call: its row, its angle and the windows it
@@ -425,20 +435,28 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
         for b in range(blocks.start, blocks.stop):
             x, y, dest = block(b)
             nu_at = nu.on_grid(x, y)
-            # One product plane per block, reused by every angle and window.
-            term = np.empty(dest.shape[1:], dtype=rows.dtype)
+            # Real rows add into the images, complex rows into one complex
+            # plane per window, and a factor of exactly 1.0 skips its multiply.
+            # At most one product plane per block, reused by every angle and window.
+            into = np.zeros(dest.shape, dtype=complex) if paired else dest
+            term = None
             for row, phi, ks in work:
                 gi = np.interp(x * math.cos(phi) + y * math.sin(phi), s, row)
                 nu_i = nu_at(phi)
                 for k, ck in ks:
-                    np.multiply(ck * nu_i, gi, out=term)
-                    dest[k] += term.real
-                    if paired:
-                        # The partner pi - phi reads at (x, y) what phi
-                        # reads at (-x, y): its plane is reversed in x.
-                        dest[k] += term.imag[:, ::-1]
+                    f = ck * nu_i
+                    if np.ndim(f) == 0 and f == 1.0:
+                        into[k] += gi
+                    else:
+                        term = np.multiply(f, gi, out=term)
+                        into[k] += term
                 # Free this angle's planes before the next one allocates its own.
                 del gi, nu_i
+            if paired:
+                # The partner pi - phi reads at (x, y) what phi reads at
+                # (-x, y): its plane is reversed in x.
+                dest += into.real
+                dest += into.imag[..., ::-1]
 
     _util.for_each_chunk(worker, n_blocks)
     if pixels is not None:

@@ -764,13 +764,14 @@ def test_mirror_pairs_cover_every_folded_angle(cpus, monkeypatch, usable_cpus):
 
 def test_mirror_pairs_with_odd_m(monkeypatch):
     # n_phi = 46, m = 23: rows 1..11 pair with 22..12 and row 0 has no
-    # partner: its complex row has a zero imaginary part.
+    # partner: its complex row has a zero imaginary part.  Each folded row
+    # carries its coefficient dphi c (c = 1).
     sg = SinogramGrid(n_phi=46, n_s=49, s_max=1.8)
     g = _fold_sinogram(sg)
     _, rows = _interp_calls(monkeypatch)
     img = backproject(g, ONE, None, FOLD_GRID).values
     v = g.values
-    folded = v[:23] + v[23:, ::-1]
+    folded = (v[:23] + v[23:, ::-1]) * (sg.dphi * ONE.params[0])
     expected = [folded[i] + 1j * folded[23 - i] for i in range(1, 12)] + [folded[0] + 0j]
     assert len(rows) == len(expected)
     for got, want in zip(rows, expected):
@@ -778,6 +779,47 @@ def test_mirror_pairs_with_odd_m(monkeypatch):
         np.testing.assert_array_equal(got, want)
     ref = _reference_backproject(g, ONE, None, FOLD_GRID)
     np.testing.assert_allclose(img, ref, rtol=1e-12, atol=1e-13 * np.abs(ref).max())
+
+
+def _complex_row(re, im=0.0):
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+@pytest.mark.parametrize("sg, n_blocks", [
+    (FOLD_SG, 4),
+    (_shifted_full_circle(48, 2.0 * math.pi / 48 / 4.0), 2),
+], ids=["mirror-pairs", "real-rows"])
+def test_folded_rows_carry_the_coefficient(sg, n_blocks, monkeypatch, usable_cpus):
+    # A constant weight c = 1.7 and two None windows on a full circle of 48
+    # angles: every folded row, real or complex, is interpolated already
+    # scaled by dphi c, once per block (complex rows take blocks of 6 of the
+    # 24 image rows, real rows 12), and both windows get the same image at
+    # 1 and 2 CPUs.
+    c = 1.7
+    nu = WeightFunction.constant(c)
+    monkeypatch.setattr(_util, "BLOCK_PIXELS", 12 * 24)
+    g = _fold_sinogram(sg)
+    v = g.values
+    folded = (v[:24] + v[24:, ::-1]) * (sg.dphi * c)
+    if n_blocks == 4:
+        # 1..11 pair with 23..13; 0 and 12 have no partner.
+        want = [_complex_row(folded[i], folded[24 - i]) for i in range(1, 12)]
+        want += [_complex_row(folded[i]) for i in (0, 12)]
+    else:
+        want = list(folded)
+    ref = _reference_backproject(g, nu, None, FOLD_GRID)
+    images = []
+    for cpus in (1, 2):
+        usable_cpus(cpus)
+        _, rows = _interp_calls(monkeypatch)
+        a, b = backproject_windows(g, nu, [None, None], FOLD_GRID)
+        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_allclose(a.values, ref, rtol=1e-12, atol=1e-13 * np.abs(ref).max())
+        assert sorted(r.tobytes() for r in rows) == sorted(w.tobytes() for w in want * n_blocks)
+        images.append(a.values)
+    np.testing.assert_array_equal(images[0], images[1])
 
 
 def test_backproject_window_between_samples_is_zero():
@@ -971,7 +1013,8 @@ def test_backproject_temporaries_are_block_sized(usable_cpus):
 def test_folded_backproject_temporaries_are_block_sized(usable_cpus):
     # The folded call holds the (n^2) output and the folded rows, as m real
     # or about m / 2 complex rows of n_s values, and per worker a half-block
-    # of x . theta and its complex interpolated plane: one block's bytes each.
+    # of x . theta, its complex interpolated plane and the complex block
+    # accumulator the planes are added into: one block's bytes each.
     n, n_phi, n_s = 256, 180, 2 * 256 + 1
     grid = ImageGrid(n, 1.2)
     sg = SinogramGrid(n_phi=n_phi, n_s=n_s, s_max=1.8)
