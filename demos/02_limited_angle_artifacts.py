@@ -45,8 +45,7 @@ sgrid = SinogramGrid(n_phi=361, n_s=int(round(2 * s_max / grid.h)) + 1,
 print(f"angular window: ({math.degrees(phi1):.0f}, {math.degrees(phi2):.0f}) deg, "
       f"cutoff order k={window.k}")
 sino = forward(phantom, one, sgrid)
-cfg = ReconstructionConfig("Lambda", one, one, window=window,
-                           filter_impl="finite-difference")
+cfg = ReconstructionConfig("Lambda", one, one, window=window)
 rec = reconstruct(sino, cfg, grid)
 
 lines = predicted_artifact_lines(phantom, window)

@@ -35,8 +35,7 @@ sgrid = SinogramGrid(n_phi=181, n_s=int(round(2 * s_max / grid.h)) + 1,
 window = AngularWindow(phi1, phi2, "finite-order", 1)
 
 for op in ("B", "Lambda"):
-    cfg = ReconstructionConfig(op, one, one, window=window,
-                               filter_impl="finite-difference")
+    cfg = ReconstructionConfig(op, one, one, window=window)
     rows = strength_vs_order_study(phantom, cfg, [1, 2, 3, 4], grid, sgrid,
                                    exclusion_radius=24.0 * grid.h,
                                    report_dir=out_dir / f"study_{op}")

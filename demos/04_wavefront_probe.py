@@ -52,8 +52,7 @@ sgrid = SinogramGrid(n_phi=361, n_s=int(round(2 * s_max / grid.h)) + 1,
                      s_max=s_max, phi0=phi1, phi1=phi2)
 sino = forward(phantom, one, sgrid)
 window = AngularWindow(phi1, phi2, "infinite-order")
-cfg = ReconstructionConfig("Lambda", one, one, window=window,
-                           filter_impl="finite-difference")
+cfg = ReconstructionConfig("Lambda", one, one, window=window)
 rec = reconstruct(sino, cfg, grid)
 
 visible = wavefront_probe(rec, WavefrontProbe((0.0, 1.0), (0.0, 1.0), 0.2, scales))

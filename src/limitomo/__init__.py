@@ -10,7 +10,6 @@ order.
 from .config import ConfigError, RunConfig, load_config, loads_config
 from .filters import (
     ReconstructionConfig,
-    d_ds,
     filter_chain,
     hilbert,
     neg_d2_ds2,
@@ -73,7 +72,6 @@ __all__ = [
     "artifact_report",
     "backproject",
     "backproject_windows",
-    "d_ds",
     "default_probe_scales",
     "edge_singularities",
     "filter_chain",

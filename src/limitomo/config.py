@@ -32,7 +32,6 @@ defaulted)::
 
     [reconstruction]
     operator = B            # B | Lambda
-    filter_impl = spectral  # spectral | finite-difference
 
     [output]
     dir = out
@@ -79,6 +78,11 @@ _KNOWN_KEYS = {
     "output": {"dir"},
 }
 
+# The row filter of each operator, by the name the ``[reconstruction] filter_impl``
+# key gives it.  A given value must name this filter; the dump writes it, so a
+# config that sets the key dumps to the same bytes.
+_OPERATOR_FILTER = {"B": "spectral", "Lambda": "finite-difference"}
+
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
@@ -94,14 +98,10 @@ class RunConfig:
     nu_spec: str
     window: AngularWindow | None
     operator: str
-    filter_impl: str
     out_dir: str
 
     def recon_config(self) -> ReconstructionConfig:
-        return ReconstructionConfig(
-            operator=self.operator, mu=self.mu, nu=self.nu,
-            window=self.window, filter_impl=self.filter_impl,
-        )
+        return ReconstructionConfig(self.operator, self.mu, self.nu, self.window)
 
     def dumps(self) -> str:
         """Normalized dump with all defaults filled; it reloads every value kept as
@@ -139,7 +139,7 @@ class RunConfig:
                   "",
                   "[reconstruction]",
                   f"operator = {self.operator}",
-                  f"filter_impl = {self.filter_impl}",
+                  f"filter_impl = {_OPERATOR_FILTER[self.operator]}",
                   "",
                   "[output]",
                   f"dir = {self.out_dir}",
@@ -327,19 +327,23 @@ def loads_config(text: str) -> RunConfig:
 
     where = "[reconstruction]"
     operator = get("reconstruction", "operator", "B").strip()
-    filter_impl = get("reconstruction", "filter_impl", "spectral").strip()
 
     out_dir = get("output", "dir", "out").strip()
 
     cfg = RunConfig(
         igrid=igrid, phantom=phantom, phantom_spec=tuple(specs), sgrid=sgrid,
         mu=mu, nu=nu, mu_spec=mu_spec, nu_spec=nu_spec, window=window,
-        operator=operator, filter_impl=filter_impl, out_dir=out_dir,
+        operator=operator, out_dir=out_dir,
     )
     try:
         cfg.recon_config()
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    own_filter = _OPERATOR_FILTER[operator]
+    filter_impl = get("reconstruction", "filter_impl", own_filter).strip()
+    if filter_impl != own_filter:
+        raise ConfigError(f"{where}: filter_impl = {filter_impl!r}, but operator "
+                          f"{operator} filters by {own_filter!r}")
     if window is not None and not sgrid.periodic:
         if window.phi1 < sgrid.phi0 - 1e-12 or window.phi2 > sgrid.phi1 + 1e-12:
             raise ConfigError("[window] window must lie inside the sinogram angular range")

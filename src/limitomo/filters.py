@@ -15,11 +15,10 @@ Padding suppresses circular wrap-around of the nonlocal Hilbert kernel;
 the operators are meant on the line, not the circle.  The rows are
 transformed in blocks of about ``BLOCK_PIXELS`` padded values into one
 real output that owns its data, with the bits of the whole-array
-transform.  :func:`d_ds` and :func:`neg_d2_ds2` are finite-difference
-stencils, the ``filter_impl = finite-difference`` derivatives, because
-spectral differentiation rings on rows with square-root singularities
-(tangent lines of a disk); the spectral derivatives are
-``filter_chain(g, "d_ds")`` and ``filter_chain(g, "neg_d2_ds2")``.
+transform.  Each operator has one row filter: ``B`` the spectral ramp,
+``Lambda`` the finite-difference stencil :func:`neg_d2_ds2`.  The spectral
+derivatives ``filter_chain(g, "d_ds")`` and ``filter_chain(g, "neg_d2_ds2")``
+serve the oracles.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .geometry import AngularWindow, ImageGrid, Raster
 from .transforms import Sinogram, WeightFunction, backproject, backproject_windows
 
 FILTER_KINDS = ("hilbert", "d_ds", "neg_d2_ds2", "ramp")
-FILTER_IMPLS = ("spectral", "finite-difference")
 
 
 def _multiplier(kind: str, sigma: np.ndarray) -> np.ndarray:
@@ -84,22 +82,16 @@ def hilbert(g: Sinogram, pad_factor: int = 2) -> Sinogram:
     return filter_chain(g, "hilbert", pad_factor)
 
 
-def d_ds(g: Sinogram) -> Sinogram:
-    """Row-wise derivative in ``s`` by finite differences.
-
-    The central stencil ``(g[j+1] - g[j-1]) / (2 ds)`` with one-sided
-    differences at the ends (``np.gradient``); it is exact on polynomials
-    of degree <= 2 in the interior.
-    """
-    return Sinogram(g.grid, np.gradient(g.values, g.grid.ds, axis=1))
-
-
 def neg_d2_ds2(g: Sinogram) -> Sinogram:
     """Row-wise ``-d^2/ds^2`` by finite differences.
 
     The stencil ``-(g[j+1] - 2 g[j] + g[j-1]) / ds^2``, shifted one sample
-    inward at the ends (still exact on quadratics).
+    inward at the ends (still exact on quadratics); a row needs at least
+    3 samples.
     """
+    if g.grid.n_s < 3:
+        raise ValueError(f"the -d^2/ds^2 stencil needs rows of at least 3 samples, "
+                         f"got n_s = {g.grid.n_s}")
     v = g.values
     ds2 = g.grid.ds ** 2
     out = np.empty_like(v)
@@ -114,35 +106,26 @@ class ReconstructionConfig:
     """Selection of reconstruction operator and its ingredients.
 
     ``operator="B"`` composes back-projection with the Hilbert-derivative
-    filter (order 0, exact inversion for full data and unit weights);
-    ``operator="Lambda"`` uses ``-d^2/ds^2`` (order 1, emphasizes
-    singularities).  ``window=None`` means full angular data with no
-    cutoff.
+    filter, the spectral ramp (order 0, exact inversion for full data and
+    unit weights); ``operator="Lambda"`` uses the ``-d^2/ds^2`` stencil
+    (order 1, emphasizes singularities).  ``window=None`` means full
+    angular data with no cutoff.
     """
 
     operator: str
     mu: WeightFunction
     nu: WeightFunction
     window: AngularWindow | None = None
-    filter_impl: str = "spectral"
 
     def __post_init__(self):
         if self.operator not in ("B", "Lambda"):
             raise ValueError("operator must be 'B' or 'Lambda'")
-        if self.filter_impl not in FILTER_IMPLS:
-            raise ValueError(f"filter_impl must be one of {FILTER_IMPLS}")
 
 
 def apply_operator_filter(g: Sinogram, cfg: ReconstructionConfig) -> Sinogram:
     """The row filter of the selected operator, before back-projection."""
     if cfg.operator == "B":
-        if cfg.filter_impl == "spectral":
-            return filter_chain(g, "ramp")
-        # Hilbert is nonlocal and has no stencil form; only the derivative
-        # switches to finite differences.
-        return hilbert(d_ds(g))
-    if cfg.filter_impl == "spectral":
-        return filter_chain(g, "neg_d2_ds2")
+        return filter_chain(g, "ramp")
     return neg_d2_ds2(g)
 
 

@@ -51,7 +51,10 @@ class WeightFunction:
         self.params = params
 
     def __call__(self, x, phi):
-        return self._fn(np.asarray(x, dtype=float), phi)
+        x = np.asarray(x, dtype=float)
+        if self.kind == "custom":
+            return self._fn(x, phi)
+        return self.on_grid(x[..., 0], x[..., 1])(phi)
 
     def __repr__(self):
         args = " ".join(repr(p) for p in self.params)
@@ -60,7 +63,8 @@ class WeightFunction:
     def on_grid(self, x, y):
         """``phi -> w`` at the points ``(x, y)``, bit for bit, for coordinates that
         broadcast together: the scalar, two short ``exp`` vectors on a block of
-        rows ``(x, y[:, None])``, or a call on the points."""
+        rows ``(x, y[:, None])``, or a call on the points.  It holds the one
+        formula of each built-in kind; a call evaluates them through it."""
         if self.kind == "constant":
             return lambda phi: self.params[0]
         if self.kind == "exponential":
@@ -75,12 +79,7 @@ class WeightFunction:
     def constant(cls, c: float) -> "WeightFunction":
         if not (0 < c < math.inf):
             raise ValueError("constant weight must be positive and finite")
-        c = float(c)
-
-        def fn(x, phi):
-            return c
-
-        return cls(fn, "constant", (c,))
+        return cls(None, "constant", (float(c),))
 
     @classmethod
     def exponential(cls, lam: float, mode: str = "perp") -> "WeightFunction":
@@ -90,12 +89,7 @@ class WeightFunction:
         lam = float(lam)
         if not math.isfinite(lam):
             raise ValueError("exponential weight rate must be finite")
-
-        def fn(x, phi):
-            p0, p1 = _exp_rates(lam, mode, phi)
-            return np.exp(p0 * x[..., 0]) * np.exp(p1 * x[..., 1])
-
-        return cls(fn, "exponential", (lam, mode))
+        return cls(None, "exponential", (lam, mode))
 
 
 @dataclass(frozen=True, eq=False)

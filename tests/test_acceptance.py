@@ -55,7 +55,7 @@ def _fbp_error(n: int, n_phi: int) -> float:
     sg = SinogramGrid(n_phi=n_phi, n_s=int(round(2 * s_max / grid.h)) + 1,
                       s_max=s_max)
     g = forward(UNIT_DISK, ONE, sg)
-    cfg = ReconstructionConfig("B", ONE, ONE, window=None, filter_impl="spectral")
+    cfg = ReconstructionConfig("B", ONE, ONE, window=None)
     rec = reconstruct(g, cfg, grid)
     f = rasterize(UNIT_DISK, grid)
     interior = binary_erosion(f.values > 0.5, iterations=2)
@@ -147,8 +147,7 @@ def test_criterion_5_artifact_geometry():
                       s_max=s_max, phi0=PHI1, phi1=PHI2)
     win = AngularWindow(PHI1, PHI2, "finite-order", 1)
     g = forward(UNIT_DISK, ONE, sg)
-    cfg = ReconstructionConfig("Lambda", ONE, ONE, window=win,
-                               filter_impl="finite-difference")
+    cfg = ReconstructionConfig("Lambda", ONE, ONE, window=win)
     rec = reconstruct(g, cfg, grid)
 
     X, Y = grid.centers()
@@ -199,8 +198,7 @@ def test_criterion_6_visible_vs_invisible():
                       s_max=s_max, phi0=PHI1, phi1=PHI2)
     g = forward(UNIT_DISK, ONE, sg)
     win = AngularWindow(PHI1, PHI2, "infinite-order")
-    cfg = ReconstructionConfig("Lambda", ONE, ONE, window=win,
-                               filter_impl="finite-difference")
+    cfg = ReconstructionConfig("Lambda", ONE, ONE, window=win)
     rec = reconstruct(g, cfg, grid)
     visible = wavefront_probe(rec, WavefrontProbe((0.0, 1.0), (0.0, 1.0), 0.2, scales))
     invisible = wavefront_probe(rec, WavefrontProbe((1.0, 0.0), (1.0, 0.0), 0.2, scales))
@@ -218,8 +216,7 @@ def test_criterion_7_strength_vs_order():
                       s_max=s_max, phi0=PHI1, phi1=PHI2)
     win = AngularWindow(PHI1, PHI2, "finite-order", 1)
     for op in ("B", "Lambda"):
-        cfg = ReconstructionConfig(op, ONE, ONE, window=win,
-                                   filter_impl="finite-difference")
+        cfg = ReconstructionConfig(op, ONE, ONE, window=win)
         rows = strength_vs_order_study(UNIT_DISK, cfg, [1, 2, 3, 4], grid, sg,
                                        exclusion_radius=24.0 * grid.h)
         ratios = [r.ratio for r in rows]

@@ -60,7 +60,6 @@ k = 1
 
 [reconstruction]
 operator = B
-filter_impl = finite-difference
 
 [output]
 dir = {out}
@@ -207,6 +206,41 @@ def test_analyze_removed_key_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error [config] [reconstruction] unknown key 'apodize'\n"
     assert not out.exists()
+
+
+def test_analyze_filter_impl_other_than_the_operators_exits_1(tmp_path, capsys):
+    cfg, out = _write_cfg(tmp_path, DEFAULTS_CONFIG + "\n[reconstruction]\noperator = Lambda\n"
+                                                      "filter_impl = spectral\n")
+    assert main(["analyze", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error [config] [reconstruction]: filter_impl = 'spectral', "
+                   "but operator Lambda filters by 'finite-difference'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, tag", [("analyze", "reconstruct"),
+                                          ("reconstruct", "reconstruct"),
+                                          ("study", "study")])
+def test_lambda_on_rows_of_two_samples_exits_1(tmp_path, capsys, command, tag):
+    # The -d^2/ds^2 stencil needs three samples a row; a grid allows two.
+    text = (DEFAULTS_CONFIG.replace("n_s = 33", "n_s = 2")
+            + "\n[window]\nkind = finite-order\n\n[reconstruction]\noperator = Lambda\n")
+    cfg, out = _write_cfg(tmp_path, text)
+    argv = [command, "--config", str(cfg)]
+    if command == "reconstruct":
+        sino = tmp_path / "g.lts"
+        assert main(["forward", "--config", str(cfg), "--out", str(sino)]) == 0
+        argv += ["--sinogram", str(sino), "--out", str(tmp_path / "r.ltr")]
+    elif command == "study":
+        argv += ["--out-dir", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (f"error [{tag}] the -d^2/ds^2 stencil needs rows of "
+                                    "at least 3 samples, got n_s = 2")
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert not (tmp_path / "r.ltr").exists()
 
 
 @pytest.mark.parametrize("command", ["phantom", "analyze"])

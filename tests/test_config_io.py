@@ -195,6 +195,41 @@ def test_config_rejects_unknown_keys():
         assert str(exc.value) == error
 
 
+# MINIMAL's [reconstruction] with the operator and the filter_impl key swapped in.
+def _recon_text(operator, filter_impl=None):
+    text = MINIMAL.replace("operator = B", f"operator = {operator}")
+    return text if filter_impl is None else text + f"filter_impl = {filter_impl}\n"
+
+
+@pytest.mark.parametrize("operator,given,own", [("B", "finite-difference", "spectral"),
+                                                ("Lambda", "spectral", "finite-difference"),
+                                                ("B", "wavelet", "spectral")])
+def test_filter_impl_other_than_the_operators_filter_is_rejected(operator, given, own):
+    # The operator fixes its row filter; the key may only name it.
+    with pytest.raises(ConfigError) as exc:
+        loads_config(_recon_text(operator, given))
+    assert str(exc.value) == (f"[reconstruction]: filter_impl = {given!r}, "
+                              f"but operator {operator} filters by {own!r}")
+
+
+@pytest.mark.parametrize("operator,own", [("B", "spectral"), ("Lambda", "finite-difference")])
+@pytest.mark.parametrize("keyed", [True, False], ids=["matching", "absent"])
+def test_filter_impl_matching_or_absent_loads_and_dumps_the_operators_filter(operator, own,
+                                                                             keyed):
+    cfg = loads_config(_recon_text(operator, own if keyed else None))
+    assert cfg.operator == operator
+    text = cfg.dumps()
+    assert f"[reconstruction]\noperator = {operator}\nfilter_impl = {own}\n" in text
+    back = loads_config(text)
+    assert back.dumps() == text
+    assert back.sha256() == cfg.sha256()
+
+
+def test_bad_operator_reports_before_filter_impl():
+    with pytest.raises(ConfigError, match=r"^\[reconstruction\]: operator must be 'B' or"):
+        loads_config(_recon_text("C", "spectral"))
+
+
 @pytest.mark.parametrize("section,line,size", [
     ("image", "n = 1000000", "1000000x1000000 float64 image"),
     ("sinogram", "n_phi = 100000000", "100000000x1536 complex128 padded row spectrum"),

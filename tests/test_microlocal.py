@@ -197,8 +197,7 @@ def _limited_recon(n=256, n_phi=181, L=1.2, k=1, operator="Lambda"):
                       s_max=s_max, phi0=PHI1, phi1=PHI2)
     win = AngularWindow(PHI1, PHI2, "finite-order", k)
     g = forward(UNIT_DISK, ONE, sg)
-    cfg = ReconstructionConfig(operator, ONE, ONE, window=win,
-                               filter_impl="finite-difference")
+    cfg = ReconstructionConfig(operator, ONE, ONE, window=win)
     return reconstruct(g, cfg, grid), grid, win
 
 
@@ -263,7 +262,7 @@ def test_artifact_report_mirror_lines_have_equal_strengths():
     s_max = math.sqrt(2.0) * grid.extent
     sg = SinogramGrid(91, 2 * 128 + 1, s_max, PHI1, PHI2)
     win = AngularWindow(PHI1, PHI2, "finite-order", 1)
-    cfg = ReconstructionConfig("Lambda", ONE, ONE, window=win, filter_impl="finite-difference")
+    cfg = ReconstructionConfig("Lambda", ONE, ONE, window=win)
     rep = artifact_report(reconstruct(forward(phantom, ONE, sg), cfg, grid), phantom, win,
                           4.0 * grid.h)
     by_line = {(round(ln.point[0], 9), round(ln.point[1], 9), ln.j): s
@@ -309,8 +308,7 @@ def test_study_ratio_decreases_quick():
                       s_max=s_max, phi0=PHI1, phi1=PHI2)
     win = AngularWindow(PHI1, PHI2, "finite-order", 1)
     for op in ("B", "Lambda"):
-        cfg = ReconstructionConfig(op, ONE, ONE, window=win,
-                                   filter_impl="finite-difference")
+        cfg = ReconstructionConfig(op, ONE, ONE, window=win)
         rows = strength_vs_order_study(UNIT_DISK, cfg, [1, 2], grid, sg,
                                        exclusion_radius=12.0 * grid.h)
         assert rows[1].ratio < rows[0].ratio
@@ -323,8 +321,7 @@ def test_study_persists_reports(tmp_path):
     sg = SinogramGrid(n_phi=91, n_s=int(round(2 * s_max / grid.h)) + 1,
                       s_max=s_max, phi0=PHI1, phi1=PHI2)
     win = AngularWindow(PHI1, PHI2, "finite-order", 1)
-    cfg = ReconstructionConfig("B", ONE, ONE, window=win,
-                               filter_impl="finite-difference")
+    cfg = ReconstructionConfig("B", ONE, ONE, window=win)
     rows = strength_vs_order_study(UNIT_DISK, cfg, [1, 2], grid, sg,
                                    exclusion_radius=12.0 * grid.h,
                                    report_dir=tmp_path)
@@ -568,8 +565,7 @@ def test_visibility_contrast_with_infinite_order_cutoff():
                       s_max=s_max, phi0=PHI1, phi1=PHI2)
     g = forward(UNIT_DISK, ONE, sg)
     win = AngularWindow(PHI1, PHI2, "infinite-order")
-    cfg = ReconstructionConfig("Lambda", ONE, ONE, window=win,
-                               filter_impl="finite-difference")
+    cfg = ReconstructionConfig("Lambda", ONE, ONE, window=win)
     rec = reconstruct(g, cfg, grid)
     scales = default_probe_scales(n)
     visible = wavefront_probe(rec, WavefrontProbe((0.0, 1.0), (0.0, 1.0), 0.2, scales))
