@@ -18,10 +18,14 @@ from concurrent.futures import ThreadPoolExecutor
 # angle is added to them.  The analytic forward sizes its blocks of angles
 # to as many chord nodes; the row filter and the rasterizer take whole rows
 # of about as many values; a complex plane counts as two block planes, so
-# the back-projection's blocks have half the rows when its rows are complex
+# the back-projection's blocks have half the rows when it adds complex planes
 # (a folded call with mirror pairs, whose rows carry their coefficient and
 # whose planes add into one complex accumulator per block, reversed into the
-# image once), and its masked calls take runs of at most as many points.
+# image once).  A folded exponential-weight call, whose complex rows hold phi
+# and phi + pi, each part weighted at its own angle, keeps whole blocks: only
+# its interpolated plane is complex.  Either fold is within 1e-13 of the
+# image maximum of the unfolded sum.  Masked calls take runs of at most as
+# many points.
 # Callers read it at call time.
 BLOCK_PIXELS = 32768
 

@@ -142,9 +142,10 @@ def reconstruct(g: Sinogram, cfg: ReconstructionConfig, igrid: ImageGrid,
     in place of ``cfg.window``, the sinogram is filtered once and
     back-projected for every window in one pass; the result is one
     raster per window, each bit-identical to a single-window call and for
-    every thread count.  A constant weight on a full circle without a
-    cutoff folds the rows, pairing mirror angles in complex rows of the same
-    loop, within 1e-13 of the unfolded sum (see
+    every thread count.  A constant or exponential weight on a full circle
+    without a cutoff folds opposite angles into one interpolation (a
+    constant weight also pairs mirror angles in complex rows of the same
+    loop), within 1e-13 of the image maximum of the unfolded sum (see
     :func:`~limitomo.transforms.backproject_windows`).
 
     ``pixels``, a boolean ``(n, n)`` mask, back-projects only the masked

@@ -15,6 +15,10 @@ leave every other line at +0.0, so a sparse source costs less.  The
 raster path also steps only through the pixel lines that hold the source
 and, on a full circle, serves ``phi`` and ``phi + pi`` from one plane:
 its samples are within 1e-13 of the per-angle rows, not bitwise equal.
+The back-projection folds ``phi`` and ``phi + pi`` into one interpolation
+on a full circle without a cutoff or a mask, for a constant or an
+exponential weight: its image is within 1e-13 of the image maximum of the
+per-angle sum.
 """
 
 from __future__ import annotations
@@ -282,10 +286,10 @@ def backproject(g: Sinogram, nu: WeightFunction,
     linear interpolation in ``s``; ``window=None`` means ``kappa == 1``
     over the sinogram's angular range.  The image is bit-identical for
     every thread count.  With ``window=None`` on a full circle and a
-    constant weight the angles ``phi`` and ``phi + pi`` may be folded into
-    rows that carry ``w_phi c``, ``phi`` and ``pi - phi`` made one complex
-    row and reversed once per block; :func:`backproject_windows` says when,
-    and gives the 1e-13 tolerance.  ``pixels`` restricts the sum to a mask.
+    constant or exponential weight, ``phi`` and ``phi + pi`` may be folded
+    into one interpolation, and for a constant weight ``phi`` and ``pi -
+    phi`` too; :func:`backproject_windows` says when, and gives the 1e-13
+    tolerance.  ``pixels`` restricts the sum to a mask.
     """
     return backproject_windows(g, nu, [window], igrid, pixels)[0]
 
@@ -321,11 +325,12 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
 
     Opposite-angle fold: angle ``phi_i + pi`` reads the line of ``phi_i``
     at offset ``-s``.  On a full circle with ``n_phi = 2 m`` and
-    ``|m dphi - pi| <= 1e-14``, when every window is ``None``, ``nu`` is a
-    constant weight (``nu.kind == "constant"``) and there is no mask, row
-    ``i + m`` reversed in ``s`` is added to row ``i`` and the sum scaled by
-    its coefficient ``w_phi c``, the same for every row: ``m`` folded rows
-    that the loop adds with the factor 1.0.
+    ``|m dphi - pi| <= 1e-14``, when every window is ``None`` and there is
+    no mask, a constant or an exponential ``nu`` folds.  For a constant
+    weight (``nu.kind == "constant"``) row ``i + m`` reversed in ``s`` is
+    added to row ``i`` and the sum scaled by its coefficient ``w_phi c``,
+    the same for every row: ``m`` folded rows that the loop adds with the
+    factor 1.0.
     Mirror pairs then halve the index searches again: angle ``phi_j = pi -
     phi_i`` reads at ``(x, y)`` the offset ``phi_i`` reads at ``(-x, y)``,
     and ``ImageGrid.axis()`` is symmetric about 0.  The partner is ``j =
@@ -337,13 +342,21 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     angle into one complex accumulator per window, then adds its real part
     to the image and its imaginary part reversed in ``x``, once per block.
     Complex blocks have ``BLOCK_PIXELS // (2 n)`` rows; a grid without a
-    pair keeps real rows, added into the image.  The result is within 1e-13
-    of the image maximum of the unfolded sum, not bitwise, because
-    ``s_values()`` and ``axis()`` are not bitwise symmetric, and it is
-    bit-identical for every thread count and block size.  Every other call
-    (a cutoff, a half range, an odd ``n_phi``, any other weight kind, a
-    mask) is unfolded, so a ``None`` window batched with cutoff windows gets
-    the unfolded bits.
+    pair keeps real rows, added into the image.  An exponential weight
+    (``nu.kind == "exponential"``) differs at ``phi`` and ``phi + pi``, so
+    its ``m`` rows are complex and carry the coefficient, ``w_phi (g_i + 1j
+    g_{i+m}[::-1])``: each is interpolated once at ``x . theta_i``, and the
+    loop adds its real part times ``nu(x, phi_i)`` and then, as angle ``i +
+    m``, its imaginary part times ``nu(x, phi_{i+m})``, each weight from
+    :meth:`WeightFunction.on_grid` at its own angle, into the image.  Its
+    blocks keep ``BLOCK_PIXELS // n`` rows: only the interpolated plane is
+    complex, and half as many blocks halve the per-angle interpreter work
+    that two workers contend for.  A folded image is within 1e-13 of the
+    image maximum of the unfolded sum, not bitwise, because ``s_values()``
+    and ``axis()`` are not bitwise symmetric, and it is bit-identical for
+    every thread count and block size.  Every other call (a cutoff, a half
+    range, an odd ``n_phi``, a custom weight, a mask) is unfolded, so a
+    ``None`` window batched with cutoff windows gets the unfolded bits.
     """
     if len(windows) == 0:
         raise ValueError("windows must be nonempty")
@@ -365,11 +378,19 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     s = g.grid.s_values()
     ax = igrid.axis()
     # Opposite-angle fold and mirror pairs (see the docstring).  The periodic
-    # weights are uniform, so every folded row carries one coefficient w_i c
-    # and the loop sees unit weights.
+    # weights are uniform, so folded rows carry their coefficient, w_i c or
+    # w_i, and the loop sees unit weights.
     m = phis.size // 2
-    if (pixels is None and _folds(g.grid)
-            and all(w is None for w in windows) and nu.kind == "constant"):
+    folds = pixels is None and _folds(g.grid) and all(w is None for w in windows)
+    split = folds and nu.kind == "exponential"
+    if split:
+        # Row i holds angle i in its real part and angle i + m, reversed in
+        # s, in its imaginary part.
+        rows = np.empty((m, s.size), dtype=complex)
+        rows.real, rows.imag = g.values[:m], g.values[m:, ::-1]
+        rows *= wphi[0]
+        wphi = np.ones(phis.size)
+    elif folds and nu.kind == "constant":
         wc = wphi[0] * nu.params[0]
 
         def fold(k, into):
@@ -390,18 +411,24 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
             if ok[a]:
                 fold(j[a], r.imag)
         phis, wphi, nu = phis[own], np.ones(own.size), WeightFunction.constant(1.0)
-    paired = np.iscomplexobj(rows)
+    # Complex rows hold opposite angles (an exponential fold), split into
+    # their parts, or mirror pairs, added into a complex accumulator per block.
+    paired = np.iscomplexobj(rows) and not split
     coef = np.array([(1.0 if w is None else w.kappa(phis)) * wphi for w in windows])
-    # Each active angle once per call: its row, its angle and the windows it
-    # adds to with their coefficients.
-    work = [(rows[i], phis[i], [(k, coef[k, i]) for k in np.nonzero(coef[:, i])[0]])
-            for i in np.nonzero(coef.any(axis=0))[0]]
+    # A split row's angle i + m comes right after angle i: 0, m, 1, m + 1, ...
+    active = (np.arange(2 * m).reshape(2, m).T.ravel() if split
+              else np.nonzero(coef.any(axis=0))[0])
+    # Each active angle once per call: its row (None for angle i + m of an
+    # exponential fold), its angle and the windows it adds to with their
+    # coefficients.
+    work = [(rows[i] if i < len(rows) else None, phis[i],
+             [(k, coef[k, i]) for k in np.nonzero(coef[:, i])[0]]) for i in active]
     # A block is a pair of coordinates that broadcast together and the
     # accumulators they add to: whole image rows (ax, y[:, None]), or a run
     # of the mask's pixel centres.
     if pixels is None:
         out = np.zeros((len(windows), n, n))
-        # A complex block plane holds as many bytes as a real one.
+        # A mirror-paired block's complex planes hold as many bytes as real ones.
         step = max(1, _util.BLOCK_PIXELS // (n * (2 if paired else 1)))
         n_blocks = math.ceil(n / step)
 
@@ -429,23 +456,29 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
         for b in range(blocks.start, blocks.stop):
             x, y, dest = block(b)
             nu_at = nu.on_grid(x, y)
-            # Real rows add into the images, complex rows into one complex
-            # plane per window, and a factor of exactly 1.0 skips its multiply.
+            # Real rows and the parts of split rows add into the images,
+            # mirror pairs into one complex plane per window, and a factor of
+            # exactly 1.0 skips its multiply.
             # At most one product plane per block, reused by every angle and window.
             into = np.zeros(dest.shape, dtype=complex) if paired else dest
             term = None
             for row, phi, ks in work:
-                gi = np.interp(x * math.cos(phi) + y * math.sin(phi), s, row)
+                if row is None:
+                    gi, opposite = opposite, None
+                else:
+                    gi = np.interp(x * math.cos(phi) + y * math.sin(phi), s, row)
+                    if split:
+                        gi, opposite = gi.real, gi.imag
                 nu_i = nu_at(phi)
                 for k, ck in ks:
-                    f = ck * nu_i
-                    if np.ndim(f) == 0 and f == 1.0:
+                    f = nu_i if ck == 1.0 else ck * nu_i
+                    if isinstance(f, float) and f == 1.0:
                         into[k] += gi
                     else:
                         term = np.multiply(f, gi, out=term)
                         into[k] += term
                 # Free this angle's planes before the next one allocates its own.
-                del gi, nu_i
+                del gi, nu_i, f
             if paired:
                 # The partner pi - phi reads at (x, y) what phi reads at
                 # (-x, y): its plane is reversed in x.

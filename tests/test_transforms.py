@@ -404,6 +404,27 @@ def test_forward_raster_finite_at_rate_bound(mode, sign):
     assert g.max() > 0.0
 
 
+@pytest.mark.parametrize("mode", ["perp", "parallel"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_folded_backproject_finite_at_rate_bound(mode, sign):
+    # |lam| R = 709.7 with R = s_max = sqrt(2) L: the folded exponential
+    # back-projection weighs each pixel by exp(p . x) <= exp(|lam| |x|)
+    # at both angles of a row, below exp(|lam| R), with no overflow.
+    L = 1.2
+    s_max = math.sqrt(2.0) * L
+    nu = WeightFunction.exponential(sign * 709.7 / s_max, mode)
+    grid = ImageGrid(32, L)
+    sg = SinogramGrid(64, 65, s_max)
+    assert transforms._folds(sg)
+    g = Sinogram(sg, np.ones((64, 65)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        img = backproject(g, nu, None, grid).values
+        ref = _reference_backproject(g, nu, None, grid)
+    assert np.all(np.isfinite(img))
+    np.testing.assert_allclose(img, ref, rtol=1e-12, atol=1e-13 * np.abs(ref).max())
+
+
 @pytest.mark.parametrize("w", WEIGHTS, ids=WEIGHT_IDS)
 def test_weight_on_grid_equals_call_bitwise(w):
     # The back-projection's per-block evaluation is the weight itself on
@@ -453,11 +474,18 @@ def _fold_sinogram(sg=FOLD_SG):
     return Sinogram(sg, np.random.default_rng(11).standard_normal((sg.n_phi, sg.n_s)))
 
 
-@pytest.mark.parametrize("nu", [ONE, RADIAL], ids=["constant", "radial"])
+# Exponential weights of both signs and modes: each folds on a full circle.
+EXP_FOLDS = {f"{mode}{lam:+}": WeightFunction.exponential(lam, mode)
+             for mode in ("perp", "parallel") for lam in (0.4, -0.4)}
+
+
+@pytest.mark.parametrize("nu", [ONE, *EXP_FOLDS.values(), RADIAL],
+                         ids=["constant", *EXP_FOLDS, "radial"])
 def test_folded_backproject_matches_reference(nu):
-    # Full circle, even n_phi, no window, a constant nu: rows phi and
-    # phi + pi are summed before one interpolation.  A weight of any other
-    # kind is not folded, even one equal at every pair.
+    # Full circle, even n_phi, no window: rows phi and phi + pi share one
+    # interpolation, summed first for a constant nu and as the real and
+    # imaginary part of one complex row for an exponential nu.  A custom
+    # weight is not folded, even one equal at every pair.
     g = _fold_sinogram()
     img = backproject(g, nu, None, FOLD_GRID).values
     ref = _reference_backproject(g, nu, None, FOLD_GRID)
@@ -488,9 +516,8 @@ def test_weight_even_only_up_to_rounding_does_not_fold():
 
 
 @pytest.mark.parametrize("nu, sg", [
-    (WeightFunction.exponential(0.4), FOLD_SG),
     (ONE, SinogramGrid(n_phi=47, n_s=49, s_max=1.8)),
-], ids=["exponential", "odd-n_phi"])
+], ids=["odd-n_phi"])
 def test_unfoldable_backproject_keeps_reference_bits(nu, sg):
     g = _fold_sinogram(sg)
     np.testing.assert_array_equal(backproject(g, nu, None, FOLD_GRID).values,
@@ -505,6 +532,22 @@ def test_folded_backproject_bit_reproducible_with_threads(monkeypatch, usable_cp
     np.testing.assert_array_equal(first, backproject(g, ONE, None, FOLD_GRID).values)
     ref = _reference_backproject(g, ONE, None, FOLD_GRID)
     np.testing.assert_allclose(first, ref, rtol=1e-12, atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("nu", EXP_FOLDS.values(), ids=EXP_FOLDS.keys())
+def test_exponential_fold_bit_identical_for_threads_and_blocks(nu, monkeypatch, usable_cpus):
+    # Blocks of BLOCK_PIXELS // n = 7 of the 24 image rows, the last one 3
+    # rows short, taken by 1 or 2 workers: each is the one-block image bit
+    # for bit, and each block interpolates the m = 24 complex rows once.
+    g = _fold_sinogram()
+    usable_cpus(1)
+    whole = backproject(g, nu, None, FOLD_GRID).values
+    monkeypatch.setattr(_util, "BLOCK_PIXELS", 7 * 24)
+    for cpus in (1, 2):
+        usable_cpus(cpus)
+        _, rows = _interp_calls(monkeypatch)
+        np.testing.assert_array_equal(backproject(g, nu, None, FOLD_GRID).values, whole)
+        assert len(rows) == 4 * 24 and all(np.iscomplexobj(r) for r in rows)
 
 
 def test_folded_backproject_windows_gives_equal_images():
@@ -578,6 +621,30 @@ def test_masked_backproject_never_folds():
     assert np.all(none == 0.0) and not np.signbit(none).any()
     with pytest.raises(ValueError, match="mask shape"):
         backproject(g, ONE, None, FOLD_GRID, pixels=every[1:])
+
+
+@pytest.mark.parametrize("case", ["window-batch", "masked", "1e-10-off"])
+@pytest.mark.parametrize("nu", [WeightFunction.exponential(0.4), PARALLEL],
+                         ids=["perp", "parallel"])
+def test_exponential_fold_boundaries_keep_reference_bits(nu, case):
+    # An exponential weight on a full circle folds only without a cutoff,
+    # without a mask and with rows exactly half a circle apart: a None
+    # window batched with a cutoff, a masked call and a circle that starts
+    # at 1e-10 each keep the unfolded bits.
+    g = _fold_sinogram()
+    ref = _reference_backproject(g, nu, None, FOLD_GRID)
+    if case == "window-batch":
+        img = backproject_windows(g, nu, [None, AngularWindow(0.3, 1.1, "finite-order", 2)],
+                                  FOLD_GRID)[0].values
+    elif case == "masked":
+        mask = _mask(FOLD_GRID.n)
+        img = backproject(g, nu, None, FOLD_GRID, pixels=mask).values
+        img, ref = img[mask], ref[mask]
+    else:
+        g = _fold_sinogram(SinogramGrid(48, 49, 1.8, phi0=1e-10, phi1=2.0 * math.pi))
+        img = backproject(g, nu, None, FOLD_GRID).values
+        ref = _reference_backproject(g, nu, None, FOLD_GRID)
+    np.testing.assert_array_equal(img, ref)
 
 
 def test_backproject_windows_rejects_an_empty_window_list():
@@ -1010,11 +1077,17 @@ def test_backproject_temporaries_are_block_sized(usable_cpus):
         assert peak - 4 * n * n * 8 < cpus * 5 * plane
 
 
-def test_folded_backproject_temporaries_are_block_sized(usable_cpus):
-    # The folded call holds the (n^2) output and the folded rows, as m real
-    # or about m / 2 complex rows of n_s values, and per worker a half-block
-    # of x . theta, its complex interpolated plane and the complex block
-    # accumulator the planes are added into: one block's bytes each.
+@pytest.mark.parametrize("nu, row_bytes", [(ONE, 8), (WeightFunction.exponential(0.3), 16)],
+                         ids=["constant", "exponential"])
+def test_folded_backproject_temporaries_are_block_sized(nu, row_bytes, usable_cpus):
+    # The folded call holds the (n^2) output and the folded rows: for a
+    # constant weight m real or about m / 2 complex rows of n_s values, and
+    # per worker a half-block of x . theta, its complex interpolated plane
+    # and the complex block accumulator the planes are added into: one
+    # block's bytes each.  An exponential weight holds m complex rows and,
+    # per worker, a whole block's complex interpolated plane, x . theta and
+    # the weight and product planes: at most four blocks' bytes at once,
+    # since x . theta is freed before the weight is made.
     n, n_phi, n_s = 256, 180, 2 * 256 + 1
     grid = ImageGrid(n, 1.2)
     sg = SinogramGrid(n_phi=n_phi, n_s=n_s, s_max=1.8)
@@ -1024,11 +1097,11 @@ def test_folded_backproject_temporaries_are_block_sized(usable_cpus):
         usable_cpus(cpus)
         tracemalloc.start()
         try:
-            backproject(g, ONE, None, grid)
+            backproject(g, nu, None, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - n * n * 8 - n_phi // 2 * n_s * 8 < cpus * 5 * plane
+        assert peak - n * n * 8 - n_phi // 2 * n_s * row_bytes < cpus * 5 * plane
 
 
 def test_single_block_backprojects_in_calling_thread(monkeypatch, usable_cpus):
