@@ -16,16 +16,16 @@ from concurrent.futures import ThreadPoolExecutor
 # float64 plane of it is 256 KiB, so the back-projection's four k-study
 # accumulators and a block's temporaries stay in cache while every active
 # angle is added to them.  The analytic forward sizes its blocks of angles
-# to as many chord nodes; the row filter and the rasterizer take whole rows
-# of about as many values; a complex plane counts as two block planes, so
-# the back-projection's blocks have half the rows when it adds complex planes
-# (a folded call with mirror pairs, whose rows carry their coefficient and
-# whose planes add into one complex accumulator per block, reversed into the
-# image once).  A folded exponential-weight call, whose complex rows hold phi
-# and phi + pi, each part weighted at its own angle, keeps whole blocks: only
-# its interpolated plane is complex.  Either fold is within 1e-13 of the
-# image maximum of the unfolded sum.  Masked calls take runs of at most as
-# many points.
+# to as many chords (chord nodes for a custom weight); the row filter and
+# the rasterizer take whole rows of about as many values; a complex plane
+# counts as two block planes, so the back-projection's blocks have half the
+# rows when its rows are complex: a folded call with mirror groups, whose
+# rows carry their coefficient and whose planes add into one complex
+# accumulator per block, reversed into the image once, or a folded
+# exponential-weight call, whose complex rows hold phi and phi + pi and
+# whose mirror groups share one x . theta plane and one weight plane.
+# Either fold is within 1e-13 of the image maximum of the unfolded sum.
+# Masked calls take runs of at most as many points.
 # Callers read it at call time.
 BLOCK_PIXELS = 32768
 

@@ -274,6 +274,9 @@ def loads_config(text: str) -> RunConfig:
         shapes = [Disk((0.0, 0.0), 1.0, 1.0)]
         specs = ["disk 0 0 1 1"]
     phantom = Phantom(tuple(shapes))
+    # Overlapping shapes add their densities, so the sum must stay finite.
+    if not math.isfinite(sum(abs(sh.density) for sh in shapes)):
+        raise ConfigError("[phantom] the sum of |density| over the shapes overflows float64")
     if not phantom.fits_inside(igrid):
         raise ConfigError("phantom must lie strictly inside the image extent")
 

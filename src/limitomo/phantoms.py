@@ -5,12 +5,13 @@ half-plane-clipped disks).  Because every supported shape is convex with an
 analytically known boundary, chord lengths, boundary normals, curvatures
 and areas are all available in closed form.  The analytic sinogram rows
 below (:func:`analytic_sinogram_row`) serve as the oracle for the
-discrete forward transform: they integrate the weight over each
-closed-form chord with a fixed Gauss-Legendre rule, exact for a constant
-weight and accurate to rounding for a weight that is smooth along the
-chord.  Chords take angles of shape ``(A, 1)`` against the offsets, and
-write each projection out as ``cx * cos + cy * sin`` (a 2-vector dot
-rounds by how it is batched), so a row has the same bits in any block.
+discrete forward transform: a built-in weight's integral over each
+closed-form chord is closed form too, and a custom weight's is a fixed
+Gauss-Legendre rule, accurate to rounding for a weight that is smooth
+along the chord.  Chords take angles of shape ``(A, 1)`` against the
+offsets, and write each projection out as ``cx * cos + cy * sin`` (a
+2-vector dot rounds by how it is batched), so a row has the same bits in
+any block.
 Each shape's ``boundary_distance`` is exact and, with ``normal=True``, also
 gives the outward unit normal at the nearest boundary point.
 """
@@ -423,11 +424,10 @@ def rasterize(phantom: Phantom, grid: ImageGrid) -> Raster:
     return Raster(grid, out)
 
 
-# Gauss-Legendre rules (nodes, weights) on [-1, 1].  One node is exact for
-# a constant weight.  16 nodes integrate a weight that is smooth along the
-# chord to rounding: exponential weights with |lam| <= 3 on chords up to
-# 1.8 long agree with their closed form to about 1e-15.
-_RULE_CONSTANT = np.polynomial.legendre.leggauss(1)
+# A custom weight is integrated over each chord by the 16-node
+# Gauss-Legendre rule (nodes, weights) on [-1, 1], which integrates a weight
+# smooth along the chord to rounding: exponential weights with |lam| <= 3 on
+# chords up to 1.8 long agree with their closed form to about 1e-15.
 SMOOTH_NODES = 16
 _RULE_SMOOTH = np.polynomial.legendre.leggauss(SMOOTH_NODES)
 
@@ -437,11 +437,13 @@ def analytic_sinogram_row(phantom: Phantom, mu, phi, s) -> np.ndarray:
 
     ``phi`` is one angle or an array of them: the result has shape
     ``phi.shape + s.shape``, and each row the bits of a call for its angle
-    alone.  Every shape's chord ``[t0, t1]`` is closed form; the weight
-    ``mu(x(t), phi)`` is integrated over it with a fixed Gauss-Legendre
-    rule: one node for a constant weight (exact, no points built), 16
-    nodes otherwise, which assumes a weight smooth along each chord.
-    Lines missing (or tangent to) every shape yield 0.
+    alone.  Every shape's chord ``[t0, t1]`` on ``x(t) = s theta + t
+    theta_perp`` is closed form, and so is a built-in weight's integral
+    over it: ``c (t1 - t0)`` (constant, or a rate of 0), ``e^{lam s} (t1 -
+    t0)`` (``parallel``) and ``(e^{lam t1} - e^{lam t0}) / lam``
+    (``perp``), written from its larger end to stay finite where that end's
+    weight is.  A custom weight takes the 16-node Gauss-Legendre rule, for a
+    weight smooth along each chord.  Lines missing every shape yield 0.
     """
     s, phi = np.asarray(s, dtype=float), np.asarray(phi, dtype=float)
     if not phantom.shapes:
@@ -453,17 +455,24 @@ def analytic_sinogram_row(phantom: Phantom, mu, phi, s) -> np.ndarray:
     # (a clip line nearly parallel to it), where the weight may overflow.
     hit = t1 > t0
     t0, t1 = np.where(hit, t0, 0.0), np.where(hit, t1, 0.0)
-    half = 0.5 * (t1 - t0)
-    if mu.kind == "constant":
-        # the one-node sum of the rule, without its point planes
-        chord_integrals = half * (mu.params[0] * _RULE_CONSTANT[1][0])
-    else:
+    lam, mode = mu.params if mu.kind == "exponential" else (0.0, None)
+    if mu.kind == "custom":
         nodes, weights = _RULE_SMOOTH
+        half = 0.5 * (t1 - t0)
         t = (0.5 * (t0 + t1))[..., None] + half[..., None] * nodes
         # x(t) = s theta + t theta_perp, shape (n_shapes, *t0.shape[1:], nodes, 2)
         c, sn = np.cos(phi)[..., None], np.sin(phi)[..., None]
         pts = np.stack([s[..., None] * c - t * sn, s[..., None] * sn + t * c], axis=-1)
         chord_integrals = half * (mu(pts, phi[..., None]) * weights).sum(axis=-1)
+    elif lam == 0.0:
+        chord_integrals = (t1 - t0) * (mu.params[0] if mu.kind == "constant" else 1.0)
+    elif mode == "parallel":
+        # A missed line's s may lie beyond the support, where e^{lam s} overflows.
+        chord_integrals = np.exp(lam * np.where(hit, s, 0.0)) * (t1 - t0)
+    else:
+        # e^{lam top} (1 - e^{-|lam| (t1 - t0)}) / |lam| with top the larger end.
+        top = t1 if lam > 0.0 else t0
+        chord_integrals = np.exp(lam * top) * (-np.expm1(-abs(lam) * (t1 - t0)) / abs(lam))
     density = np.array([sh.density for sh in phantom.shapes])
     return (density.reshape((-1,) + (1,) * (chords.ndim - 2)) * chord_integrals).sum(axis=0)
 

@@ -17,8 +17,8 @@ and, on a full circle, serves ``phi`` and ``phi + pi`` from one plane:
 its samples are within 1e-13 of the per-angle rows, not bitwise equal.
 The back-projection folds ``phi`` and ``phi + pi`` into one interpolation
 on a full circle without a cutoff or a mask, for a constant or an
-exponential weight: its image is within 1e-13 of the image maximum of the
-per-angle sum.
+exponential weight, and lets ``pi - phi`` share its ``x . theta`` plane:
+its image is within 1e-13 of the image maximum of the per-angle sum.
 """
 
 from __future__ import annotations
@@ -117,6 +117,18 @@ def _folds(sgrid: SinogramGrid) -> bool:
     """Whether angle ``i + m`` is angle ``i`` plus pi: ``n_phi = 2 m`` on a full circle."""
     m = sgrid.n_phi // 2
     return sgrid.periodic and sgrid.n_phi % 2 == 0 and abs(m * sgrid.dphi - math.pi) <= 1e-14
+
+
+def _mirror_groups(sgrid: SinogramGrid) -> list[tuple[int, int | None]]:
+    """The mirror groups of a :func:`_folds` grid (see :func:`backproject_windows`)."""
+    phis, m = sgrid.phis(), sgrid.n_phi // 2
+    i = np.arange(m)
+    j = np.rint((math.pi - phis[:m] - phis[0]) / sgrid.dphi).astype(np.intp)
+    ok = (i < j) & (j < m)
+    ok[ok] = np.abs(phis[i[ok]] + phis[j[ok]] - math.pi) <= 1e-14
+    solo = np.ones(m, dtype=bool)
+    solo[i[ok]] = solo[j[ok]] = False
+    return [(int(a), int(j[a])) for a in i[ok]] + [(int(a), None) for a in i[solo]]
 
 
 def _forward_raster(raster: Raster, mu: WeightFunction, sgrid: SinogramGrid) -> np.ndarray:
@@ -221,12 +233,12 @@ def forward(source: Phantom | Raster, mu: WeightFunction,
     """Weighted X-ray transform of a phantom or raster.
 
     Phantom sources use the analytic path (the oracle): closed-form chords
-    with the weight integrated by a fixed Gauss-Legendre rule, exact for a
-    constant weight and accurate to rounding for a weight smooth along each
-    chord, one :func:`~limitomo.phantoms.analytic_sinogram_row` call per
-    block of angles of about ``BLOCK_PIXELS`` chord nodes.  The blocks run
-    serially: a thread pool gained nothing on the 720-angle ``analyze``
-    sinogram (2 CPUs) and raised the peak resident set by 4 MB.  Raster
+    with a built-in weight's closed-form integral over them, or a custom
+    weight's fixed Gauss-Legendre rule, one
+    :func:`~limitomo.phantoms.analytic_sinogram_row` call per block of
+    angles of about ``BLOCK_PIXELS`` chords (custom: chord nodes).  The
+    blocks run serially: a thread pool gained nothing on the 720-angle
+    ``analyze`` sinogram (2 CPUs) and raised the peak resident set by 4 MB.  Raster
     sources use Joseph's projector: the line crosses each of the ``n``
     pixel rows when ``|cos phi| >= |sin phi|`` (each pixel column
     otherwise), the raster is interpolated linearly within that row or
@@ -265,9 +277,10 @@ def forward(source: Phantom | Raster, mu: WeightFunction,
         hit = slice(max(np.searchsorted(s, -r) - 1, 0), np.searchsorted(s, r, side="right") + 1)
         values = np.zeros((sgrid.n_phi, sgrid.n_s))
         phis, s = sgrid.phis(), s[hit]
-        # Blocks of angles whose (shapes, angles, s, nodes) planes hold
-        # about BLOCK_PIXELS values each, walked serially.
-        nodes = 1 if mu.kind == "constant" else SMOOTH_NODES
+        # Blocks of angles whose (shapes, angles, s) planes, and a custom
+        # weight's (shapes, angles, s, nodes) planes, hold about
+        # BLOCK_PIXELS values each, walked serially.
+        nodes = SMOOTH_NODES if mu.kind == "custom" else 1
         step = max(1, _util.BLOCK_PIXELS // (max(len(source.shapes), 1) * s.size * nodes))
         for a0 in range(0, sgrid.n_phi, step):
             values[a0:a0 + step, hit] = analytic_sinogram_row(source, mu, phis[a0:a0 + step], s)
@@ -287,9 +300,9 @@ def backproject(g: Sinogram, nu: WeightFunction,
     over the sinogram's angular range.  The image is bit-identical for
     every thread count.  With ``window=None`` on a full circle and a
     constant or exponential weight, ``phi`` and ``phi + pi`` may be folded
-    into one interpolation, and for a constant weight ``phi`` and ``pi -
-    phi`` too; :func:`backproject_windows` says when, and gives the 1e-13
-    tolerance.  ``pixels`` restricts the sum to a mask.
+    into one interpolation, and ``phi`` and ``pi - phi`` may share one
+    ``x . theta`` plane; :func:`backproject_windows` says when, and gives
+    the 1e-13 tolerance.  ``pixels`` restricts the sum to a mask.
     """
     return backproject_windows(g, nu, [window], igrid, pixels)[0]
 
@@ -298,14 +311,15 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
                         igrid: ImageGrid, pixels=None) -> list[Raster]:
     """:func:`backproject` for several windows in one pass over the angles.
 
-    Every call runs one per-angle loop: each active angle interpolates its
-    row at ``x . theta`` and evaluates ``nu`` once, then adds the row, times
-    ``w_phi kappa(phi) nu``, to the image of every window that uses it
-    (a factor of exactly 1.0 skips its multiply, which keeps the bits).  The
-    image is cut into blocks of whole rows, about ``BLOCK_PIXELS`` pixels
-    each, so the accumulators stay in cache; ``nu`` is evaluated on each
-    block by :meth:`WeightFunction.on_grid`, with the bits of ``nu`` itself
-    on the block's pixel points.  One worker per usable CPU, and never more
+    Every call but an exponential fold (below) runs one per-angle loop:
+    each active angle interpolates its row at ``x . theta`` and evaluates
+    ``nu`` once, then adds the row, times ``w_phi kappa(phi) nu``, to the
+    image of every window that uses it (a factor of exactly 1.0 skips its
+    multiply, which keeps the bits).  The image is cut into blocks of whole
+    rows, about ``BLOCK_PIXELS`` pixels each, so the accumulators stay in
+    cache; ``nu`` is evaluated on each block by
+    :meth:`WeightFunction.on_grid`, with the bits of ``nu`` itself on the
+    block's pixel points.  One worker per usable CPU, and never more
     workers than blocks, takes a contiguous run of whole blocks; the angles
     are never split.  Each pixel gets the same operations in the same
     order, so each image is bit-identical to a single-window call and for
@@ -331,32 +345,32 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     added to row ``i`` and the sum scaled by its coefficient ``w_phi c``,
     the same for every row: ``m`` folded rows that the loop adds with the
     factor 1.0.
-    Mirror pairs then halve the index searches again: angle ``phi_j = pi -
+    Mirror groups then halve the index searches again: angle ``phi_j = pi -
     phi_i`` reads at ``(x, y)`` the offset ``phi_i`` reads at ``(-x, y)``,
     and ``ImageGrid.axis()`` is symmetric about 0.  The partner is ``j =
     rint((pi - phi_i - phi_0) / dphi)``, kept when ``i < j < m`` and
-    ``|phi_i + phi_j - pi| <= 1e-14``.  Each folded angle that is not a
-    partner is then one complex row of the same loop, the paired ones
-    first: its folded row is the real part and its partner's the imaginary
-    part (zero without one).  Each block adds the complex planes of every
-    angle into one complex accumulator per window, then adds its real part
-    to the image and its imaginary part reversed in ``x``, once per block.
-    Complex blocks have ``BLOCK_PIXELS // (2 n)`` rows; a grid without a
-    pair keeps real rows, added into the image.  An exponential weight
-    (``nu.kind == "exponential"``) differs at ``phi`` and ``phi + pi``, so
-    its ``m`` rows are complex and carry the coefficient, ``w_phi (g_i + 1j
-    g_{i+m}[::-1])``: each is interpolated once at ``x . theta_i``, and the
-    loop adds its real part times ``nu(x, phi_i)`` and then, as angle ``i +
-    m``, its imaginary part times ``nu(x, phi_{i+m})``, each weight from
-    :meth:`WeightFunction.on_grid` at its own angle, into the image.  Its
-    blocks keep ``BLOCK_PIXELS // n`` rows: only the interpolated plane is
-    complex, and half as many blocks halve the per-angle interpreter work
-    that two workers contend for.  A folded image is within 1e-13 of the
-    image maximum of the unfolded sum, not bitwise, because ``s_values()``
-    and ``axis()`` are not bitwise symmetric, and it is bit-identical for
-    every thread count and block size.  Every other call (a cutoff, a half
-    range, an odd ``n_phi``, a custom weight, a mask) is unfolded, so a
-    ``None`` window batched with cutoff windows gets the unfolded bits.
+    ``|phi_i + phi_j - pi| <= 1e-14``; the pairs ``(i, j)`` come first,
+    then each angle without one as ``(i, None)``.  Each group is one
+    complex row of the loop, the folded rows of ``i`` and ``j`` (zero
+    without one) as its parts; each block adds every group into one complex
+    accumulator per window, then its real part to the image and its
+    imaginary part reversed in ``x``.  A grid without a pair keeps real
+    rows.  An exponential ``nu`` differs at ``phi`` and ``phi + pi``, so its
+    ``m`` rows are complex, ``w_phi (g_i + 1j g_{i+m}[::-1])``, and its own
+    block kernel takes the groups: rows ``i`` and ``j`` are interpolated on
+    one ``x . theta_i`` plane and weighted by one plane ``E = nu(x,
+    phi_i)`` from :meth:`WeightFunction.on_grid` and its reciprocal, since
+    ``nu(x, phi + pi) = 1 / nu(x, phi)``: ``(E, 1 / E)`` for angles ``i``
+    and ``i + m``, and for ``j`` and ``j + m``, added reversed in ``x``,
+    ``(1 / E, E)`` (``perp``) or ``(E, 1 / E)`` (``parallel``).  Blocks
+    with complex rows have ``BLOCK_PIXELS // (2 n)`` rows.  A folded image
+    is within 1e-13 of the image maximum of the unfolded sum, not bitwise,
+    because ``s_values()`` and ``axis()`` are not bitwise symmetric and ``1
+    / E`` is not bitwise the weight at ``phi + pi``, and it is
+    bit-identical for every thread count and block size.  Every other call
+    (a cutoff, a half range, an odd ``n_phi``, a custom weight, a mask) is
+    unfolded, so a ``None`` window batched with cutoff windows gets the
+    unfolded bits.
     """
     if len(windows) == 0:
         raise ValueError("windows must be nonempty")
@@ -377,19 +391,19 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     rows = g.values
     s = g.grid.s_values()
     ax = igrid.axis()
-    # Opposite-angle fold and mirror pairs (see the docstring).  The periodic
+    # Opposite-angle fold and mirror groups (see the docstring).  The periodic
     # weights are uniform, so folded rows carry their coefficient, w_i c or
-    # w_i, and the loop sees unit weights.
+    # w_i, and the kernels see unit weights.
     m = phis.size // 2
     folds = pixels is None and _folds(g.grid) and all(w is None for w in windows)
-    split = folds and nu.kind == "exponential"
-    if split:
+    exp_fold = folds and nu.kind == "exponential"
+    groups = _mirror_groups(g.grid) if folds else None
+    if exp_fold:
         # Row i holds angle i in its real part and angle i + m, reversed in
         # s, in its imaginary part.
         rows = np.empty((m, s.size), dtype=complex)
         rows.real, rows.imag = g.values[:m], g.values[m:, ::-1]
         rows *= wphi[0]
-        wphi = np.ones(phis.size)
     elif folds and nu.kind == "constant":
         wc = wphi[0] * nu.params[0]
 
@@ -397,38 +411,30 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
             np.add(g.values[k], g.values[k + m, ::-1], out=into)
             into *= wc
 
-        i = np.arange(m)
-        j = np.rint((math.pi - phis[:m] - phis[0]) / g.grid.dphi).astype(np.intp)
-        ok = (i < j) & (j < m)
-        ok[ok] = np.abs(phis[i[ok]] + phis[j[ok]] - math.pi) <= 1e-14
-        # One row per paired angle, then per angle without a partner.
-        solo = np.ones(m, dtype=bool)
-        solo[i[ok]] = solo[j[ok]] = False
-        own = np.concatenate([i[ok], i[solo]])
-        rows = np.zeros((own.size, s.size), dtype=complex if ok.any() else float)
-        for r, a in zip(rows, own):
-            fold(a, r.real)
-            if ok[a]:
-                fold(j[a], r.imag)
-        phis, wphi, nu = phis[own], np.ones(own.size), WeightFunction.constant(1.0)
-    # Complex rows hold opposite angles (an exponential fold), split into
-    # their parts, or mirror pairs, added into a complex accumulator per block.
-    paired = np.iscomplexobj(rows) and not split
-    coef = np.array([(1.0 if w is None else w.kappa(phis)) * wphi for w in windows])
-    # A split row's angle i + m comes right after angle i: 0, m, 1, m + 1, ...
-    active = (np.arange(2 * m).reshape(2, m).T.ravel() if split
-              else np.nonzero(coef.any(axis=0))[0])
-    # Each active angle once per call: its row (None for angle i + m of an
-    # exponential fold), its angle and the windows it adds to with their
-    # coefficients.
-    work = [(rows[i] if i < len(rows) else None, phis[i],
-             [(k, coef[k, i]) for k in np.nonzero(coef[:, i])[0]]) for i in active]
+        # One row per group: the folded row of i, and of its partner j in
+        # the imaginary part; complex if there is a pair, which comes first.
+        rows = np.zeros((len(groups), s.size), dtype=float if groups[0][1] is None else complex)
+        for r, (i, j) in zip(rows, groups):
+            fold(i, r.real)
+            if j is not None:
+                fold(j, r.imag)
+        phis = phis[[i for i, _ in groups]]
+        wphi, nu = np.ones(phis.size), WeightFunction.constant(1.0)
+    # Complex rows hold mirror groups, added into a complex accumulator per
+    # block, or opposite angles (an exponential fold).
+    paired = np.iscomplexobj(rows)
+    if not exp_fold:
+        coef = np.array([(1.0 if w is None else w.kappa(phis)) * wphi for w in windows])
+        # Each active angle once per call: its row, its angle and the windows
+        # it adds to with their coefficients.
+        work = [(rows[i], phis[i], [(k, coef[k, i]) for k in np.nonzero(coef[:, i])[0]])
+                for i in np.nonzero(coef.any(axis=0))[0]]
     # A block is a pair of coordinates that broadcast together and the
     # accumulators they add to: whole image rows (ax, y[:, None]), or a run
     # of the mask's pixel centres.
     if pixels is None:
         out = np.zeros((len(windows), n, n))
-        # A mirror-paired block's complex planes hold as many bytes as real ones.
+        # A complex plane holds as many bytes as two real ones.
         step = max(1, _util.BLOCK_PIXELS // (n * (2 if paired else 1)))
         n_blocks = math.ceil(n / step)
 
@@ -450,40 +456,62 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
             ps = slice(b * step, (b + 1) * step)
             return px[ps], py[ps], acc[:, ps]
 
+    def per_angle(x, y, dest):
+        nu_at = nu.on_grid(x, y)
+        # Real rows add into the images, mirror groups into one complex
+        # plane per window, and a factor of exactly 1.0 skips its multiply.
+        # At most one product plane per block, reused by every angle and window.
+        into = np.zeros(dest.shape, dtype=complex) if paired else dest
+        term = None
+        for row, phi, ks in work:
+            gi = np.interp(x * math.cos(phi) + y * math.sin(phi), s, row)
+            nu_i = nu_at(phi)
+            for k, ck in ks:
+                f = nu_i if ck == 1.0 else ck * nu_i
+                if isinstance(f, float) and f == 1.0:
+                    into[k] += gi
+                else:
+                    term = np.multiply(f, gi, out=term)
+                    into[k] += term
+            # Free this angle's planes before the next one allocates its own.
+            del gi, nu_i, f
+        if paired:
+            # The partner pi - phi reads at (x, y) what phi reads at
+            # (-x, y): its plane is reversed in x.
+            dest += into.real
+            dest += into.imag[..., ::-1]
+
+    def exp_group(x, y, dest):
+        # Per group, one x . theta_i plane, the rows of i and j interpolated
+        # on it and one weight plane E = nu(x, phi_i): angles i and i + m add
+        # with the weights (E, 1 / E), and angles j and j + m, into a plane
+        # added reversed in x, with (1 / E, E) for perp and (E, 1 / E) for
+        # parallel, since nu(x, phi + pi) = 1 / nu(x, phi).
+        nu_at = nu.on_grid(x, y)
+        img, mirror, term = dest[0], np.zeros(dest.shape[1:]), np.empty(dest.shape[1:])
+        for i, j in groups:
+            p = x * math.cos(phis[i]) + y * math.sin(phis[i])
+            gi, gj = [None if k is None else np.interp(p, s, rows[k]) for k in (i, j)]
+            del p
+            e = nu_at(phis[i])
+            r = 1.0 / e
+            for into, gk, (a, b) in ((img, gi, (e, r)),
+                                     (mirror, gj, (r, e) if nu.params[1] == "perp" else (e, r))):
+                if gk is not None:
+                    into += np.multiply(gk.real, a, out=term)
+                    into += np.multiply(gk.imag, b, out=term)
+            # Free this group's planes before the next one allocates its own.
+            del gi, gj, gk, e, r, a, b
+        img += mirror[:, ::-1]
+        dest[1:] = img
+
+    kernel = exp_group if exp_fold else per_angle
+
     def worker(blocks: slice) -> None:
         # Each block is a contiguous run of pixels; the slices stop the last
         # block at the last row or point.
         for b in range(blocks.start, blocks.stop):
-            x, y, dest = block(b)
-            nu_at = nu.on_grid(x, y)
-            # Real rows and the parts of split rows add into the images,
-            # mirror pairs into one complex plane per window, and a factor of
-            # exactly 1.0 skips its multiply.
-            # At most one product plane per block, reused by every angle and window.
-            into = np.zeros(dest.shape, dtype=complex) if paired else dest
-            term = None
-            for row, phi, ks in work:
-                if row is None:
-                    gi, opposite = opposite, None
-                else:
-                    gi = np.interp(x * math.cos(phi) + y * math.sin(phi), s, row)
-                    if split:
-                        gi, opposite = gi.real, gi.imag
-                nu_i = nu_at(phi)
-                for k, ck in ks:
-                    f = nu_i if ck == 1.0 else ck * nu_i
-                    if isinstance(f, float) and f == 1.0:
-                        into[k] += gi
-                    else:
-                        term = np.multiply(f, gi, out=term)
-                        into[k] += term
-                # Free this angle's planes before the next one allocates its own.
-                del gi, nu_i, f
-            if paired:
-                # The partner pi - phi reads at (x, y) what phi reads at
-                # (-x, y): its plane is reversed in x.
-                dest += into.real
-                dest += into.imag[..., ::-1]
+            kernel(*block(b))
 
     _util.for_each_chunk(worker, n_blocks)
     if pixels is not None:

@@ -4,6 +4,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,19 @@ def test_analyze_float32_overflow_stops_before_reconstruct(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == "error [write] sinogram contains non-finite values as float32"
     assert calls == []
+    assert not out.exists()
+
+
+def test_analyze_densities_summing_past_float64_exit_1_at_config(tmp_path, capsys):
+    # Two overlapping shapes of density 1e308 sum to inf where they overlap.
+    cfg, out = _write_cfg(tmp_path, DEFAULTS_CONFIG + "\n[phantom]\n"
+                                                      "shape1 = disk 0 0 0.5 1e308\n"
+                                                      "shape2 = disk 0.1 0 0.3 1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error [config] [phantom] the sum of |density| over the shapes overflows float64\n"
     assert not out.exists()
 
 

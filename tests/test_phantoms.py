@@ -118,6 +118,86 @@ def test_smooth_custom_weight_matches_quad():
         assert analytic_sinogram_row(ph, SMOOTH, phi, [s])[0] == pytest.approx(want, rel=1e-12)
 
 
+def _quad_exponential(shape, lam, mode, phi, s):
+    # density * integral of exp(lam u) over the chord, u = t (perp) or s
+    # (parallel), by quad on exp(lam (u - top)) with top the u where lam u
+    # is largest, times exp(lam top): quad's sums of the unscaled weight
+    # overflow at the rate bound.
+    t0, t1 = (float(v) for v in shape.chord_interval(phi, s))
+    if t1 <= t0:
+        return 0.0
+    if mode == "parallel":
+        val, _ = quad(lambda t: 1.0, t0, t1, epsabs=0.0, epsrel=1e-13)
+        return shape.density * math.exp(lam * s) * val
+    top = t1 if lam > 0 else t0
+    val, _ = quad(lambda t: math.exp(lam * (t - top)), t0, t1, epsabs=0.0, epsrel=1e-13,
+                  limit=200)
+    return shape.density * math.exp(lam * top) * val
+
+
+@pytest.mark.parametrize("mode", ["perp", "parallel"])
+@pytest.mark.parametrize("lam", [0.4, -0.4])
+def test_exponential_closed_form_matches_quad(lam, mode):
+    mu = WeightFunction.exponential(lam, mode)
+    ph = Phantom((DISK, ELLIPSE, CLIPPED))
+    for phi, s in LINES:
+        want = sum(_quad_exponential(sh, lam, mode, phi, s) for sh in ph.shapes)
+        assert analytic_sinogram_row(ph, mu, phi, [s])[0] == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("mode", ["perp", "parallel"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_exponential_closed_form_finite_at_rate_bound(sign, mode):
+    # |lam| R = 709.7 with R the support radius and unit density, on lines
+    # out to 1.5 R: the weight at a chord's larger end stays below
+    # exp(709.7), while e^{lam s} on a line beyond the support overflows.
+    # The chord through the centre reaches both ends of the range.
+    disk = Disk((0.0, 0.0), 1.0, 1.0)
+    ph = Phantom((disk,))
+    R = ph.support_radius()
+    lam = sign * 709.7 / R
+    mu = WeightFunction.exponential(lam, mode)
+    s = np.linspace(-1.5 * R, 1.5 * R, 61)
+    phis = np.array([0.3, 1.9, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = analytic_sinogram_row(ph, mu, phis, s)
+    assert np.all(np.isfinite(rows)) and rows.max() > 1e290
+    for phi, row in zip(phis, rows):
+        want = [_quad_exponential(disk, lam, mode, phi, si) for si in s]
+        np.testing.assert_allclose(row, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", ["perp", "parallel"])
+def test_exponential_rate_zero_has_constant_bits(mode):
+    ph = Phantom((DISK, ELLIPSE, CLIPPED, PARALLEL_CLIP))
+    assert (analytic_sinogram_row(ph, WeightFunction.exponential(0.0, mode), BLOCK_PHIS,
+                                  BLOCK_S).tobytes()
+            == analytic_sinogram_row(ph, ONE, BLOCK_PHIS, BLOCK_S).tobytes())
+
+
+def test_exponential_rows_build_no_node_planes():
+    # Bound: beyond the output, fewer than 16 planes of (shapes, angles, s)
+    # float64 values, the size of one (shapes, angles, s, nodes) plane of
+    # the 16-node rule, so any such plane breaks it.  The closed form holds
+    # 6.8 planes (chords, their ends and a few of its terms); the rule, run
+    # here on a custom weight equal to the exponential, holds about 100.
+    ph = Phantom((DISK, ELLIPSE, CLIPPED))
+    phis, s = np.linspace(0.0, math.pi, 30, endpoint=False), np.linspace(-1.5, 1.5, 129)
+    plane = len(ph.shapes) * phis.size * s.size * 8
+    for mode in ("perp", "parallel"):
+        exp = WeightFunction.exponential(0.4, mode)
+        peaks = []
+        for mu in (exp, WeightFunction(lambda x, phi, w=exp: w(x, phi))):
+            tracemalloc.start()
+            try:
+                out = analytic_sinogram_row(ph, mu, phis, s)
+                peaks.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 16 * plane < peaks[1]
+
+
 @pytest.mark.parametrize("lam", [-3.0, 3.0])
 @pytest.mark.parametrize("dphi", [-1e-3, 1e-3])
 def test_empty_chord_far_along_line_is_zero(dphi, lam):

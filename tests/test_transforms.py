@@ -349,15 +349,16 @@ BLOCK_PHANTOM = Phantom((Disk((0.0, 0.0), 0.6, 1.0),
                          ClippedDisk((-0.1, 0.0), 0.4, (0.6, 0.8), 0.1, 1.0)))
 
 
-@pytest.mark.parametrize("mu", [ONE, WeightFunction.exponential(0.4)],
-                         ids=["constant", "exponential"])
+@pytest.mark.parametrize("mu", [ONE, WeightFunction.exponential(0.4), RADIAL],
+                         ids=["constant", "exponential", "custom"])
 def test_forward_phantom_temporaries_are_block_sized(mu, usable_cpus):
-    # Beyond the output, the analytic forward holds about 6 (exponential)
-    # to 8 (constant) planes of BLOCK_PIXELS values: a block's chords,
-    # points and weights over shapes x angles x s x nodes.  The 16-node
-    # point plane of all 360 angles alone is 31 planes, and blocks not
-    # divided by the 3 shapes hold 19 to 21: the bound of 12 fails for
-    # either.
+    # Beyond the output, the analytic forward holds about 6 to 7 planes of
+    # BLOCK_PIXELS values: a block's chords, their ends and the closed
+    # form's terms over shapes x angles x s, or a custom weight's points
+    # and weights over shapes x angles x s x nodes.  The closed form on all
+    # 360 angles holds 18 to 21 planes; the 16-node point plane of all 360
+    # angles alone is 31, and blocks not divided by the 3 shapes hold 19
+    # to 21: the bound of 12 fails for each.
     sg = SinogramGrid(n_phi=360, n_s=257, s_max=1.8)
     usable_cpus(1)
     tracemalloc.start()
@@ -370,13 +371,13 @@ def test_forward_phantom_temporaries_are_block_sized(mu, usable_cpus):
 
 
 @pytest.mark.parametrize("block", [None, 2 * 87 * 16 * 3 + 1])
-@pytest.mark.parametrize("mu", [ONE, WeightFunction.exponential(0.4)],
-                         ids=["constant", "exponential"])
+@pytest.mark.parametrize("mu", [ONE, WeightFunction.exponential(0.4), RADIAL],
+                         ids=["constant", "exponential", "custom"])
 def test_forward_phantom_bitwise_equal_across_threads(mu, block, monkeypatch, usable_cpus):
     # The blocks run serially, so one and two usable CPUs give the same
     # bits.  So do smaller blocks: 87 of the s meet the support, so they
-    # hold 2 angles (exponential) or 32 (constant) against the default 7
-    # or all 61.
+    # hold 32 angles (constant, exponential) against all 61, or 2 (custom,
+    # 16 nodes) against the default 7.
     sg = SinogramGrid(n_phi=61, n_s=257, s_max=1.8)
     usable_cpus(1)
     one = forward(BLOCK_PHANTOM, mu, sg).values
@@ -479,22 +480,36 @@ EXP_FOLDS = {f"{mode}{lam:+}": WeightFunction.exponential(lam, mode)
              for mode in ("perp", "parallel") for lam in (0.4, -0.4)}
 
 
+# A folding grid whose angles have no mirror partner: phi_i + phi_j is
+# 2e-13 off pi for every pair.
+NO_MIRROR_SG = SinogramGrid(48, 49, 1.8, phi0=1e-13, phi1=1e-13 + 2.0 * math.pi)
+
+
 @pytest.mark.parametrize("nu", [ONE, *EXP_FOLDS.values(), RADIAL],
                          ids=["constant", *EXP_FOLDS, "radial"])
 def test_folded_backproject_matches_reference(nu):
     # Full circle, even n_phi, no window: rows phi and phi + pi share one
     # interpolation, summed first for a constant nu and as the real and
-    # imaginary part of one complex row for an exponential nu.  A custom
-    # weight is not folded, even one equal at every pair.
-    g = _fold_sinogram()
-    img = backproject(g, nu, None, FOLD_GRID).values
-    ref = _reference_backproject(g, nu, None, FOLD_GRID)
-    if nu is RADIAL:
-        np.testing.assert_array_equal(img, ref)
-        return
-    np.testing.assert_allclose(img, ref, rtol=1e-12, atol=1e-13 * np.abs(ref).max())
-    # s_values() is not bitwise symmetric, so the folded sum is not bitwise.
-    assert not np.array_equal(img, ref)
+    # imaginary part of one complex row for an exponential nu, and mirror
+    # partners pi - phi share its x . theta plane, on a grid with mirror
+    # partners and on one without.  A custom weight is not folded, even one
+    # equal at every pair.
+    for sg in (FOLD_SG, NO_MIRROR_SG):
+        assert transforms._folds(sg)
+        # The groups cover each of the m = 24 folded angles once.
+        groups = transforms._mirror_groups(sg)
+        covered = [i for i, _ in groups] + [j for _, j in groups if j is not None]
+        assert sorted(covered) == list(range(24))
+        assert all(j is None for _, j in groups) is (sg is NO_MIRROR_SG)
+        g = _fold_sinogram(sg)
+        img = backproject(g, nu, None, FOLD_GRID).values
+        ref = _reference_backproject(g, nu, None, FOLD_GRID)
+        if nu is RADIAL:
+            np.testing.assert_array_equal(img, ref)
+            continue
+        np.testing.assert_allclose(img, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+        # s_values() is not bitwise symmetric, so the folded sum is not bitwise.
+        assert not np.array_equal(img, ref)
 
 
 def test_custom_scalar_weight_does_not_fold():
@@ -536,23 +551,28 @@ def test_folded_backproject_bit_reproducible_with_threads(monkeypatch, usable_cp
 
 @pytest.mark.parametrize("nu", EXP_FOLDS.values(), ids=EXP_FOLDS.keys())
 def test_exponential_fold_bit_identical_for_threads_and_blocks(nu, monkeypatch, usable_cpus):
-    # Blocks of BLOCK_PIXELS // n = 7 of the 24 image rows, the last one 3
-    # rows short, taken by 1 or 2 workers: each is the one-block image bit
-    # for bit, and each block interpolates the m = 24 complex rows once.
+    # Blocks of BLOCK_PIXELS // (2 n) image rows, 3 (8 blocks) or 5 of the
+    # 24 (5 blocks, the last one 1 row short), taken by 1 or 2 workers: each
+    # is the one-block image bit for bit, and each block interpolates the
+    # m = 24 complex rows once.
     g = _fold_sinogram()
     usable_cpus(1)
     whole = backproject(g, nu, None, FOLD_GRID).values
-    monkeypatch.setattr(_util, "BLOCK_PIXELS", 7 * 24)
-    for cpus in (1, 2):
-        usable_cpus(cpus)
-        _, rows = _interp_calls(monkeypatch)
-        np.testing.assert_array_equal(backproject(g, nu, None, FOLD_GRID).values, whole)
-        assert len(rows) == 4 * 24 and all(np.iscomplexobj(r) for r in rows)
+    for block, n_blocks in ((7 * 24, 8), (10 * 24, 5)):
+        monkeypatch.setattr(_util, "BLOCK_PIXELS", block)
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            _, rows = _interp_calls(monkeypatch)
+            np.testing.assert_array_equal(backproject(g, nu, None, FOLD_GRID).values, whole)
+            assert len(rows) == n_blocks * 24 and all(np.iscomplexobj(r) for r in rows)
 
 
 def test_folded_backproject_windows_gives_equal_images():
-    a, b = backproject_windows(_fold_sinogram(), ONE, [None, None], FOLD_GRID)
-    np.testing.assert_array_equal(a.values, b.values)
+    for nu in (ONE, *EXP_FOLDS.values()):
+        a, b = backproject_windows(_fold_sinogram(), nu, [None, None], FOLD_GRID)
+        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a.values, backproject(_fold_sinogram(), nu, None,
+                                                            FOLD_GRID).values)
 
 
 def test_fold_needs_rows_exactly_half_a_circle_apart():
