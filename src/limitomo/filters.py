@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _util
 from .geometry import AngularWindow, ImageGrid, Raster
-from .transforms import Sinogram, WeightFunction, backproject, backproject_windows
+from .transforms import Sinogram, WeightFunction, backproject, backproject_values
 
 FILTER_KINDS = ("hilbert", "d_ds", "neg_d2_ds2", "ramp")
 
@@ -95,7 +95,13 @@ def neg_d2_ds2(g: Sinogram) -> Sinogram:
     v = g.values
     ds2 = g.grid.ds ** 2
     out = np.empty_like(v)
-    out[:, 1:-1] = -(v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / ds2
+    # The interior is formed in place, with the operations of
+    # -(v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / ds2 in its order.
+    mid = np.multiply(v[:, 1:-1], 2.0, out=out[:, 1:-1])
+    np.subtract(v[:, 2:], mid, out=mid)
+    mid += v[:, :-2]
+    np.negative(mid, out=mid)
+    mid /= ds2
     out[:, 0] = -(v[:, 2] - 2.0 * v[:, 1] + v[:, 0]) / ds2
     out[:, -1] = -(v[:, -1] - 2.0 * v[:, -2] + v[:, -3]) / ds2
     return Sinogram(g.grid, out)
@@ -130,7 +136,7 @@ def apply_operator_filter(g: Sinogram, cfg: ReconstructionConfig) -> Sinogram:
 
 
 def reconstruct(g: Sinogram, cfg: ReconstructionConfig, igrid: ImageGrid,
-                windows=None, pixels=None) -> Raster | list[Raster]:
+                windows=None, pixels=None) -> Raster | list[Raster] | np.ndarray:
     """Filtered back-projection reconstruction of a sinogram.
 
     Applies the operator's row filter, back-projects with the weight
@@ -148,9 +154,10 @@ def reconstruct(g: Sinogram, cfg: ReconstructionConfig, igrid: ImageGrid,
     loop), within 1e-13 of the image maximum of the unfolded sum (see
     :func:`~limitomo.transforms.backproject_windows`).
 
-    ``pixels``, a boolean ``(n, n)`` mask, back-projects only the masked
-    pixels: each keeps the bits of the unmasked call without a fold, and
-    every other pixel is +0.0.
+    ``pixels``, a boolean ``(n, n)`` mask, returns no image but the values
+    of the mask's ``P`` pixels in its row-major order, ``(len(windows), P)``
+    or ``(P,)`` without ``windows``, each with the bits of the unmasked call
+    without a fold (see :func:`~limitomo.transforms.backproject_values`).
     """
     wins = [cfg.window] if windows is None else list(windows)
     lo, hi = g.grid.phi0, g.grid.phi1
@@ -158,10 +165,12 @@ def reconstruct(g: Sinogram, cfg: ReconstructionConfig, igrid: ImageGrid,
         if win is not None and (win.phi1 < lo - 1e-12 or win.phi2 > hi + 1e-12):
             raise ValueError("sinogram angular range does not cover the window")
     filt = apply_operator_filter(g, cfg)
-    if windows is None:
-        imgs = [backproject(filt, cfg.nu, cfg.window, igrid, pixels)]
+    if windows is None and pixels is None:
+        imgs = [backproject(filt, cfg.nu, cfg.window, igrid).values]
     else:
-        imgs = backproject_windows(filt, cfg.nu, wins, igrid, pixels)
+        imgs = backproject_values(filt, cfg.nu, wins, igrid, pixels)
     for img in imgs:
-        np.divide(img.values, 4.0 * math.pi, out=img.values)
+        np.divide(img, 4.0 * math.pi, out=img)
+    if pixels is None:
+        imgs = [Raster(igrid, img) for img in imgs]
     return imgs[0] if windows is None else imgs

@@ -42,17 +42,19 @@ def _check_payload(fh, samples: int, what: str) -> None:
         raise ValueError(f"{what}: {have - want} bytes after the payload")
 
 
-def _float32_payload(values: np.ndarray, what: str) -> bytes:
-    """Samples as little-endian float32 bytes; raise unless all are finite there.
+def _float32_payload(values: np.ndarray, what: str) -> np.ndarray:
+    """Samples as a C-ordered little-endian float32 array; raise unless all are finite there.
 
     The check runs on the cast array: a finite float64 beyond the float32
     range (about 3.4e38) casts to inf.
     """
     with np.errstate(over="ignore"):
-        data = values.astype("<f4")
-    if not np.all(np.isfinite(data)):
+        data = values.astype("<f4", order="C")
+    # The minimum and maximum are NaN if any sample is and reach either
+    # infinity; unlike np.isfinite they hold no array of the payload's size.
+    if not (np.isfinite(data.min(initial=0.0)) and np.isfinite(data.max(initial=0.0))):
         raise ValueError(f"{what} contains non-finite values as float32")
-    return data.tobytes(order="C")
+    return data
 
 
 def write_raster(raster: Raster, path, fmt: str = "raw-f32") -> None:

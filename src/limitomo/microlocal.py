@@ -379,14 +379,15 @@ def strength_vs_order_study(phantom: Phantom, base_cfg: ReconstructionConfig,
     :func:`~limitomo.filters.reconstruct` with ``windows``).  The
     windows differ only in ``k``, which the report geometry (the lines'
     ``(lines, t)`` sample lattice and the tubes) never reads, so it is
-    sampled once.  The pass computes only the pixels that geometry reads,
-    with the bits of a full image there; each image is measured at that
+    sampled once.  The pass returns the values of only the pixels that
+    geometry reads, with the bits of a full image there; each order's are
+    scattered into one reused image, +0.0 elsewhere, measured at that
     geometry, so every report equals :func:`artifact_report` of the full
-    reconstruction, and is summarized as
+    reconstruction, and summarized as
     ``(k, max line strength, max edge strength, ratio)``.  When
     ``report_dir`` is given, per-k CSV reports and a JSON summary are
-    written there.  Orders whose images exceed ``MAX_BUFFER_BYTES`` together
-    are rejected first.
+    written there.  Orders whose full images would exceed
+    ``MAX_BUFFER_BYTES`` together are rejected first.
     """
     ks = [int(k) for k in k_list]
     if not ks:
@@ -400,17 +401,21 @@ def strength_vs_order_study(phantom: Phantom, base_cfg: ReconstructionConfig,
 
     wins = [AngularWindow(base_cfg.window.phi1, base_cfg.window.phi2,
                           "finite-order", k) for k in ks]
-    # Every order gets a full float64 image: bound them before any work.
+    # Every order gets the values of the mask's P pixels: bound them at their
+    # worst case, P = n^2, before any work.
     check_buffer(f"stack of {len(ks)} {igrid.n}x{igrid.n} float64 images",
                  8 * len(ks) * igrid.n ** 2)
     # The windows differ only in k, which the report geometry never reads,
     # so one geometry, and its pixel set, serves every window.
     sites = _report_sites(igrid, phantom, wins[0], exclusion_radius)
+    mask = _mask(igrid, sites)
     sino = forward(phantom, base_cfg.mu, sgrid)
-    recons = reconstruct(sino, base_cfg, igrid, windows=wins, pixels=_mask(igrid, sites))
+    values = reconstruct(sino, base_cfg, igrid, windows=wins, pixels=mask)
+    recon = Raster(igrid, np.zeros((igrid.n, igrid.n)))
     rows: list[StudyRow] = []
     reports: list[ArtifactReport] = []
-    for k, win, recon in zip(ks, wins, recons):
+    for k, win, vals in zip(ks, wins, values):
+        recon.values[mask] = vals
         rep = _measure(recon, sites, win)
         reports.append(rep)
         edge = rep.max_edge_strength

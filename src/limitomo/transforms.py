@@ -327,15 +327,15 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
 
     ``pixels``, a boolean ``(n, n)`` mask, computes only the masked pixels:
     a block is then a run of the mask's pixel centres, one run per usable
-    CPU and at most ``BLOCK_PIXELS`` each, accumulated into ``(windows, P)``
-    arrays for the mask's ``P`` pixels and scattered into images that are
-    +0.0 elsewhere.  The centres are visited by 16 x 16 tiles (tile rows top
-    to bottom, tiles left to right, row-major inside a tile): consecutive
-    points then have nearby ``x . theta``, so ``np.interp``, which searches
-    from its last answer, takes about half the time per point of row-major
-    order on the k-study's scattered masks.  Each masked pixel gets the
-    operations of the unmasked call in the same order, so it keeps its bits.
-    A masked call never folds.
+    CPU and at most ``BLOCK_PIXELS`` each, accumulated into one ``(windows,
+    P)`` array for the mask's ``P`` pixels (:func:`backproject_values`) and
+    scattered into images, +0.0 elsewhere.  The centres are visited by 16 x
+    16 tiles (tile rows top to bottom, tiles left to right, row-major inside
+    a tile): consecutive points then have nearby ``x . theta``, so
+    ``np.interp``, which searches from its last answer, takes about half the
+    time per point of row-major order on the k-study's scattered masks.
+    Each masked pixel gets the operations of the unmasked call in the same
+    order, so it keeps its bits.  A masked call never folds.
 
     Opposite-angle fold: angle ``phi_i + pi`` reads the line of ``phi_i``
     at offset ``-s``.  On a full circle with ``n_phi = 2 m`` and
@@ -372,6 +372,19 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     unfolded, so a ``None`` window batched with cutoff windows gets the
     unfolded bits.
     """
+    values = backproject_values(g, nu, windows, igrid, pixels)
+    if pixels is not None:
+        out = np.zeros((len(windows), igrid.n, igrid.n))
+        out[:, np.asarray(pixels, dtype=bool)] = values
+        values = out
+    return [Raster(igrid, img) for img in values]
+
+
+def backproject_values(g: Sinogram, nu: WeightFunction, windows,
+                       igrid: ImageGrid, pixels=None) -> np.ndarray:
+    """The pass of :func:`backproject_windows` as one ``(windows, n, n)`` array or,
+    with ``pixels``, no image but the ``(windows, P)`` values of the mask's
+    ``P`` pixels in its row-major order (``np.flatnonzero(pixels)``)."""
     if len(windows) == 0:
         raise ValueError("windows must be nonempty")
     if not np.all(np.isfinite(g.values)):
@@ -445,7 +458,8 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
         # The mask's pixels by 16 x 16 tiles (see the docstring): a stable
         # sort of the row-major indices by one key, the tile's index.
         at = np.flatnonzero(pixels)
-        at = at[np.argsort(at // (16 * n) * n + at % n // 16, kind="stable")]
+        order = np.argsort(at // (16 * n) * n + at % n // 16, kind="stable")
+        at = at[order]
         px, py = ax[at % n], ax[at // n]
         acc = np.zeros((len(windows), at.size))
         # One run per usable CPU, of at most BLOCK_PIXELS points each.
@@ -514,7 +528,9 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
             kernel(*block(b))
 
     _util.for_each_chunk(worker, n_blocks)
-    if pixels is not None:
-        out = np.zeros((len(windows), n, n))
-        out.reshape(len(windows), -1)[:, at] = acc
-    return [Raster(igrid, img) for img in out]
+    if pixels is None:
+        return out
+    # Back to row-major order one window at a time, so the only copy is one row.
+    for values in acc:
+        values[order] = values.copy()
+    return acc

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +327,49 @@ def test_writers_reject_float32_overflow(tmp_path):
     with pytest.raises(ValueError, match="float32"):
         write_sinogram(Sinogram(SinogramGrid(n_phi=8, n_s=8, s_max=1.5), values), path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e39], ids=["nan", "inf", "-inf", "-1e39"])
+def test_writers_reject_every_non_finite_float32(tmp_path, bad):
+    # The check reads the cast payload's minimum and maximum: a NaN, either
+    # infinity and a float64 beyond the float32 range are each rejected.
+    values = np.ones((8, 8))
+    values[5, 6] = bad
+    with pytest.raises(ValueError, match="non-finite values as float32"):
+        write_raster(Raster(ImageGrid(8, 1.0), values), tmp_path / "bad.ltr")
+    with pytest.raises(ValueError, match="non-finite values as float32"):
+        write_sinogram(Sinogram(SinogramGrid(n_phi=8, n_s=8, s_max=1.5), values),
+                       tmp_path / "bad.lts")
+
+
+def test_writers_keep_the_float32_bytes(tmp_path):
+    # The payload is the cast array written as it is: the bytes of
+    # astype("<f4").tobytes(), also for a transposed (Fortran-ordered) input.
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((40, 33)) * 10.0 ** rng.uniform(-40, 38, (40, 33))
+    sgrid = SinogramGrid(n_phi=33, n_s=40, s_max=1.5)
+    for sino in (Sinogram(sgrid, values.T), Sinogram(sgrid, values.T.copy())):
+        write_sinogram(sino, tmp_path / "s.lts")
+        data = (tmp_path / "s.lts").read_bytes()
+        assert data[36:] == values.T.astype("<f4").tobytes(order="C")
+    raster = Raster(ImageGrid(40, 1.0), rng.standard_normal((40, 40)).T)
+    write_raster(raster, tmp_path / "r.ltr")
+    assert (tmp_path / "r.ltr").read_bytes()[16:] == raster.values.astype("<f4").tobytes()
+
+
+def test_write_sinogram_holds_one_payload(tmp_path):
+    # Beyond its float64 input, the writer holds the float32 payload and
+    # nothing of its size besides: under 1.25 payloads (a bytes copy of the
+    # payload makes 2).
+    values = np.random.default_rng(12).standard_normal((360, 513))
+    sino = Sinogram(SinogramGrid(n_phi=360, n_s=513, s_max=1.5), values)
+    tracemalloc.start()
+    try:
+        write_sinogram(sino, tmp_path / "s.lts")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * values.size * 4
 
 
 def test_pgm_constant_maps_to_zero(tmp_path):

@@ -125,6 +125,38 @@ def test_neg_d2_stencil_rejects_rows_below_three_samples():
         neg_d2_ds2(Sinogram(grid, np.ones((2, 2))))
 
 
+@pytest.mark.parametrize("n_s", [3, 64])
+def test_neg_d2_stencil_keeps_the_expression_bits(n_s):
+    # The interior formed in place equals the whole-array expression bitwise,
+    # on rows of both signs and magnitudes from 1e-300 to 1e300, mixed within
+    # a row or one per row, so that the order of the additions shows; each
+    # end repeats its neighbour's stencil.
+    rng = np.random.default_rng(21)
+    v = rng.standard_normal((40, n_s)) * 10.0 ** np.vstack(
+        [rng.uniform(-300, 300, (20, n_s)), rng.uniform(-300, 300, (20, 1)).repeat(n_s, 1)])
+    grid = SinogramGrid(n_phi=40, n_s=n_s, s_max=1.0)
+    out = neg_d2_ds2(Sinogram(grid, v)).values
+    ds2 = grid.ds ** 2
+    want = -(v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / ds2
+    np.testing.assert_array_equal(out[:, 1:-1].view(np.int64), want.view(np.int64))
+    np.testing.assert_array_equal(out[:, [0, -1]].view(np.int64),
+                                  want[:, [0, -1]].view(np.int64))
+
+
+def test_neg_d2_stencil_holds_one_output_plane():
+    # Beyond its input the stencil holds its output and two columns: at most
+    # 1.1 output planes (the whole-array expression holds about 3).
+    g = Sinogram(SinogramGrid(n_phi=720, n_s=768, s_max=1.7),
+                 np.random.default_rng(6).standard_normal((720, 768)))
+    tracemalloc.start()
+    try:
+        neg_d2_ds2(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * g.values.nbytes
+
+
 def test_neg_d2_spectral_matches_analytic():
     grid, s, w, omega = _tapered_rows()
     dw = -0.5 * math.pi / grid.s_max * np.sin(math.pi * s / grid.s_max)
@@ -308,6 +340,32 @@ def test_filtering_and_reconstruct_leave_the_sinogram_untouched(operator):
     batched = reconstruct(g, cfg, grid, windows=[None, win])
     np.testing.assert_array_equal(g.values, kept)
     np.testing.assert_array_equal(batched[1].values, single.values)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("ks", [[None], [1, 2, 3]], ids=["none", "k1-3"])
+@pytest.mark.parametrize("nu", [ONE, WeightFunction.exponential(0.3)], ids=["constant", "exp"])
+@pytest.mark.parametrize("operator", ["B", "Lambda"])
+def test_reconstruct_pixels_returns_the_full_image_values(operator, nu, ks, cpus, usable_cpus):
+    # With pixels, reconstruct returns the (windows, P) values of the mask in
+    # row-major order, bitwise the full images at np.flatnonzero(mask); one
+    # window without windows= gives its (P,) row.  The half range never folds.
+    usable_cpus(cpus)
+    grid = ImageGrid(48, 1.2)
+    sg = SinogramGrid(n_phi=31, n_s=97, s_max=1.8, phi0=0.5, phi1=2.6)
+    g = Sinogram(sg, np.random.default_rng(8).standard_normal((31, 97)))
+    wins = [None if k is None else AngularWindow(0.7, 2.4, "finite-order", k) for k in ks]
+    cfg = ReconstructionConfig(operator, ONE, nu, wins[0])
+    mask = np.random.default_rng(9).random((48, 48)) < 0.3
+    mask[:20, :20] = True
+    at = np.flatnonzero(mask)
+    values = reconstruct(g, cfg, grid, windows=wins, pixels=mask)
+    assert values.shape == (len(wins), at.size)
+    for vals, full in zip(values, reconstruct(g, cfg, grid, windows=wins)):
+        np.testing.assert_array_equal(vals.view(np.int64),
+                                      full.values.reshape(-1)[at].view(np.int64))
+    np.testing.assert_array_equal(reconstruct(g, cfg, grid, pixels=mask).view(np.int64),
+                                  values[0].view(np.int64))
 
 
 def test_filter_chain_temporaries_are_block_sized():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -429,6 +430,27 @@ def test_study_equals_full_image_reports(tmp_path, monkeypatch):
         write_report_csv(rep, tmp_path / f"report_k{k}.csv")
         assert ((tmp_path / "study" / f"report_k{k}.csv").read_bytes()
                 == (tmp_path / f"report_k{k}.csv").read_bytes())
+
+
+def test_study_memory_grows_by_the_mask_values_per_order(usable_cpus):
+    # Each order adds only its values on the mask's P pixels: nine more
+    # orders raise the peak by less than 9 P float64 values plus one n^2
+    # float64 image.  A full image per order adds 9 n^2.  Lambda's stencil
+    # holds less than B's padded transforms, so the pass weighs more in the peak.
+    usable_cpus(1)
+    grid, sg, win = _study_setup(n=128, n_phi=91)
+    cfg = ReconstructionConfig("Lambda", ONE, ONE, window=win)
+    P = int(microlocal._mask(grid, microlocal._report_sites(grid, UNIT_DISK, win,
+                                                            4.0 * grid.h)).sum())
+    peaks = []
+    for ks in (range(1, 4), range(1, 13)):
+        tracemalloc.start()
+        try:
+            strength_vs_order_study(UNIT_DISK, cfg, ks, grid, sg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 9 * P * 8 + grid.n ** 2 * 8
 
 
 def test_study_filters_the_sinogram_once(monkeypatch):
