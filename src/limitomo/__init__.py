@@ -45,7 +45,7 @@ from .phantoms import (
     rasterize,
 )
 from .pipeline import PipelineError, run_pipeline
-from .transforms import Sinogram, WeightFunction, backproject, backproject_windows, forward
+from .transforms import Sinogram, WeightFunction, backproject, forward
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "WeightFunction",
     "artifact_report",
     "backproject",
-    "backproject_windows",
     "default_probe_scales",
     "edge_singularities",
     "filter_chain",

@@ -19,14 +19,9 @@ from concurrent.futures import ThreadPoolExecutor
 # to as many chords (chord nodes for a custom weight); the row filter and
 # the rasterizer take whole rows of about as many values; a complex plane
 # counts as two block planes, so the back-projection's blocks have half the
-# rows when its rows are complex: a folded call with mirror groups, whose
-# rows carry their coefficient and whose planes add into one complex
-# accumulator per block, reversed into the image once, or a folded
-# exponential-weight call, whose complex rows hold phi and phi + pi and
-# whose mirror groups share one x . theta plane and one weight plane.
-# Either fold is within 1e-13 of the image maximum of the unfolded sum.
-# Masked calls take runs of at most as many points.
-# Callers read it at call time.
+# rows when its rows are complex (a fold, see
+# transforms.backproject_values).  Masked calls take runs of at most as
+# many points.  Callers read it at call time.
 BLOCK_PIXELS = 32768
 
 

@@ -136,28 +136,25 @@ def apply_operator_filter(g: Sinogram, cfg: ReconstructionConfig) -> Sinogram:
 
 
 def reconstruct(g: Sinogram, cfg: ReconstructionConfig, igrid: ImageGrid,
-                windows=None, pixels=None) -> Raster | list[Raster] | np.ndarray:
+                windows=None, pixels=None) -> Raster | np.ndarray:
     """Filtered back-projection reconstruction of a sinogram.
 
     Applies the operator's row filter, back-projects with the weight
-    ``nu`` and the window cutoff, and scales the back-projected images by
-    ``1/(4 pi)`` in place.  The sinogram must have been produced with
-    weight ``cfg.mu`` over an angular range covering the window.
+    ``nu`` and the window cutoff, and scales the result by ``1/(4 pi)``
+    in place.  The sinogram must have been produced with weight
+    ``cfg.mu`` over an angular range covering the window.
 
-    With ``windows``, a sequence of windows (``None`` for no cutoff) used
-    in place of ``cfg.window``, the sinogram is filtered once and
-    back-projected for every window in one pass; the result is one
-    raster per window, each bit-identical to a single-window call and for
-    every thread count.  A constant or exponential weight on a full circle
-    without a cutoff folds opposite angles into one interpolation (a
-    constant weight also pairs mirror angles in complex rows of the same
-    loop), within 1e-13 of the image maximum of the unfolded sum (see
-    :func:`~limitomo.transforms.backproject_windows`).
-
-    ``pixels``, a boolean ``(n, n)`` mask, returns no image but the values
-    of the mask's ``P`` pixels in its row-major order, ``(len(windows), P)``
-    or ``(P,)`` without ``windows``, each with the bits of the unmasked call
-    without a fold (see :func:`~limitomo.transforms.backproject_values`).
+    Without ``windows`` and ``pixels`` the result is one raster, computed
+    by :func:`~limitomo.transforms.backproject`.  Otherwise it is the one
+    array of :func:`~limitomo.transforms.backproject_values`: ``windows``,
+    a sequence of windows (``None`` for no cutoff), replaces ``cfg.window``
+    and the sinogram is filtered once for all of them; ``pixels``, a
+    boolean ``(n, n)`` mask, keeps only the mask's ``P`` pixels in its
+    row-major order.  The shape is ``(W, n, n)`` or ``(W, P)``, with ``W =
+    1`` without ``windows``; each window's values are bit-identical to a
+    single-window call and for every thread count.
+    :func:`~limitomo.transforms.backproject_values` states when opposite
+    and mirror angles fold.
     """
     wins = [cfg.window] if windows is None else list(windows)
     lo, hi = g.grid.phi0, g.grid.phi1
@@ -166,11 +163,8 @@ def reconstruct(g: Sinogram, cfg: ReconstructionConfig, igrid: ImageGrid,
             raise ValueError("sinogram angular range does not cover the window")
     filt = apply_operator_filter(g, cfg)
     if windows is None and pixels is None:
-        imgs = [backproject(filt, cfg.nu, cfg.window, igrid).values]
-    else:
-        imgs = backproject_values(filt, cfg.nu, wins, igrid, pixels)
-    for img in imgs:
-        np.divide(img, 4.0 * math.pi, out=img)
-    if pixels is None:
-        imgs = [Raster(igrid, img) for img in imgs]
-    return imgs[0] if windows is None else imgs
+        out = backproject(filt, cfg.nu, cfg.window, igrid)
+        np.divide(out.values, 4.0 * math.pi, out=out.values)
+        return out
+    out = backproject_values(filt, cfg.nu, wins, igrid, pixels)
+    return np.divide(out, 4.0 * math.pi, out=out)

@@ -218,22 +218,12 @@ class AngularWindow:
     def width(self) -> float:
         return self.phi2 - self.phi1
 
-    @property
-    def e1(self) -> np.ndarray:
-        """Boundary direction ``(cos phi1, sin phi1)``."""
-        return np.array([math.cos(self.phi1), math.sin(self.phi1)])
-
-    @property
-    def e2(self) -> np.ndarray:
-        """Boundary direction ``(cos phi2, sin phi2)``."""
-        return np.array([math.cos(self.phi2), math.sin(self.phi2)])
-
     def boundary_direction(self, j: int) -> np.ndarray:
-        if j == 1:
-            return self.e1
-        if j == 2:
-            return self.e2
-        raise ValueError("boundary index j must be 1 or 2")
+        """Boundary direction ``e_j = (cos phi_j, sin phi_j)`` for ``j`` 1 or 2."""
+        if j not in (1, 2):
+            raise ValueError("boundary index j must be 1 or 2")
+        phi = self.phi1 if j == 1 else self.phi2
+        return np.array([math.cos(phi), math.sin(phi)])
 
     def kappa(self, phi):
         """Evaluate the cutoff at real angle(s) ``phi``.

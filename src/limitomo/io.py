@@ -42,19 +42,24 @@ def _check_payload(fh, samples: int, what: str) -> None:
         raise ValueError(f"{what}: {have - want} bytes after the payload")
 
 
-def _float32_payload(values: np.ndarray, what: str) -> np.ndarray:
-    """Samples as a C-ordered little-endian float32 array; raise unless all are finite there.
+def _check_float32(values: np.ndarray, what: str) -> None:
+    """Raise unless every sample is finite as float32.
 
-    The check runs on the cast array: a finite float64 beyond the float32
-    range (about 3.4e38) casts to inf.
+    Rounding to float32 is monotonic, so the float64 minimum and maximum
+    cast decide the whole payload: a finite float64 beyond the float32
+    range (about 3.4e38) casts to inf, and either one is NaN if any sample
+    is.  Only those two values are cast.
     """
     with np.errstate(over="ignore"):
-        data = values.astype("<f4", order="C")
-    # The minimum and maximum are NaN if any sample is and reach either
-    # infinity; unlike np.isfinite they hold no array of the payload's size.
-    if not (np.isfinite(data.min(initial=0.0)) and np.isfinite(data.max(initial=0.0))):
+        ends = np.array([values.min(initial=0.0), values.max(initial=0.0)], dtype=np.float32)
+    if not np.all(np.isfinite(ends)):
         raise ValueError(f"{what} contains non-finite values as float32")
-    return data
+
+
+def _float32_payload(values: np.ndarray, what: str) -> np.ndarray:
+    """Samples as a C-ordered little-endian float32 array, after :func:`_check_float32`."""
+    _check_float32(values, what)
+    return values.astype("<f4", order="C")
 
 
 def write_raster(raster: Raster, path, fmt: str = "raw-f32") -> None:

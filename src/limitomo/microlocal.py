@@ -214,10 +214,6 @@ def _grid_index(grid: ImageGrid, pts: np.ndarray):
     return rows, cols
 
 
-def _sample_raster(raster: Raster, pts: np.ndarray) -> np.ndarray:
-    return _bilinear(raster.values, *_grid_index(raster.grid, pts))
-
-
 def _box_candidates(shape, x: np.ndarray, y: np.ndarray, radius: float):
     """``(row, column)`` indices of the pixels of the box ``y`` by ``x`` that may
     lie within ``radius`` of the shape's boundary.
@@ -307,7 +303,8 @@ def _measure(recon: Raster, sites, window: AngularWindow | None,
     grid = recon.grid
     lines, points, keep, tubes, exclusion_radius = sites
     # Only kept points count: the others may lie on pixels never computed.
-    strengths = np.max(np.abs(_sample_raster(recon, points)), axis=-1, where=keep, initial=0.0)
+    sampled = _bilinear(recon.values, *_grid_index(grid, points))
+    strengths = np.max(np.abs(sampled), axis=-1, where=keep, initial=0.0)
     edge_strengths = [_peak(recon.values[rows, cols]) for rows, cols in tubes]
     k = window.k if window is not None and window.kind == "finite-order" else None
     meta = {

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from .config import RunConfig
 from .filters import reconstruct
-from .io import _float32_payload, write_raster, write_sinogram
+from .io import _check_float32, write_raster, write_sinogram
 from .microlocal import artifact_report, write_report_csv, write_report_json
 from .phantoms import rasterize
 from .transforms import forward
@@ -49,11 +49,11 @@ def run_pipeline(cfg: RunConfig) -> int:
     progress line to stderr.
     """
     raster = _stage("phantom", rasterize, cfg.phantom, cfg.igrid)
-    _stage("write", _float32_payload, raster.values, "raster")
+    _stage("write", _check_float32, raster.values, "raster")
     _log(f"phantom: rasterized {cfg.igrid.n}x{cfg.igrid.n}")
 
     sino = _stage("forward", forward, cfg.phantom, cfg.mu, cfg.sgrid)
-    _stage("write", _float32_payload, sino.values, "sinogram")
+    _stage("write", _check_float32, sino.values, "sinogram")
     _log(f"forward: sinogram {cfg.sgrid.n_phi}x{cfg.sgrid.n_s}")
 
     recon = _stage("reconstruct", reconstruct, sino, cfg.recon_config(), cfg.igrid)
@@ -65,7 +65,7 @@ def run_pipeline(cfg: RunConfig) -> int:
     _log(f"analyze: {len(report.lines)} predicted line(s)")
 
     def write_all():
-        _float32_payload(recon.values, "raster")
+        _check_float32(recon.values, "raster")
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.normalized.ini").write_text(cfg.dumps(), encoding="utf-8")

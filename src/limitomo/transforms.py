@@ -15,10 +15,9 @@ leave every other line at +0.0, so a sparse source costs less.  The
 raster path also steps only through the pixel lines that hold the source
 and, on a full circle, serves ``phi`` and ``phi + pi`` from one plane:
 its samples are within 1e-13 of the per-angle rows, not bitwise equal.
-The back-projection folds ``phi`` and ``phi + pi`` into one interpolation
-on a full circle without a cutoff or a mask, for a constant or an
-exponential weight, and lets ``pi - phi`` share its ``x . theta`` plane:
-its image is within 1e-13 of the image maximum of the per-angle sum.
+The back-projection may fold opposite and mirror angles on a full circle,
+within 1e-13 of the image maximum of the per-angle sum; the fold rule is
+stated once, on :func:`backproject_values`.
 """
 
 from __future__ import annotations
@@ -120,7 +119,7 @@ def _folds(sgrid: SinogramGrid) -> bool:
 
 
 def _mirror_groups(sgrid: SinogramGrid) -> list[tuple[int, int | None]]:
-    """The mirror groups of a :func:`_folds` grid (see :func:`backproject_windows`)."""
+    """The mirror groups of a :func:`_folds` grid (see :func:`backproject_values`)."""
     phis, m = sgrid.phis(), sgrid.n_phi // 2
     i = np.arange(m)
     j = np.rint((math.pi - phis[:m] - phis[0]) / sgrid.dphi).astype(np.intp)
@@ -291,25 +290,22 @@ def forward(source: Phantom | Raster, mu: WeightFunction,
 
 
 def backproject(g: Sinogram, nu: WeightFunction,
-                window: AngularWindow | None, igrid: ImageGrid, pixels=None) -> Raster:
+                window: AngularWindow | None, igrid: ImageGrid) -> Raster:
     """Weighted, cutoff-modulated back-projection onto an image grid.
 
     For each pixel ``x`` this accumulates
     ``sum_phi w_phi kappa(phi) nu(x, phi) g(phi, x . theta(phi))`` with
     linear interpolation in ``s``; ``window=None`` means ``kappa == 1``
-    over the sinogram's angular range.  The image is bit-identical for
-    every thread count.  With ``window=None`` on a full circle and a
-    constant or exponential weight, ``phi`` and ``phi + pi`` may be folded
-    into one interpolation, and ``phi`` and ``pi - phi`` may share one
-    ``x . theta`` plane; :func:`backproject_windows` says when, and gives
-    the 1e-13 tolerance.  ``pixels`` restricts the sum to a mask.
+    over the sinogram's angular range.  It is :func:`backproject_values`
+    for one window, which says when opposite and mirror angles fold.
     """
-    return backproject_windows(g, nu, [window], igrid, pixels)[0]
+    return Raster(igrid, backproject_values(g, nu, [window], igrid)[0])
 
 
-def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
-                        igrid: ImageGrid, pixels=None) -> list[Raster]:
-    """:func:`backproject` for several windows in one pass over the angles.
+def backproject_values(g: Sinogram, nu: WeightFunction, windows,
+                       igrid: ImageGrid, pixels=None) -> np.ndarray:
+    """The weighted back-projection of :func:`backproject` for several windows in
+    one pass over the angles, as one ``(windows, n, n)`` array.
 
     Every call but an exponential fold (below) runs one per-angle loop:
     each active angle interpolates its row at ``x . theta`` and evaluates
@@ -325,13 +321,13 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     order, so each image is bit-identical to a single-window call and for
     every thread count.
 
-    ``pixels``, a boolean ``(n, n)`` mask, computes only the masked pixels:
-    a block is then a run of the mask's pixel centres, one run per usable
-    CPU and at most ``BLOCK_PIXELS`` each, accumulated into one ``(windows,
-    P)`` array for the mask's ``P`` pixels (:func:`backproject_values`) and
-    scattered into images, +0.0 elsewhere.  The centres are visited by 16 x
-    16 tiles (tile rows top to bottom, tiles left to right, row-major inside
-    a tile): consecutive points then have nearby ``x . theta``, so
+    ``pixels``, a boolean ``(n, n)`` mask, computes only the masked pixels
+    and returns no image but the ``(windows, P)`` values of the mask's
+    ``P`` pixels in its row-major order (``np.flatnonzero(pixels)``).  A
+    block is then a run of the mask's pixel centres, one run per usable CPU
+    and at most ``BLOCK_PIXELS`` each.  The centres are visited by 16 x 16
+    tiles (tile rows top to bottom, tiles left to right, row-major inside a
+    tile): consecutive points then have nearby ``x . theta``, so
     ``np.interp``, which searches from its last answer, takes about half the
     time per point of row-major order on the k-study's scattered masks.
     Each masked pixel gets the operations of the unmasked call in the same
@@ -372,19 +368,6 @@ def backproject_windows(g: Sinogram, nu: WeightFunction, windows,
     unfolded, so a ``None`` window batched with cutoff windows gets the
     unfolded bits.
     """
-    values = backproject_values(g, nu, windows, igrid, pixels)
-    if pixels is not None:
-        out = np.zeros((len(windows), igrid.n, igrid.n))
-        out[:, np.asarray(pixels, dtype=bool)] = values
-        values = out
-    return [Raster(igrid, img) for img in values]
-
-
-def backproject_values(g: Sinogram, nu: WeightFunction, windows,
-                       igrid: ImageGrid, pixels=None) -> np.ndarray:
-    """The pass of :func:`backproject_windows` as one ``(windows, n, n)`` array or,
-    with ``pixels``, no image but the ``(windows, P)`` values of the mask's
-    ``P`` pixels in its row-major order (``np.flatnonzero(pixels)``)."""
     if len(windows) == 0:
         raise ValueError("windows must be nonempty")
     if not np.all(np.isfinite(g.values)):

@@ -11,6 +11,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from limitomo import AngularWindow, ImageGrid, ReconstructionConfig, Sinogram, SinogramGrid
+from limitomo import WeightFunction, pipeline
+
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 SPANS_PATH = BENCH_DIR / "spans.py"
 
@@ -65,3 +70,22 @@ def test_every_benchmark_import_resolves():
             except ModuleNotFoundError:
                 missing.append(f"{file}: from {module} import {name}")
     assert missing == []
+
+
+def test_tracer_books_the_dense_pass_under_reconstruct():
+    # A single-window reconstruct without pixels reaches the pass through
+    # filters.backproject, the name the tracer wraps: one
+    # transforms.backproject span inside one filters.reconstruct span.
+    sg = SinogramGrid(n_phi=16, n_s=33, s_max=1.8)
+    g = Sinogram(sg, np.random.default_rng(1).standard_normal((16, 33)))
+    one = WeightFunction.constant(1.0)
+    cfg = ReconstructionConfig("B", one, one, AngularWindow(0.5, 2.5, "finite-order", 1))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        pipeline.reconstruct(g, cfg, ImageGrid(16, 1.2))
+    finally:
+        tracer.uninstall()
+    assert [(sp[0], sp[5]) for sp in tracer.spans] == [("filters.reconstruct", None),
+                                                       ("transforms.backproject", 0)]
+    assert tracer.counts["transforms.backproject_calls"] == 1

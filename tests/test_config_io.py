@@ -18,6 +18,7 @@ from limitomo import (
     write_raster,
     write_sinogram,
 )
+from limitomo.io import _check_float32, _float32_payload
 
 MINIMAL = """
 [phantom]
@@ -331,8 +332,9 @@ def test_writers_reject_float32_overflow(tmp_path):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e39], ids=["nan", "inf", "-inf", "-1e39"])
 def test_writers_reject_every_non_finite_float32(tmp_path, bad):
-    # The check reads the cast payload's minimum and maximum: a NaN, either
-    # infinity and a float64 beyond the float32 range are each rejected.
+    # The check reads the payload's minimum and maximum cast to float32: a
+    # NaN, either infinity and a float64 beyond the float32 range are each
+    # rejected.
     values = np.ones((8, 8))
     values[5, 6] = bad
     with pytest.raises(ValueError, match="non-finite values as float32"):
@@ -370,6 +372,40 @@ def test_write_sinogram_holds_one_payload(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * values.size * 4
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["max", "min"])
+def test_float32_check_and_cast_agree_at_the_range_edge(sign):
+    # Exact: 2^128 - 2^103 is the first float64 that rounds to inf in
+    # float32 (halfway to 2^128); the check, which casts only the minimum and
+    # the maximum, rejects it and passes its float64 predecessor, whose cast
+    # payload is finite.  NaN and either infinity are rejected too.
+    edge = 2.0 ** 128 - 2.0 ** 103
+    below = np.array([[1.0, sign * np.nextafter(edge, 0.0)], [-2.0, 0.5]])
+    _check_float32(below, "raster")
+    assert np.all(np.isfinite(_float32_payload(below, "raster")))
+    for bad in (sign * edge, np.nan, np.inf, -np.inf):
+        values = below.copy()
+        values[1, 0] = bad
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(values.astype("<f4")))
+        with pytest.raises(ValueError, match="raster contains non-finite values as float32"):
+            _check_float32(values, "raster")
+        with pytest.raises(ValueError, match="raster contains non-finite values as float32"):
+            _float32_payload(values, "raster")
+
+
+def test_float32_check_holds_no_payload():
+    # The check casts two values, not the payload: its traced peak on a 512^2
+    # payload stays below 1% of the payload's float32 bytes (a cast is 100%).
+    values = np.random.default_rng(13).standard_normal((512, 512))
+    tracemalloc.start()
+    try:
+        _check_float32(values, "raster")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * values.size * 4
 
 
 def test_pgm_constant_maps_to_zero(tmp_path):

@@ -339,7 +339,8 @@ def test_filtering_and_reconstruct_leave_the_sinogram_untouched(operator):
     single = reconstruct(g, cfg, grid)
     batched = reconstruct(g, cfg, grid, windows=[None, win])
     np.testing.assert_array_equal(g.values, kept)
-    np.testing.assert_array_equal(batched[1].values, single.values)
+    assert batched.shape == (2, 24, 24)
+    np.testing.assert_array_equal(batched[1], single.values)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -349,7 +350,7 @@ def test_filtering_and_reconstruct_leave_the_sinogram_untouched(operator):
 def test_reconstruct_pixels_returns_the_full_image_values(operator, nu, ks, cpus, usable_cpus):
     # With pixels, reconstruct returns the (windows, P) values of the mask in
     # row-major order, bitwise the full images at np.flatnonzero(mask); one
-    # window without windows= gives its (P,) row.  The half range never folds.
+    # window without windows= gives one (1, P) row.  The half range never folds.
     usable_cpus(cpus)
     grid = ImageGrid(48, 1.2)
     sg = SinogramGrid(n_phi=31, n_s=97, s_max=1.8, phi0=0.5, phi1=2.6)
@@ -362,10 +363,10 @@ def test_reconstruct_pixels_returns_the_full_image_values(operator, nu, ks, cpus
     values = reconstruct(g, cfg, grid, windows=wins, pixels=mask)
     assert values.shape == (len(wins), at.size)
     for vals, full in zip(values, reconstruct(g, cfg, grid, windows=wins)):
-        np.testing.assert_array_equal(vals.view(np.int64),
-                                      full.values.reshape(-1)[at].view(np.int64))
-    np.testing.assert_array_equal(reconstruct(g, cfg, grid, pixels=mask).view(np.int64),
-                                  values[0].view(np.int64))
+        np.testing.assert_array_equal(vals.view(np.int64), full.reshape(-1)[at].view(np.int64))
+    alone = reconstruct(g, cfg, grid, pixels=mask)
+    assert alone.shape == (1, at.size)
+    np.testing.assert_array_equal(alone.view(np.int64), values[:1].view(np.int64))
 
 
 def test_filter_chain_temporaries_are_block_sized():

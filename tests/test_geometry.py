@@ -122,8 +122,13 @@ def test_vanishing_order_probe_validation():
 
 def test_window_boundary_directions():
     win = AngularWindow(PHI1, PHI2)
-    np.testing.assert_allclose(win.e1, [math.cos(PHI1), math.sin(PHI1)], atol=1e-15)
-    np.testing.assert_allclose(win.e2, [math.cos(PHI2), math.sin(PHI2)], atol=1e-15)
+    np.testing.assert_allclose(win.boundary_direction(1), [math.cos(PHI1), math.sin(PHI1)],
+                               atol=1e-15)
+    np.testing.assert_allclose(win.boundary_direction(2), [math.cos(PHI2), math.sin(PHI2)],
+                               atol=1e-15)
+    for j in (0, 3):
+        with pytest.raises(ValueError, match="boundary index"):
+            win.boundary_direction(j)
     assert win.contains_direction(math.pi / 2.0)
     assert win.contains_direction(3.0 * math.pi / 2.0)  # antipode of pi/2
     assert not win.contains_direction(0.0)

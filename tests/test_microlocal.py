@@ -424,7 +424,7 @@ def test_study_equals_full_image_reports(tmp_path, monkeypatch):
     np.testing.assert_array_equal(masks[0], union)
     full = original(forward(phantom, ONE, sg), cfg, grid, windows=wins)
     for k, win_k, rec, row in zip(ks, wins, full, rows):
-        rep = artifact_report(rec, phantom, win_k, 4.0 * grid.h)
+        rep = artifact_report(Raster(grid, rec), phantom, win_k, 4.0 * grid.h)
         edge, line = rep.max_edge_strength, rep.max_line_strength
         assert row == StudyRow(k, line, edge, line / edge)
         write_report_csv(rep, tmp_path / f"report_k{k}.csv")

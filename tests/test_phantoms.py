@@ -421,7 +421,7 @@ def test_edge_singularities_offcenter_disk():
 def test_edge_singularities_clipped_disk_segment():
     # clip plane normal aligned with e1: the straight edge matches j=1
     win = AngularWindow(math.pi / 4.0, 3.0 * math.pi / 4.0)
-    e1 = win.e1
+    e1 = win.boundary_direction(1)
     sh = ClippedDisk((0.0, 0.0), 0.8, tuple(e1), 0.2, 1.0)
     edges = edge_singularities(Phantom((sh,)), win)
     flat = [e for e in edges if e.boundary_curvature == 0.0]

@@ -26,7 +26,6 @@ from limitomo import (  # noqa: E402
     SinogramGrid,
     WeightFunction,
     backproject,
-    backproject_windows,
     loads_config,
     read_raster,
     read_sinogram,
@@ -35,6 +34,7 @@ from limitomo import (  # noqa: E402
 )
 from limitomo.cli import main  # noqa: E402
 from limitomo.geometry import theta, theta_perp  # noqa: E402
+from limitomo.transforms import backproject_values  # noqa: E402
 
 GRID = ImageGrid(12, 1.2)
 SGRID = SinogramGrid(n_phi=17, n_s=21, s_max=1.8, phi0=0.0, phi1=math.pi)
@@ -57,8 +57,8 @@ def windows(draw):
 def test_batched_backprojection_is_bitwise_single(wins, values, lam):
     g = Sinogram(SGRID, np.reshape(values, (SGRID.n_phi, SGRID.n_s)))
     nu = WeightFunction.constant(1.0) if lam is None else WeightFunction.exponential(lam)
-    for win, img in zip(wins, backproject_windows(g, nu, wins, GRID)):
-        np.testing.assert_array_equal(img.values, backproject(g, nu, win, GRID).values)
+    for win, img in zip(wins, backproject_values(g, nu, wins, GRID)):
+        np.testing.assert_array_equal(img, backproject(g, nu, win, GRID).values)
 
 
 F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
