@@ -9,7 +9,8 @@ across the dominant direction of the line, with linear interpolation
 within that pixel line.  The back-projection is trapezoid (or
 uniform-periodic) in ``phi`` with linear interpolation in ``s``.
 The exponential weight is ``exp(p0 x) exp(p1 y)`` everywhere, so both
-projectors evaluate it per angle as two short ``exp`` vectors.
+projectors evaluate it per angle as two short ``exp`` vectors, except a
+masked back-projection, which evaluates both at every masked point.
 Both forward paths compute only the lines that can meet the source and
 leave every other line at +0.0, so a sparse source costs less.  The
 raster path also steps only through the pixel lines that hold the source
@@ -307,11 +308,11 @@ def backproject_values(g: Sinogram, nu: WeightFunction, windows,
     """The weighted back-projection of :func:`backproject` for several windows in
     one pass over the angles, as one ``(windows, n, n)`` array.
 
-    Every call but an exponential fold (below) runs one per-angle loop:
-    each active angle interpolates its row at ``x . theta`` and evaluates
+    Three block kernels.  An unfolded call runs the per-angle loop: each
+    active angle interpolates its real row at ``x . theta`` and evaluates
     ``nu`` once, then adds the row, times ``w_phi kappa(phi) nu``, to the
-    image of every window that uses it (a factor of exactly 1.0 skips its
-    multiply, which keeps the bits).  The image is cut into blocks of whole
+    image of every window that uses it.  A folded call (below) runs the
+    group kernel of its weight kind.  The image is cut into blocks of whole
     rows, about ``BLOCK_PIXELS`` pixels each, so the accumulators stay in
     cache; ``nu`` is evaluated on each block by
     :meth:`WeightFunction.on_grid`, with the bits of ``nu`` itself on the
@@ -339,19 +340,19 @@ def backproject_values(g: Sinogram, nu: WeightFunction, windows,
     no mask, a constant or an exponential ``nu`` folds.  For a constant
     weight (``nu.kind == "constant"``) row ``i + m`` reversed in ``s`` is
     added to row ``i`` and the sum scaled by its coefficient ``w_phi c``,
-    the same for every row: ``m`` folded rows that the loop adds with the
-    factor 1.0.
+    the same for every row: ``m`` folded rows that carry every weight.
     Mirror groups then halve the index searches again: angle ``phi_j = pi -
     phi_i`` reads at ``(x, y)`` the offset ``phi_i`` reads at ``(-x, y)``,
     and ``ImageGrid.axis()`` is symmetric about 0.  The partner is ``j =
     rint((pi - phi_i - phi_0) / dphi)``, kept when ``i < j < m`` and
     ``|phi_i + phi_j - pi| <= 1e-14``; the pairs ``(i, j)`` come first,
     then each angle without one as ``(i, None)``.  Each group is one
-    complex row of the loop, the folded rows of ``i`` and ``j`` (zero
-    without one) as its parts; each block adds every group into one complex
-    accumulator per window, then its real part to the image and its
-    imaginary part reversed in ``x``.  A grid without a pair keeps real
-    rows.  An exponential ``nu`` differs at ``phi`` and ``phi + pi``, so its
+    complex row, the folded rows of ``i`` and ``j`` (zero without one) as
+    its parts; the constant kernel adds every group of a block into one
+    complex accumulator, makes the image its real part plus its imaginary
+    part reversed in ``x`` and copies that image to every other window.  A
+    grid without a pair keeps real rows and a real accumulator.  An
+    exponential ``nu`` differs at ``phi`` and ``phi + pi``, so its
     ``m`` rows are complex, ``w_phi (g_i + 1j g_{i+m}[::-1])``, and its own
     block kernel takes the groups: rows ``i`` and ``j`` are interpolated on
     one ``x . theta_i`` plane and weighted by one plane ``E = nu(x,
@@ -388,19 +389,19 @@ def backproject_values(g: Sinogram, nu: WeightFunction, windows,
     s = g.grid.s_values()
     ax = igrid.axis()
     # Opposite-angle fold and mirror groups (see the docstring).  The periodic
-    # weights are uniform, so folded rows carry their coefficient, w_i c or
-    # w_i, and the kernels see unit weights.
+    # weights are uniform, so each folded row carries its coefficient, w_i c
+    # or w_i, and a group kernel applies no weight but an exponential nu.
     m = phis.size // 2
-    folds = pixels is None and _folds(g.grid) and all(w is None for w in windows)
-    exp_fold = folds and nu.kind == "exponential"
+    folds = (nu.kind != "custom" and pixels is None and _folds(g.grid)
+             and all(w is None for w in windows))
     groups = _mirror_groups(g.grid) if folds else None
-    if exp_fold:
+    if folds and nu.kind == "exponential":
         # Row i holds angle i in its real part and angle i + m, reversed in
         # s, in its imaginary part.
         rows = np.empty((m, s.size), dtype=complex)
         rows.real, rows.imag = g.values[:m], g.values[m:, ::-1]
         rows *= wphi[0]
-    elif folds and nu.kind == "constant":
+    elif folds:
         wc = wphi[0] * nu.params[0]
 
         def fold(k, into):
@@ -414,17 +415,15 @@ def backproject_values(g: Sinogram, nu: WeightFunction, windows,
             fold(i, r.real)
             if j is not None:
                 fold(j, r.imag)
-        phis = phis[[i for i, _ in groups]]
-        wphi, nu = np.ones(phis.size), WeightFunction.constant(1.0)
-    # Complex rows hold mirror groups, added into a complex accumulator per
-    # block, or opposite angles (an exponential fold).
-    paired = np.iscomplexobj(rows)
-    if not exp_fold:
+    else:
         coef = np.array([(1.0 if w is None else w.kappa(phis)) * wphi for w in windows])
         # Each active angle once per call: its row, its angle and the windows
         # it adds to with their coefficients.
         work = [(rows[i], phis[i], [(k, coef[k, i]) for k in np.nonzero(coef[:, i])[0]])
                 for i in np.nonzero(coef.any(axis=0))[0]]
+    # Complex rows hold mirror groups (a constant fold) or opposite angles
+    # (an exponential fold).
+    paired = np.iscomplexobj(rows)
     # A block is a pair of coordinates that broadcast together and the
     # accumulators they add to: whole image rows (ax, y[:, None]), or a run
     # of the mask's pixel centres.
@@ -455,28 +454,26 @@ def backproject_values(g: Sinogram, nu: WeightFunction, windows,
 
     def per_angle(x, y, dest):
         nu_at = nu.on_grid(x, y)
-        # Real rows add into the images, mirror groups into one complex
-        # plane per window, and a factor of exactly 1.0 skips its multiply.
-        # At most one product plane per block, reused by every angle and window.
-        into = np.zeros(dest.shape, dtype=complex) if paired else dest
-        term = None
+        # One product plane per block, reused by every angle and window.
+        term = np.empty(dest.shape[1:])
         for row, phi, ks in work:
             gi = np.interp(x * math.cos(phi) + y * math.sin(phi), s, row)
             nu_i = nu_at(phi)
             for k, ck in ks:
-                f = nu_i if ck == 1.0 else ck * nu_i
-                if isinstance(f, float) and f == 1.0:
-                    into[k] += gi
-                else:
-                    term = np.multiply(f, gi, out=term)
-                    into[k] += term
+                dest[k] += np.multiply(ck * nu_i, gi, out=term)
             # Free this angle's planes before the next one allocates its own.
-            del gi, nu_i, f
+            del gi, nu_i
+
+    def constant_group(x, y, dest):
+        # Every group's row into one accumulator: the partner pi - phi reads
+        # at (x, y) what phi reads at (-x, y), so its part is reversed in x.
+        total = np.zeros(dest.shape[1:], dtype=rows.dtype)
+        for r, (i, _) in zip(rows, groups):
+            total += np.interp(x * math.cos(phis[i]) + y * math.sin(phis[i]), s, r)
+        dest[0] = total.real
         if paired:
-            # The partner pi - phi reads at (x, y) what phi reads at
-            # (-x, y): its plane is reversed in x.
-            dest += into.real
-            dest += into.imag[..., ::-1]
+            dest[0] += total.imag[..., ::-1]
+        dest[1:] = dest[0]
 
     def exp_group(x, y, dest):
         # Per group, one x . theta_i plane, the rows of i and j interpolated
@@ -502,7 +499,7 @@ def backproject_values(g: Sinogram, nu: WeightFunction, windows,
         img += mirror[:, ::-1]
         dest[1:] = img
 
-    kernel = exp_group if exp_fold else per_angle
+    kernel = per_angle if not folds else exp_group if nu.kind == "exponential" else constant_group
 
     def worker(blocks: slice) -> None:
         # Each block is a contiguous run of pixels; the slices stop the last

@@ -1116,6 +1116,29 @@ def test_folded_backproject_temporaries_are_block_sized(nu, row_bytes, usable_cp
         assert peak - n * n * 8 - n_phi // 2 * n_s * row_bytes < cpus * 5 * plane
 
 
+@pytest.mark.parametrize("nu, row_bytes", [(ONE, 8), (WeightFunction.exponential(0.3), 16)],
+                         ids=["constant", "exponential"])
+def test_folded_temporaries_do_not_grow_with_windows(nu, row_bytes, usable_cpus):
+    # Eight None windows fold like one: a block holds one accumulator, whose
+    # image is copied to the other windows, not one accumulator per window.
+    # Beyond the eight images and the folded rows, tracemalloc reads about
+    # 2.6 block planes for a constant weight and 4.1 for an exponential one
+    # at 1 CPU; one complex accumulator per window held 9.8 for the
+    # constant weight.
+    n, n_phi, n_s = 256, 180, 2 * 256 + 1
+    grid = ImageGrid(n, 1.2)
+    sg = SinogramGrid(n_phi=n_phi, n_s=n_s, s_max=1.8)
+    g = Sinogram(sg, np.random.default_rng(3).standard_normal((n_phi, n_s)))
+    usable_cpus(1)
+    tracemalloc.start()
+    try:
+        backproject_values(g, nu, [None] * 8, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * n * n * 8 - n_phi // 2 * n_s * row_bytes < 5 * _util.BLOCK_PIXELS * 8
+
+
 def test_single_block_backprojects_in_calling_thread(monkeypatch, usable_cpus):
     # A grid of one block has one worker, whatever the CPU count: no pool.
     def no_pool(*args, **kwargs):
